@@ -27,6 +27,7 @@ from .operators import (
     DiscreteClassical,
     DiscreteFractional,
     Fractional,
+    OperatorMatrix,
     assemble,
     operator_distance,
 )
@@ -40,6 +41,7 @@ from .sde import (
 )
 from .semigroup import EvolveSpec, decay_rate, evolve, steady_state
 from .spectra import (
+    SpectrumReport,
     eigen_spectrum,
     fourier_side_generator,
     perturbation_certificate,
@@ -76,15 +78,26 @@ def _frac_op(alpha: float):
     return assemble(Fractional(alpha=alpha), make_grid(60.0, 2049))
 
 
+def _shared_op(which: str, param: float) -> OperatorMatrix:
+    if which == "classical":
+        return _classical_op()
+    if which == "discrete-classical":
+        return _dc_op(param)
+    return _frac_op(param)
+
+
+@lru_cache(maxsize=None)
+def _spectrum(which: str, param: float) -> SpectrumReport:
+    """Dense spectrum of a shared operator, solved once for criteria 2-4 and 12."""
+    return eigen_spectrum(_shared_op(which, param))
+
+
 @lru_cache(maxsize=None)
 def _fitted_rate(which: str, param: float) -> float:
     """Decay-rate fit on the same operator used for the gap computations."""
-    if which == "classical":
-        op, w = _classical_op(), WeightSpec(p=1, q=1)
-    elif which == "discrete-classical":
-        op, w = _dc_op(param), WeightSpec(p=1, q=1)
-    else:
-        op, w = _frac_op(param), WeightSpec(p=1, q=0)
+    op = _shared_op(which, param)
+    local = which in ("classical", "discrete-classical")
+    w = WeightSpec(p=1, q=1) if local else WeightSpec(p=1, q=0)
     g = op.grid
     f0 = gaussian_density(g, 1.0, 1.0)
     spec = EvolveSpec(t_end=4.0, dt=0.05, scheme="ExactExpm")
@@ -109,7 +122,7 @@ def criterion_1() -> dict:
 
 def criterion_2() -> dict:
     """Local-diffusion spectrum matches the integer ladder 0, -1, -2, -3."""
-    rep = eigen_spectrum(_classical_op(), k_leading=4)
+    rep = _spectrum("classical", 0.0)
     target = np.array([0.0, -1.0, -2.0, -3.0])
     offs = np.abs(rep.eigenvalues.real[:4] - target)
     return {
@@ -130,7 +143,7 @@ def criterion_3() -> dict:
         ok = ok and (-1.1 <= gap <= -0.85)
     pgaps = {}
     for al in (1.0, 1.5):
-        gap = eigen_spectrum(_frac_op(al)).gap
+        gap = _spectrum("fractional", al).gap
         pgaps[al] = gap
         ok = ok and (abs(gap + 1.0) <= 0.15)
     return {
@@ -148,7 +161,7 @@ def criterion_4() -> dict:
     gap_offsets, steady_errs, rates = [], [], []
     for eps in eps_list:
         op = _dc_op(eps)
-        gap_offsets.append(abs(eigen_spectrum(op).gap + 1.0))
+        gap_offsets.append(abs(_spectrum("discrete-classical", eps).gap + 1.0))
         G = steady_state(op)
         diff = G.values - gaussian_density(op.grid, 1.0, 0.0).values
         steady_errs.append(weighted_norm(Field(op.grid, diff), WeightSpec(p=1)))
@@ -405,11 +418,11 @@ def criterion_12() -> dict:
     """Spectral gaps and fitted decay rates agree on the same operators."""
     rows = []
     ok = True
-    checks = [("classical", 0.0, _classical_op())]
-    checks += [("discrete-classical", e, _dc_op(e)) for e in (0.4, 0.2, 0.1)]
-    checks += [("fractional", a, _frac_op(a)) for a in (1.0, 1.5)]
-    for which, param, op in checks:
-        gap = eigen_spectrum(op).gap
+    checks = [("classical", 0.0)]
+    checks += [("discrete-classical", e) for e in (0.4, 0.2, 0.1)]
+    checks += [("fractional", a) for a in (1.0, 1.5)]
+    for which, param in checks:
+        gap = _spectrum(which, param).gap
         rate = _fitted_rate(which, param)
         rows.append({"model": which, "param": param, "gap": gap, "rate": rate})
         ok = ok and abs(gap - rate) <= 0.1

@@ -38,7 +38,9 @@ def _padded_size(n: int) -> int:
 
 
 def fourier_transform(f: Field) -> SpectralField:
-    """Forward transform with trapezoid-consistent weights and x_min phase shift."""
+    """Forward transform with x_min phase shift.  Every sample, the two end
+    samples included, carries the weight h (a rectangle rule, not the
+    trapezoid rule's h/2 at the ends)."""
     grid = f.grid
     h = grid.h
     npad = _padded_size(grid.n)

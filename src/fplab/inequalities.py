@@ -91,6 +91,13 @@ def dirichlet_form_fourier_oracle(f: Field, k: Kernel, eps: float, xi_max: float
     vals = np.abs(sf.values[keep]) ** 2
     kh = np.asarray(khat(k, eps * xi)) / k.l1_norm
     integrand = vals * (1.0 - kh) / eps**2 * k.l1_norm
+    return _xi_integral(integrand, xi)
+
+
+def _xi_integral(integrand: np.ndarray, xi: np.ndarray) -> float:
+    """(1/2pi) times the trapezoid integral over xi; the fftfreq-ordered nodes
+    are sorted first, or the wrap-around from +xi_max to -xi_max would count
+    as one more panel."""
     order = np.argsort(xi)
     return float(np.trapezoid(integrand[order], xi[order]) / (2.0 * np.pi))
 
@@ -102,7 +109,7 @@ def gradient_convolution_check(f: Field, k: Kernel, eps: float, K: float) -> dic
     sf = fourier_transform(f)
     xi = sf.xi_nodes
     kh = np.asarray(khat(k, eps * xi))
-    lhs = float(np.trapezoid(np.abs(1j * xi * kh * sf.values) ** 2, xi) / (2.0 * np.pi))
+    lhs = _xi_integral(np.abs(1j * xi * kh * sf.values) ** 2, xi)
     rhs_form = dirichlet_form_fourier_oracle(f, k, eps)
     ok = lhs <= K * rhs_form * (1.0 + 1e-10) + 1e-14
     return {"lhs": lhs, "rhs": K * rhs_form, "dirichlet": rhs_form, "pass": bool(ok)}
@@ -351,11 +358,7 @@ def fractional_sobolev_check(f: Field, alpha: float, delta: float | None = None)
     lhs = double + near + tail
     sf = fourier_transform(f)
     xi = sf.xi_nodes
-    order = np.argsort(xi)
-    sob = float(
-        np.trapezoid(np.abs(xi[order]) ** alpha * np.abs(sf.values[order]) ** 2, xi[order])
-        / (2.0 * np.pi)
-    )
+    sob = _xi_integral(np.abs(xi) ** alpha * np.abs(sf.values) ** 2, xi)
     c0 = 2.0 * power_kernel_symbol_factor(alpha)
     rhs = c0 * sob
     rel = abs(lhs - rhs) / max(abs(rhs), 1e-300)

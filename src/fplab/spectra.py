@@ -44,14 +44,31 @@ def eigenvalues_to_csv(report: SpectrumReport, path: str) -> None:
     np.savetxt(path, arr, delimiter=",", header="re,im")
 
 
+def _eigenvalues(M: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a real square matrix, unordered, as a complex array.
+
+    A tridiagonal M with every M[i,i+1] M[i+1,i] > 0 (the reversible chains,
+    such as the Classical generator) is similar by a real diagonal matrix to
+    the symmetric tridiagonal matrix with off-diagonal
+    sqrt(M[i,i+1] M[i+1,i]), so its spectrum is real and comes from the
+    symmetric tridiagonal solver.  The diagonal similarity itself is never
+    formed: its entries can span e^72.  Every other M takes the dense
+    non-symmetric solver."""
+    if sla.bandwidth(M) == (1, 1):
+        prod = np.diag(M, -1) * np.diag(M, 1)
+        if np.all(prod > 0.0):
+            return sla.eigvalsh_tridiagonal(np.diag(M), np.sqrt(prod)).astype(complex)
+    return sla.eigvals(M)
+
+
 def eigen_spectrum(op: OperatorMatrix, k_leading: int = 8, separation_a: float = -0.5) -> SpectrumReport:
-    """Dense eigensolve; reports the k_leading rightmost eigenvalues, the gap
+    """Full eigensolve; reports the k_leading rightmost eigenvalues, the gap
     (largest real part excluding the zero eigenvalue), and how many
     eigenvalues lie right of separation_a.
 
     Errors if the eigenvalue of minimal modulus is not simple (two
     eigenvalues within 1e-8 of each other near 0)."""
-    ev = sla.eigvals(op.entries)
+    ev = _eigenvalues(op.entries)
     order = np.argsort(-ev.real)
     ev = ev[order]
     mod = np.abs(ev)
@@ -161,11 +178,16 @@ def spectral_projector(op: OperatorMatrix, radius: float, n_contour: int = 64) -
     """Contour quadrature of the resolvent on the circle |z| = radius:
     the trapezoid rule gives (1/n) sum_k z_k (z_k I - M)^(-1).
 
+    The nodes z_k and z_{n-1-k} are complex conjugates and, M being real,
+    R(conj z) = conj R(z); so one solve per pair gives both terms and the
+    sum is (2/n) Re sum_{k < n/2} z_k R(z_k).  An odd n has one unpaired
+    node, at angle pi, counted once.
+
     Errors if an eigenvalue lies within 1e-6 of the contour, suggesting a
     safe radius."""
     M = op.entries
     n = M.shape[0]
-    ev = sla.eigvals(M)
+    ev = _eigenvalues(M)
     dist = np.abs(np.abs(ev) - radius)
     if dist.min() < 1e-6:
         inner = np.abs(ev)[np.abs(ev) < radius]
@@ -177,12 +199,13 @@ def spectral_projector(op: OperatorMatrix, radius: float, n_contour: int = 64) -
         )
     theta = 2.0 * np.pi * (np.arange(n_contour) + 0.5) / n_contour
     zs = radius * np.exp(1j * theta)
-    P = np.zeros((n, n), dtype=complex)
+    Pr = np.zeros((n, n))
     eye = np.eye(n)
-    for z in zs:
-        P += z * np.linalg.solve(z * eye - M, eye)
-    P /= n_contour
-    Pr = P.real
+    for k in range((n_contour + 1) // 2):
+        z = zs[k]
+        weight = 1.0 if 2 * k + 1 == n_contour else 2.0
+        Pr += weight * (z * np.linalg.solve(z * eye - M, eye)).real
+    Pr /= n_contour
     rank = int(np.sum(np.abs(sla.eigvals(Pr)) > 0.5))
     idem = float(np.linalg.norm(Pr @ Pr - Pr, 2) / max(np.linalg.norm(Pr, 2), 1e-300))
     return ProjectorReport(
@@ -237,24 +260,36 @@ def perturbation_certificate(
     eye = np.eye(n)
     diff = L_eps - L_0
     fields = probe_family(grid, count=probes, seed=seed)
+    F = np.column_stack([f.values for f in fields])
+    dens = [weighted_norm(f, w) for f in fields]
     rows = []
     for z in z_samples:
-        RB = np.linalg.solve(z * eye - B_eps.entries, eye.astype(complex))
-        RL0 = np.linalg.solve(z * eye - L_0, eye.astype(complex))
-        cond = min(np.linalg.cond(z * eye - B_eps.entries), np.linalg.cond(z * eye - L_0))
-        if not np.isfinite(cond) or cond > 1e13:
+        lu_B, rcond_B = _lu_rcond(z * eye - B_eps.entries)
+        lu_L, rcond_L = _lu_rcond(z * eye - L_0)
+        # the worse-conditioned of the two resolvents decides
+        rcond = min(rcond_B, rcond_L)
+        if not np.isfinite(rcond) or rcond < 1e-13:
             raise ArithmeticError(f"resolvent solve singular at z = {z}")
-        K = -diff @ (RL0 @ (A.entries @ RB))
+        # K(z) F = -(L_eps - L_0) R_{L_0}(z) A R_{B_eps}(z) F, applied right to left
+        X = sla.lu_solve(lu_B, F)
+        KF = -(diff @ sla.lu_solve(lu_L, A.entries @ X))
         best = 0.0
-        for f in fields:
-            vals = K @ f.values
+        for vals, den in zip(KF.T, dens):
             num = max(
                 weighted_norm(Field(grid, vals.real), w),
                 weighted_norm(Field(grid, vals.imag), w),
             )
-            den = weighted_norm(f, w)
             if den > 0:
                 best = max(best, num / den)
         rows.append({"z": [float(np.real(z)), float(np.imag(z))], "norm": best})
     worst = max(r["norm"] for r in rows) if rows else np.nan
     return {"rows": rows, "worst_norm": worst, "pass": bool(rows) and worst < 1.0}
+
+
+def _lu_rcond(a: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], float]:
+    """LU factors of a and LAPACK's gecon estimate of its reciprocal
+    1-norm condition number."""
+    lu = sla.lu_factor(a)
+    gecon = sla.get_lapack_funcs("gecon", (lu[0],))
+    rcond, _ = gecon(lu[0], np.linalg.norm(a, 1))
+    return lu, float(rcond)

@@ -58,6 +58,21 @@ def test_gradient_convolution_bound_probes():
             assert gradient_convolution_check(f, K, eps, Kc)["pass"]
 
 
+def test_gradient_convolution_lhs_is_sorted_xi_integral():
+    from fplab.fourier import fourier_transform
+
+    eps = 0.5
+    for f in probe_family(GRID, count=4, seed=2):
+        sf = fourier_transform(f)
+        xi = np.fft.fftshift(sf.xi_nodes)
+        fhat = np.fft.fftshift(sf.values)
+        assert np.all(np.diff(xi) > 0)
+        integrand = np.abs(xi * np.asarray(khat(K, eps * xi)) * fhat) ** 2
+        expected = np.trapezoid(integrand, xi) / (2.0 * np.pi)
+        lhs = gradient_convolution_check(f, K, eps, 1.0)["lhs"]
+        assert abs(lhs - expected) <= 1e-12 * expected
+
+
 def test_gradient_convolution_single_mode_ratio():
     # for a near-pure grid cosine the two sides reduce to the symbol ratio
     Kc = fourier_ratio_constant(K).value

@@ -1,9 +1,19 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from fplab.grids import WeightSpec, gaussian_density, make_grid, mass
-from fplab.operators import Classical, DiscreteClassical, Fractional, assemble
+from fplab.operators import (
+    Classical,
+    DiscreteClassical,
+    DiscreteFractional,
+    Fractional,
+    _drift_diffusion_block,
+    assemble,
+)
+from fplab.semigroup import steady_state
 from fplab.spectra import (
+    _eigenvalues,
     eigen_spectrum,
     eigenvalues_to_csv,
     fourier_side_generator,
@@ -32,6 +42,37 @@ def test_eigen_spectrum_csv(tmp_path):
     eigenvalues_to_csv(rep, str(path))
     arr = np.loadtxt(path, delimiter=",", skiprows=1)
     assert arr.shape == (8, 2)
+
+
+def test_eigen_spectrum_reversible_tridiagonal_matches_dense():
+    rep = eigen_spectrum(OP)
+    dense = sla.eigvals(OP.entries)
+    dense = dense[np.argsort(-dense.real)]
+    np.testing.assert_allclose(rep.eigenvalues[:4], dense[:4].real, rtol=1e-8, atol=1e-10)
+    assert rep.separation_count == int(np.sum(dense.real > rep.separation_a))
+    # the dense solver reports spurious imaginary parts up to ~8 here
+    assert np.all(_eigenvalues(OP.entries).imag == 0.0)
+
+
+def test_eigensolve_selection_follows_matrix_structure(monkeypatch):
+    dense_calls = []
+    dense = sla.eigvals
+
+    def spy(M):
+        dense_calls.append(M.shape[0])
+        return dense(M)
+
+    monkeypatch.setattr(sla, "eigvals", spy)
+    # reversible chain: symmetric tridiagonal solver, no dense call
+    _eigenvalues(OP.entries)
+    assert dense_calls == []
+    # upwind drift (zero off-diagonal products) and the Fourier-side
+    # collocation (negative products, one-sided boundary stencils)
+    g = make_grid(12.0, 65)
+    for M in (_drift_diffusion_block(g, diffusion=0.0),
+              fourier_side_generator(1.0, 30.0, 65).entries):
+        _eigenvalues(M)
+    assert dense_calls == [65, 65]
 
 
 def test_fourier_side_gaps_uniform_in_order():
@@ -78,6 +119,33 @@ def test_projector_rank_one_and_mean_projection():
         assert np.max(np.abs(out - target)) <= 1e-6
 
 
+def test_projector_matches_rank_one_closed_form():
+    # the cell sizes are the exact left null vector, so the zero eigenprojector
+    # is G wq^T / (wq . G) with G the steady state
+    g = make_grid(12.8, 257)
+    for model in (Classical(), Fractional(alpha=1.0, constant=1.0),
+                  DiscreteFractional(eps=0.2, alpha=1.0)):
+        op = assemble(model, g)
+        G = steady_state(op).values
+        wq = g.cell_sizes
+        closed = np.outer(G, wq) / (wq @ G)
+        P = spectral_projector(op, radius=0.5).projector
+        assert np.max(np.abs(P - closed)) <= 1e-13, model
+
+
+def test_projector_paired_nodes_match_all_node_sum():
+    small = assemble(Fractional(alpha=1.0, constant=1.0), make_grid(12.8, 33))
+    M = small.entries
+    eye = np.eye(M.shape[0])
+    for n_contour in (8, 7):
+        theta = 2.0 * np.pi * (np.arange(n_contour) + 0.5) / n_contour
+        zs = 0.5 * np.exp(1j * theta)
+        plain = sum(z * np.linalg.solve(z * eye - M, eye) for z in zs) / n_contour
+        paired = spectral_projector(small, radius=0.5, n_contour=n_contour).projector
+        assert np.max(np.abs(paired - plain.real)) <= 1e-15
+        assert np.max(np.abs(plain.imag)) <= 1e-15
+
+
 def test_projector_rank_two_with_larger_contour():
     rep = spectral_projector(OP, radius=1.5)
     assert rep.rank == 2
@@ -104,6 +172,17 @@ def test_perturbation_certificate_smooth_family():
     )
     assert rep["pass"]
     assert rep["worst_norm"] < 1.0
+
+
+def test_perturbation_certificate_rejects_one_singular_resolvent():
+    # at z = 0 the conservative L_0 is singular while z I - B_eps is not;
+    # one ill-conditioned factor is enough to refuse the certificate
+    g = make_grid(12.0, 961)
+    with pytest.raises(ArithmeticError, match="singular"):
+        perturbation_certificate(
+            DiscreteClassical(eps=0.2), Classical(), g,
+            ClassicalSplitting(M=10.0, R=4.0), [0j], probes=8,
+        )
 
 
 def test_degenerate_zero_eigenvalue_detection():
