@@ -442,7 +442,8 @@ def run_all(progress: bool = False) -> dict:
         try:
             res = fn()
         except Exception as exc:
-            res = {"name": fn.__name__, "pass": False, "error": str(exc)}
+            res = {"name": fn.__name__, "pass": False,
+                   "error": {"type": type(exc).__name__, "message": str(exc)}}
         if progress:
             print(f"{res['name']}: {'PASS' if res['pass'] else 'FAIL'}", flush=True)
         results.append(res)

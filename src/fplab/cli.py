@@ -188,6 +188,11 @@ def cmd_spectrum(args) -> int:
     return 0
 
 
+def _error_suffix(row: dict) -> str:
+    err = row["error"]
+    return f" [error: {err['type']}: {err['message']}]" if err else ""
+
+
 def cmd_gap_sweep(args) -> int:
     cfg = _resolve(args)
     if not cfg.params:
@@ -204,7 +209,7 @@ def cmd_gap_sweep(args) -> int:
     _emit(cfg, "gap_sweep.json", rep)
     for row in rep["rows"]:
         print(f"{args.sweep}={row['param']}: gap={row['gap']}"
-              + (f" [error: {row['error']}]" if row["error"] else ""))
+              + _error_suffix(row))
     print(f"max gap {rep['max_gap']} vs target {rep['gap_target']}: "
           + ("PASS" if rep["pass"] else "FAIL"))
     return 0 if rep["pass"] else 1
@@ -226,7 +231,7 @@ def cmd_decay(args) -> int:
         _emit(cfg, "decay_sweep.json", rep)
         for row in rep["rows"]:
             print(f"{args.sweep}={row['param']}: rate={row['rate']}"
-                  + (f" [error: {row['error']}]" if row["error"] else ""))
+                  + _error_suffix(row))
         print(f"sup rate {rep['sup_rate']} vs target {rep['a_target']}: "
               + ("PASS" if rep["pass"] else "FAIL"))
         return 0 if rep["pass"] else 1

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -71,11 +70,3 @@ def plancherel_l2(g: SpectralField) -> float:
     """||f||_{L^2} computed on the spectral side: (1/2pi) int |fhat|^2 dxi."""
     dxi = spectral_quadrature_weight(g)
     return float(np.sqrt(np.sum(np.abs(g.values) ** 2) * dxi / (2.0 * np.pi)))
-
-
-def spectral_to_csv(g: SpectralField, path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["xi", "re", "im"])
-        for xi, v in zip(g.xi_nodes, g.values):
-            writer.writerow([repr(float(xi)), repr(float(v.real)), repr(float(v.imag))])

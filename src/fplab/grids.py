@@ -122,17 +122,34 @@ def derivative(values: np.ndarray, h: float) -> np.ndarray:
 
 def weighted_norm(f: Field, w: WeightSpec) -> float:
     """|| f <x>^q ||_{L^p}, plus derivative terms up to order s (l^p sum)."""
-    x = f.grid.nodes
-    h = f.grid.h
-    quad = f.grid.cell_sizes
-    m = w.weight_values(x)
-    total = 0.0
-    deriv = f.values
+    return float(_column_norms(f.values[:, None], f.grid, w)[0])
+
+
+def _column_norms(block: np.ndarray, grid: Grid1D, w: WeightSpec) -> np.ndarray:
+    """weighted_norm of every column of a real n x P block."""
+    quad = grid.cell_sizes
+    m = w.weight_values(grid.nodes)[:, None]
+    total = np.zeros(block.shape[1])
+    deriv = block
     for k in range(w.s + 1):
         if k > 0:
-            deriv = derivative(deriv, h)
-        total += float(quad @ np.abs(deriv * m) ** w.p)
+            deriv = derivative(deriv, grid.h)
+        total += quad @ np.abs(deriv * m) ** w.p
     return total ** (1.0 / w.p)
+
+
+def probe_norm(image: np.ndarray, probes: np.ndarray, grid: Grid1D,
+               source: WeightSpec, target: WeightSpec) -> float:
+    """max over the columns f of the probe block of ||T f||_target / ||f||_source,
+    given the image block T F; probes with zero source norm are skipped, and
+    0.0 is returned when every probe is.  A complex image is measured by the
+    larger of the norms of its real and imaginary parts."""
+    num = _column_norms(image.real, grid, target)
+    if np.iscomplexobj(image):
+        num = np.maximum(num, _column_norms(image.imag, grid, target))
+    den = _column_norms(probes, grid, source)
+    keep = den > 0
+    return float(np.max(num[keep] / den[keep], initial=0.0))
 
 
 def field_to_csv(f: Field, path: str) -> None:

@@ -14,8 +14,8 @@ from typing import Callable
 import numpy as np
 import scipy.linalg as sla
 
-from .fourier import fourier_transform
-from .grids import Field, Grid1D, WeightSpec, weighted_norm
+from .fourier import _padded_size, fourier_transform
+from .grids import Field, Grid1D, WeightSpec, probe_norm
 from .kernels import Kernel, khat, power_kernel_symbol_factor, rescale
 from .operators import OperatorMatrix
 from .probes import probe_family
@@ -53,13 +53,14 @@ def dirichlet_form(f: Field, k: Kernel, eps: float, path: str = "both") -> float
     def fourier_path() -> float:
         # same sampled kernel via the FFT convolution theorem:
         # sum_{ij} (f_i - f_j)^2 K_ij = 2 [ sum_i f_i^2 R_i - f . (K f) ],
-        # R_i = row sums of the Toeplitz kernel matrix
-        from scipy.signal import fftconvolve
-
+        # R_i = row sums of the Toeplitz kernel matrix.  The linear
+        # convolutions of f and 1 with the 2n-1 kernel samples have length
+        # 3n-2 <= npad; entries n-1 .. 2n-2 are the Toeplitz products.
         n = grid.n
+        npad = _padded_size(n)
         kvals = np.asarray(keps(np.arange(-(n - 1), n) * h))
-        Kf = fftconvolve(v, kvals, mode="valid")
-        R = fftconvolve(np.ones(n), kvals, mode="valid")
+        Kf, R = np.fft.irfft(np.fft.rfft(np.stack([v, np.ones(n)]), npad)
+                             * np.fft.rfft(kvals, npad), npad)[:, n - 1: 2 * n - 1]
         quad = 2.0 * (R @ (v * v) - v @ Kf)
         return float(0.5 / eps**2 * h * h * quad)
 
@@ -197,40 +198,28 @@ def dissipativity_check(B: OperatorMatrix, w: WeightSpec, a: float,
     For weight specs with sobolev_order s >= 1 and p = 2, the same functional
     is summed over derivative orders 0..s (the H^s(m) energy)."""
     grid = B.grid
-    h_w = grid.cell_sizes
-    m = w.weight_values(grid.nodes)
-    worst = -np.inf
-    ratios = []
-    for f in probe_family(grid, count=probes, seed=seed):
-        v = f.values
-        if np.max(np.abs(v)) < 1e-14:
-            continue
-        Bv = B.entries @ v
+    F = np.column_stack([f.values for f in probe_family(grid, count=probes, seed=seed)])
+    F = F[:, np.max(np.abs(F), axis=0) >= 1e-14]
+    BF = B.entries @ F
+    h_w = grid.cell_sizes[:, None]
+    m = w.weight_values(grid.nodes)[:, None]
 
-        def energy_pair(u: np.ndarray, Bu: np.ndarray) -> tuple[float, float]:
-            if w.p == 1:
-                num = float(np.sum(h_w * Bu * np.sign(u) * m))
-                den = float(np.sum(h_w * np.abs(u) * m))
-            else:
-                num = float(np.sum(h_w * Bu * u * m * m))
-                den = float(np.sum(h_w * u * u * m * m))
-            return num, den
+    def energy_pair(U: np.ndarray, BU: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        if w.p == 1:
+            return (np.sum(h_w * BU * np.sign(U) * m, axis=0),
+                    np.sum(h_w * np.abs(U) * m, axis=0))
+        return (np.sum(h_w * BU * U * m * m, axis=0),
+                np.sum(h_w * U * U * m * m, axis=0))
 
-        nums, dens = 0.0, 0.0
-        num, den = energy_pair(v, Bv)
-        nums, dens = nums + num, dens + den
+    nums, dens = energy_pair(F, BF)
+    if w.p == 2:
         for _ in range(w.s):
-            if w.p != 2:
-                break
-            v = np.gradient(v, grid.h)
-            Bv = np.gradient(Bv, grid.h)
-            num, den = energy_pair(v, Bv)
+            F = np.gradient(F, grid.h, axis=0)
+            BF = np.gradient(BF, grid.h, axis=0)
+            num, den = energy_pair(F, BF)
             nums, dens = nums + num, dens + den
-        if dens <= 0:
-            continue
-        ratios.append(nums / dens)
-        worst = max(worst, nums / dens)
-    ratios = np.asarray(ratios)
+    ratios = nums[dens > 0] / dens[dens > 0]
+    worst = ratios.max(initial=-np.inf)
     return DissipativityReport(
         worst_ratio=float(worst),
         a=a,
@@ -249,15 +238,12 @@ def adjoint_dissipativity_check(B: OperatorMatrix, w: WeightSpec, b: float,
         raise ValueError("need q < alpha/2 for the adjoint weight transform")
     grid = B.grid
     m = w.weight_values(grid.nodes)
-    Badj = (np.diag(m) @ B.entries @ np.diag(1.0 / m)).T
-    h_w = grid.cell_sizes
-    worst = -np.inf
-    for f in probe_family(grid, count=probes, seed=seed):
-        v = f.values
-        num = float(np.sum(h_w * (Badj @ v) * v))
-        den = float(np.sum(h_w * v * v))
-        if den > 0:
-            worst = max(worst, num / den)
+    Badj = (m[:, None] * B.entries * (1.0 / m)[None, :]).T
+    h_w = grid.cell_sizes[:, None]
+    F = np.column_stack([f.values for f in probe_family(grid, count=probes, seed=seed)])
+    nums = np.sum(h_w * (Badj @ F) * F, axis=0)
+    dens = np.sum(h_w * F * F, axis=0)
+    worst = float((nums[dens > 0] / dens[dens > 0]).max(initial=-np.inf))
     return {"worst_ratio": worst, "b": b, "pass": bool(worst <= b + 1e-8)}
 
 
@@ -280,7 +266,13 @@ def regularization_norm(
     """Probe norms over t_grid of the n_conv-fold Duhamel convolution
     T_1(t) = A e^{tB},  T_{j+1}(t) = integral_0^t T_1(t - s) T_j(s) ds
     (composite trapezoid with n_quad intervals), plus a fitted exponential
-    rate over the recorded times."""
+    rate over the recorded times.
+
+    Only the image T F of the n x P probe block F is formed, never T itself.
+    With E = e^{ds B}, ds = t/n_quad and trapezoid weights w_k, the two-fold
+    sum T_2 F = ds sum_k w_k A E^(n_quad-k) A E^k F is evaluated in Horner
+    form: Y <- E Y, Z <- E Z + w_k A Y, T_2 F = ds A Z.  Apart from the dense
+    e^{ds B} and the operators themselves, memory is O(nP)."""
     if A.grid != B.grid:
         raise ValueError("grid mismatch")
     if n_conv < 1 or n_conv > 2:
@@ -288,32 +280,24 @@ def regularization_norm(
     grid = A.grid
     if grid.n > 2049:
         raise ValueError("regularization_norm requires n <= 2049 (dense expm)")
-    fields = probe_family(grid, count=probes, seed=seed, include_sharp=include_sharp)
+    F = np.column_stack([f.values for f in probe_family(grid, count=probes, seed=seed,
+                                                        include_sharp=include_sharp)])
+    P = F.shape[1]
     rows = []
     for t in t_grid:
         if n_conv == 1:
-            T = A.entries @ sla.expm(t * B.entries)
+            TF = A.entries @ (sla.expm(t * B.entries) @ F)
         else:
-            s = np.linspace(0.0, t, n_quad + 1)
             ds = t / n_quad
-            # cache the two expm families via the uniform step
             E = sla.expm(ds * B.entries)
-            exps = [np.eye(grid.n)]
-            for _ in range(n_quad):
-                exps.append(E @ exps[-1])
-            T1s = [A.entries @ Ek for Ek in exps]
-            T = np.zeros_like(A.entries)
-            for k in range(n_quad + 1):
-                wk = 0.5 if k in (0, n_quad) else 1.0
-                T += wk * (T1s[n_quad - k] @ T1s[k])
-            T *= ds
-        best = 0.0
-        for f in fields:
-            num = weighted_norm(Field(grid, T @ f.values), target)
-            den = weighted_norm(f, source)
-            if den > 0:
-                best = max(best, num / den)
-        rows.append({"t": t, "norm": best})
+            # [Y | Z] advance together: one GEMM per quadrature node
+            YZ = np.hstack([F, 0.5 * (A.entries @ F)])
+            for k in range(1, n_quad + 1):
+                YZ = E @ YZ
+                wk = 0.5 if k == n_quad else 1.0
+                YZ[:, P:] += wk * (A.entries @ YZ[:, :P])
+            TF = ds * (A.entries @ YZ[:, P:])
+        rows.append({"t": t, "norm": probe_norm(TF, F, grid, source, target)})
     ts = np.array([r["t"] for r in rows])
     ns = np.array([r["norm"] for r in rows])
     rate = np.nan

@@ -23,7 +23,7 @@ from typing import Union
 import numpy as np
 import scipy.linalg as sla
 
-from .grids import Field, Grid1D, WeightSpec, weighted_norm
+from .grids import Field, Grid1D, WeightSpec, probe_norm
 from .kernels import (
     Kernel,
     gaussian_reference_kernel,
@@ -117,13 +117,6 @@ def apply(m: OperatorMatrix, f: Field) -> Field:
     return Field(f.grid, m.entries @ f.values)
 
 
-def matrix_to_csv(m: OperatorMatrix, path: str) -> None:
-    header = f"# grid L={m.grid.L} n={m.grid.n} label={m.label}"
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        np.savetxt(fh, m.entries, delimiter=",")
-
-
 # ---------------------------------------------------------------------------
 # building blocks
 
@@ -167,12 +160,11 @@ def _drift_diffusion_block(grid: Grid1D, diffusion: float) -> np.ndarray:
     return M
 
 
-def _jump_block(grid: Grid1D, offset_weights: np.ndarray) -> tuple[np.ndarray, float]:
+def _jump_block(grid: Grid1D, offset_weights: np.ndarray) -> np.ndarray:
     """Toeplitz gain matrix from per-offset weights plus the censored killing
     diagonal that conserves the trapezoid-weighted mass exactly.
 
-    offset_weights[j] is the integrated kernel mass at grid offset j >= 1.
-    Returns (matrix, max weighted column-sum defect after renormalization)."""
+    offset_weights[j] is the integrated kernel mass at grid offset j >= 1."""
     n = grid.n
     wq = grid.cell_sizes
     col = np.zeros(n)
@@ -182,9 +174,7 @@ def _jump_block(grid: Grid1D, offset_weights: np.ndarray) -> tuple[np.ndarray, f
     # boundary rows represent half cells: gains into them scale by wq_i/h
     K *= (wq / grid.h)[:, None]
     kill = (wq @ K) / wq
-    M = K - np.diag(kill)
-    defect = float(np.abs(wq @ M).max())
-    return M, defect
+    return K - np.diag(kill)
 
 
 def _finalize(grid: Grid1D, M: np.ndarray, label: str, jump_min: float) -> OperatorMatrix:
@@ -268,7 +258,7 @@ def assemble(model: ModelSpec, grid: Grid1D) -> OperatorMatrix:
 
     if isinstance(model, DiscreteClassical):
         w0, w = sampled_convolution_weights(model, grid)
-        J, _ = _jump_block(grid, w)
+        J = _jump_block(grid, w)
         M = J / model.eps**2 + _drift_diffusion_block(grid, diffusion=0.0)
         return _finalize(grid, M, "full:discrete-classical", jump_min=float(w.min()))
 
@@ -280,7 +270,7 @@ def assemble(model: ModelSpec, grid: Grid1D) -> OperatorMatrix:
         # exponential-fitting flux block
         near_diffusion = c * delta ** (2.0 - model.alpha) / (2.0 - model.alpha)
         w = _power_cell_weights(grid, model.alpha, c, delta)
-        J, _ = _jump_block(grid, w)
+        J = _jump_block(grid, w)
         M = J + _drift_diffusion_block(grid, diffusion=near_diffusion)
         return _finalize(grid, M, "full:fractional", jump_min=float(w.min()))
 
@@ -291,7 +281,7 @@ def assemble(model: ModelSpec, grid: Grid1D) -> OperatorMatrix:
             )
         kern = truncated_fractional_kernel(model.alpha, model.eps)
         w = _truncated_cell_weights(grid, kern)
-        J, _ = _jump_block(grid, w)
+        J = _jump_block(grid, w)
         M = J + _drift_diffusion_block(grid, diffusion=0.0)
         return _finalize(grid, M, "full:discrete-fractional", jump_min=float(w.min()))
 
@@ -318,11 +308,6 @@ def operator_distance(
     saturates norms between Sobolev spaces of different orders."""
     if m1.grid != m2.grid:
         raise ValueError("same grid required")
-    diff = m1.entries - m2.entries
-    best = 0.0
-    for f in probe_family(m1.grid, count=probes, seed=seed, oscillatory=oscillatory):
-        num = weighted_norm(Field(m1.grid, diff @ f.values), target)
-        den = weighted_norm(f, source)
-        if den > 0:
-            best = max(best, num / den)
-    return best
+    fields = probe_family(m1.grid, count=probes, seed=seed, oscillatory=oscillatory)
+    F = np.column_stack([f.values for f in fields])
+    return probe_norm((m1.entries - m2.entries) @ F, F, m1.grid, source, target)

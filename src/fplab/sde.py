@@ -8,7 +8,6 @@ statements (coupled contraction) hold to roundoff.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Callable, Union
 
@@ -248,7 +247,3 @@ def ensemble_to_csv(ens: PathEnsemble, path: str,
     arr = np.column_stack([ens.times, pct])
     header = "t," + ",".join(f"p{int(p)}" for p in percentiles)
     np.savetxt(path, arr, delimiter=",", header=header)
-
-
-def contraction_report_json(report: dict) -> str:
-    return json.dumps(report, default=float)

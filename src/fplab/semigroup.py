@@ -298,7 +298,8 @@ def uniform_decay_sweep(
                          "residual": rep.residual, "error": None})
         except Exception as exc:  # keep sweeping per spec
             rows.append({"param": p, "rate": np.nan, "prefactor": np.nan,
-                         "residual": np.nan, "error": str(exc)})
+                         "residual": np.nan,
+                         "error": {"type": type(exc).__name__, "message": str(exc)}})
     rates = [r["rate"] for r in rows if r["error"] is None and np.isfinite(r["rate"])]
     sup = max(rates) if rates else np.nan
     passed = bool(rates) and sup < a_target

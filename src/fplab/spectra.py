@@ -12,7 +12,7 @@ from typing import Callable
 import numpy as np
 import scipy.linalg as sla
 
-from .grids import Field, Grid1D, WeightSpec, make_grid, weighted_norm
+from .grids import Grid1D, WeightSpec, make_grid, probe_norm
 from .operators import ModelSpec, OperatorMatrix, assemble
 from .probes import probe_family
 from .splitting import SplittingSpec, assemble_splitting
@@ -146,7 +146,7 @@ def gap_sweep(
                 row["refined_gap"] = rg
                 row["refine_shift"] = abs(rg - rep.gap)
         except Exception as exc:
-            row["error"] = str(exc)
+            row["error"] = {"type": type(exc).__name__, "message": str(exc)}
         rows.append(row)
     gaps = [r["gap"] for r in rows if r["error"] is None and np.isfinite(r["gap"])]
     shifts = [r["refine_shift"] for r in rows if np.isfinite(r["refine_shift"])]
@@ -226,14 +226,8 @@ def projector_distance(
     seed: int = 0,
 ) -> float:
     """Probe-based operator-norm proxy of the difference of two projectors."""
-    diff = p1.projector - p2.projector
-    best = 0.0
-    for f in probe_family(grid, count=probes, seed=seed):
-        num = weighted_norm(Field(grid, diff @ f.values), w)
-        den = weighted_norm(f, w)
-        if den > 0:
-            best = max(best, num / den)
-    return best
+    F = np.column_stack([f.values for f in probe_family(grid, count=probes, seed=seed)])
+    return probe_norm((p1.projector - p2.projector) @ F, F, grid, w, w)
 
 
 # ---------------------------------------------------------------------------
@@ -259,9 +253,7 @@ def perturbation_certificate(
     n = grid.n
     eye = np.eye(n)
     diff = L_eps - L_0
-    fields = probe_family(grid, count=probes, seed=seed)
-    F = np.column_stack([f.values for f in fields])
-    dens = [weighted_norm(f, w) for f in fields]
+    F = np.column_stack([f.values for f in probe_family(grid, count=probes, seed=seed)])
     rows = []
     for z in z_samples:
         lu_B, rcond_B = _lu_rcond(z * eye - B_eps.entries)
@@ -273,15 +265,8 @@ def perturbation_certificate(
         # K(z) F = -(L_eps - L_0) R_{L_0}(z) A R_{B_eps}(z) F, applied right to left
         X = sla.lu_solve(lu_B, F)
         KF = -(diff @ sla.lu_solve(lu_L, A.entries @ X))
-        best = 0.0
-        for vals, den in zip(KF.T, dens):
-            num = max(
-                weighted_norm(Field(grid, vals.real), w),
-                weighted_norm(Field(grid, vals.imag), w),
-            )
-            if den > 0:
-                best = max(best, num / den)
-        rows.append({"z": [float(np.real(z)), float(np.imag(z))], "norm": best})
+        rows.append({"z": [float(np.real(z)), float(np.imag(z))],
+                     "norm": probe_norm(KF, F, grid, w, w)})
     worst = max(r["norm"] for r in rows) if rows else np.nan
     return {"rows": rows, "worst_norm": worst, "pass": bool(rows) and worst < 1.0}
 

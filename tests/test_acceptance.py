@@ -44,3 +44,13 @@ def test_criterion(report, name):
 def test_all_criteria_present(report):
     assert len(report["results"]) == 12
     assert report["pass"] == all(r["pass"] for r in report["results"])
+
+
+def test_run_all_records_exception_type(monkeypatch):
+    def criterion_broken():
+        raise ArithmeticError("singular")
+
+    monkeypatch.setattr(acceptance, "CRITERIA", [criterion_broken])
+    res = acceptance.run_all()["results"][0]
+    assert res["error"] == {"type": "ArithmeticError", "message": "singular"}
+    assert not res["pass"]

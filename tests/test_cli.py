@@ -46,6 +46,16 @@ def test_exit_code_usage_error(tmp_path):
     assert main(["bogus-subcommand"]) == 2
 
 
+def test_gap_sweep_prints_exception_type(tmp_path, capsys):
+    out = tmp_path / "sweep"
+    main(["gap-sweep", "--model", "discrete-classical:1.6", "--sweep", "eps",
+          "--params", "1.6", "0.01", "--L", "12", "--n", "161", "--outdir", str(out)])
+    assert "[error: ValueError: grid does not resolve the kernel" in capsys.readouterr().out
+    rows = json.loads((out / "gap_sweep.json").read_text())["rows"]
+    assert rows[0]["error"] is None
+    assert rows[1]["error"]["type"] == "ValueError"
+
+
 def test_steady_writes_outputs(tmp_path):
     out = tmp_path / "run"
     rc = main(["steady", "--model", "classical", "--L", "12", "--n", "257",

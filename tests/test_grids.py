@@ -12,8 +12,10 @@ from fplab.grids import (
     gaussian_density,
     make_grid,
     mass,
+    probe_norm,
     weighted_norm,
 )
+from fplab.probes import probe_family
 
 
 GRID = make_grid(12.0, 513)
@@ -87,6 +89,34 @@ def test_norm_absolute_homogeneity(c, order):
         assert abs(weighted_norm(g, w) - abs(c) * weighted_norm(f, w)) <= 1e-12 * (
             1.0 + abs(c) * weighted_norm(f, w)
         )
+
+
+def _probe_norm_loop(image, F, source, target):
+    best = 0.0
+    for j in range(F.shape[1]):
+        num = max(weighted_norm(Field(GRID, image[:, j].real), target),
+                  weighted_norm(Field(GRID, image[:, j].imag), target))
+        den = weighted_norm(Field(GRID, F[:, j]), source)
+        if den > 0:
+            best = max(best, num / den)
+    return best
+
+
+def test_probe_norm_matches_column_loop():
+    F = np.column_stack([f.values for f in probe_family(GRID, count=12, seed=3)]
+                        + [np.zeros(GRID.n)])
+    rng = np.random.default_rng(0)
+    T = rng.normal(size=(GRID.n, GRID.n)) / GRID.n
+    source, target = WeightSpec(p=2, q=1, s=3), WeightSpec(p=1, q=0.5)
+    real = T @ F
+    cplx = real + 1j * ((T @ T) @ F)
+    for image in (real, cplx):
+        ref = _probe_norm_loop(image, F, source, target)
+        assert ref > 0.0
+        assert abs(probe_norm(image, F, GRID, source, target) - ref) <= 1e-14 * ref
+    # every probe with zero source norm is skipped
+    Z = np.zeros((GRID.n, 2))
+    assert probe_norm(Z, Z, GRID, source, target) == 0.0
 
 
 def test_field_validation():

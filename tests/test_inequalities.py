@@ -1,7 +1,12 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
-from fplab.grids import Field, WeightSpec, gaussian_density, make_grid
+from fplab.grids import Field, WeightSpec, gaussian_density, make_grid, weighted_norm
 from fplab.inequalities import (
     adjoint_dissipativity_check,
     dirichlet_form,
@@ -28,6 +33,29 @@ def test_dirichlet_form_paths_agree():
         a = dirichlet_form(f, K, 0.25, path="double-sum")
         b = dirichlet_form(f, K, 0.25, path="fourier")
         assert abs(a - b) <= 1e-8 * max(abs(a), 1e-12)
+
+
+@pytest.mark.parametrize("n", [65, 301, 1001])
+def test_dirichlet_form_numpy_fft_path_matches_double_sum(n):
+    grid = make_grid(12.0, n)
+    for f in probe_family(grid, count=4, seed=1):
+        a = dirichlet_form(f, K, 0.25, path="double-sum")
+        b = dirichlet_form(f, K, 0.25, path="fourier")
+        assert abs(a - b) <= 1e-10 * abs(a)
+
+
+def test_dirichlet_form_does_not_import_scipy_signal():
+    code = ("import sys\n"
+            "from fplab.grids import gaussian_density, make_grid\n"
+            "from fplab.inequalities import dirichlet_form\n"
+            "from fplab.kernels import gaussian_reference_kernel\n"
+            "f = gaussian_density(make_grid(12.0, 257), 1.0, 0.3)\n"
+            "dirichlet_form(f, gaussian_reference_kernel(), 0.5, path='both')\n"
+            "print('scipy.signal' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_dirichlet_form_constant_field_vanishes():
@@ -174,6 +202,35 @@ def test_regularization_time_zero_is_bounded_part_norm():
                               probes=8)
     assert np.isfinite(rep["rows"][0]["norm"])
     assert rep["rows"][0]["norm"] <= 10.0 + 1e-9  # multiplier bound M
+
+
+@pytest.mark.parametrize("n_conv", [1, 2])
+def test_regularization_horner_matches_explicit_operator(n_conv):
+    grid = make_grid(12.0, 65)
+    A, B = assemble_splitting(Classical(), grid, ClassicalSplitting(M=10.0, R=6.0))
+    source, target = WeightSpec(p=2, q=1), WeightSpec(p=2, q=1, s=1)
+    n_quad = 64
+    ts = [0.0, 1.0, 3.0]
+    rep = regularization_norm(A, B, n_conv=n_conv, t_grid=ts, source=source,
+                              target=target, n_quad=n_quad)
+    fields = probe_family(grid, count=32, seed=0)
+    for t, row in zip(ts, rep["rows"]):
+        # the n x n operator the trapezoid sum defines, formed explicitly
+        if n_conv == 1:
+            T = A.entries @ sla.expm(t * B.entries)
+        else:
+            ds = t / n_quad
+            E = sla.expm(ds * B.entries)
+            T1 = [A.entries @ np.linalg.matrix_power(E, k) for k in range(n_quad + 1)]
+            T = np.zeros_like(A.entries)
+            for k in range(n_quad + 1):
+                wk = 0.5 if k in (0, n_quad) else 1.0
+                T += wk * (T1[n_quad - k] @ T1[k])
+            T *= ds
+        ref = max(weighted_norm(Field(grid, T @ f.values), target) / weighted_norm(f, source)
+                  for f in fields)
+        assert abs(row["norm"] - ref) <= 1e-12 * ref
+        assert (ref > 0.0) == (t > 0.0 or n_conv == 1)
 
 
 @pytest.mark.parametrize("alpha", [0.8, 1.0, 1.5])

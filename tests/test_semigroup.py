@@ -171,5 +171,5 @@ def test_uniform_decay_sweep_continues_after_error():
                               WeightSpec(p=1, q=1),
                               EvolveSpec(t_end=2.0, dt=0.05, scheme="ExactExpm"),
                               a_target=-0.8)
-    assert rep["rows"][0]["error"] is not None
+    assert rep["rows"][0]["error"] == {"type": "ValueError", "message": "bad parameter"}
     assert rep["rows"][1]["error"] is None

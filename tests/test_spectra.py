@@ -95,6 +95,17 @@ def test_gap_sweep_pass_logic():
     assert not bad["pass"]
 
 
+def test_gap_sweep_records_exception_type():
+    def build(e):
+        if e < 0.3:
+            raise ArithmeticError("too fine")
+        return OP
+
+    rep = gap_sweep(build, [0.4, 0.1], gap_target=-0.5)
+    assert rep["rows"][0]["error"] is None
+    assert rep["rows"][1]["error"] == {"type": "ArithmeticError", "message": "too fine"}
+
+
 def test_gap_sweep_refine_guard():
     rep = gap_sweep(
         lambda e: assemble(DiscreteClassical(eps=e), make_grid(12.0, 961)),
