@@ -15,7 +15,6 @@ from .grids import Field, WeightSpec, gaussian_density, make_grid, mass, weighte
 from .inequalities import (
     dirichlet_form,
     dissipativity_check,
-    fractional_sobolev_check,
     gradient_convolution_check,
     psi_constant,
     psi_profile,
@@ -350,12 +349,11 @@ def criterion_10() -> dict:
     g = make_grid(12.8, 1025)
     m0 = Fractional(alpha=1.0, constant=1.0)
     p0 = spectral_projector(assemble(m0, g), radius=0.5)
-    ranks, dists = [], []
-    for eps in (0.2, 0.1, 0.05):
-        pe = spectral_projector(assemble(DiscreteFractional(eps=eps, alpha=1.0), g),
-                                radius=0.5)
-        ranks.append(pe.rank)
-        dists.append(projector_distance(pe, p0, g))
+    pes = [spectral_projector(assemble(DiscreteFractional(eps=eps, alpha=1.0), g),
+                              radius=0.5)
+           for eps in (0.2, 0.1, 0.05)]
+    ranks = [pe.rank for pe in pes]
+    dists = [projector_distance(pe, p0, g) for pe in pes]
     zs = [0.5 * np.exp(1j * 2.0 * np.pi * (k + 0.5) / 8) for k in range(8)]
     cert = perturbation_certificate(
         DiscreteFractional(eps=0.05, alpha=1.0), m0, g,
@@ -371,6 +369,8 @@ def criterion_10() -> dict:
         "ranks": ranks,
         "distances": dists,
         "certificate_worst": cert["worst_norm"],
+        "contour_margin_min": min(p.contour_margin for p in [p0, *pes]),
+        "projector_norm_max": max(p.norm for p in [p0, *pes]),
         "pass": bool(ok),
     }
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import acceptance
 from .config import RunConfig
-from .grids import Field, WeightSpec, field_to_csv, gaussian_density, make_grid
+from .grids import WeightSpec, field_to_csv, gaussian_density, make_grid
 from .inequalities import (
     adjoint_dissipativity_check,
     dirichlet_form,
@@ -54,7 +54,6 @@ from .spectra import (
     eigenvalues_to_csv,
     fourier_side_generator,
     gap_sweep,
-    spectral_projector,
 )
 
 

@@ -12,7 +12,7 @@ import scipy.linalg as sla
 from scipy.integrate import cumulative_trapezoid
 
 from .grids import Field, Grid1D, WeightSpec, mass, weighted_norm
-from .kernels import Kernel, khat, rescale, truncated_fractional_kernel
+from .kernels import khat, truncated_fractional_kernel
 from .operators import (
     Classical,
     DiscreteClassical,

@@ -23,7 +23,6 @@ import scipy.linalg as sla
 
 from .grids import Grid1D
 from .operators import (
-    Classical,
     DiscreteClassical,
     DiscreteFractional,
     Fractional,

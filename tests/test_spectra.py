@@ -121,6 +121,8 @@ def test_projector_rank_one_and_mean_projection():
     rep = spectral_projector(OP, radius=0.5)
     assert rep.rank == 1
     assert rep.idempotency_defect <= 1e-8
+    assert abs(np.trace(rep.projector) - 1.0) <= 1e-10
+    assert abs(rep.norm - np.linalg.norm(rep.projector, 2)) <= 1e-10 * rep.norm
     # the rank-1 projector maps f to mass(f) * equilibrium
     G = gaussian_density(GRID)
     for width in (0.8, 1.5, 2.5, 1.0, 3.0):
@@ -144,17 +146,26 @@ def test_projector_matches_rank_one_closed_form():
         assert np.max(np.abs(P - closed)) <= 1e-13, model
 
 
-def test_projector_paired_nodes_match_all_node_sum():
-    small = assemble(Fractional(alpha=1.0, constant=1.0), make_grid(12.8, 33))
-    M = small.entries
+def test_projector_matches_fine_contour_quadrature():
+    # the trapezoid rule on |z| = r converges like (r / |lambda_out|)^N; with
+    # 0, -1 inside and -2 outside, 64 nodes leave ~(3/4)^64 ~ 1e-8 and 256
+    # nodes are exact up to the roundoff of 256 solves
+    op = assemble(Classical(), make_grid(12.8, 257))
+    M = op.entries
     eye = np.eye(M.shape[0])
-    for n_contour in (8, 7):
-        theta = 2.0 * np.pi * (np.arange(n_contour) + 0.5) / n_contour
-        zs = 0.5 * np.exp(1j * theta)
-        plain = sum(z * np.linalg.solve(z * eye - M, eye) for z in zs) / n_contour
-        paired = spectral_projector(small, radius=0.5, n_contour=n_contour).projector
-        assert np.max(np.abs(paired - plain.real)) <= 1e-15
-        assert np.max(np.abs(plain.imag)) <= 1e-15
+    radius, n_nodes = 1.5, 256
+    zs = radius * np.exp(2j * np.pi * (np.arange(n_nodes) + 0.5) / n_nodes)
+    contour = sum(z * np.linalg.solve(z * eye - M, eye) for z in zs) / n_nodes
+    rep = spectral_projector(op, radius=radius)
+    P = rep.projector
+    assert rep.rank == 2
+    assert np.max(np.abs(P - contour.real)) <= 1e-11
+    assert abs(np.trace(P) - rep.rank) <= 1e-10
+    assert abs(rep.norm - np.linalg.norm(P, 2)) <= 1e-10 * rep.norm
+    assert rep.idempotency_defect <= 1e-12
+    margin = np.min(np.abs(np.abs(_eigenvalues(M)) - radius))
+    assert abs(rep.contour_margin - margin) <= 1e-8
+    assert rep.sep > 0.0
 
 
 def test_projector_rank_two_with_larger_contour():
