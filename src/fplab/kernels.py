@@ -14,8 +14,7 @@ from scipy.special import gamma as _gamma
 class Kernel:
     """A symmetric nonnegative jump kernel in d = 1.
 
-    ``profile`` evaluates k(|x|); SmoothSymmetric kernels record the lower
-    bound kappa0 = min of k on [-rho, rho].  TruncatedFractional kernels carry
+    ``profile`` evaluates k(|x|).  TruncatedFractional kernels carry
     (alpha, eps) and a finite support radius 1/eps.
     """
 
@@ -23,8 +22,6 @@ class Kernel:
     profile: Callable[[np.ndarray], np.ndarray]
     l1_norm: float
     support_radius: float  # inf for smooth kernels
-    kappa0: float = 0.0
-    rho: float = 0.0
     alpha: float | None = None
     eps: float | None = None
     # closed-form Fourier transform when available (takes |xi|)
@@ -53,8 +50,6 @@ def gaussian_reference_kernel() -> Kernel:
         profile=prof,
         l1_norm=1.0,
         support_radius=np.inf,
-        kappa0=float(prof(np.asarray(1.0))),
-        rho=1.0,
         profile_hat=prof_hat,
         # 40 standard deviations of the variance-2 profile
         tail_cut=40.0 * np.sqrt(2.0),
@@ -84,8 +79,6 @@ def rescale(k: Kernel, eps: float) -> Kernel:
         profile=prof,
         l1_norm=k.l1_norm,
         support_radius=k.support_radius if np.isinf(k.support_radius) else k.support_radius * eps,
-        kappa0=float(prof(np.asarray(k.rho * eps))),
-        rho=k.rho * eps,
         profile_hat=prof_hat,
         tail_cut=k.tail_cut * eps,
     )

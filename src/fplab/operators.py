@@ -111,6 +111,41 @@ class OperatorMatrix:
         object.__setattr__(self, "entries", e)
 
 
+@dataclass(frozen=True)
+class _BirthDeath:
+    """Bands of a reversible tridiagonal generator M and its symmetrizer.
+
+    With D = diag(exp(log_d)), S = D M D^-1 is symmetric tridiagonal with
+    diagonal ``diag`` and off-diagonal ``offdiag``.  D is never formed: its
+    entries can span e^72 (the Classical generator at L = 12 has
+    d ~ G^(-1/2))."""
+
+    diag: np.ndarray
+    lower: np.ndarray  # M[i+1, i]
+    upper: np.ndarray  # M[i, i+1]
+    log_d: np.ndarray  # log d_i, min 0
+
+    @property
+    def offdiag(self) -> np.ndarray:
+        return np.copysign(np.sqrt(self.lower * self.upper), self.upper)
+
+
+def _birth_death(M: np.ndarray) -> _BirthDeath | None:
+    """The bands of M when M is exactly tridiagonal with every
+    M[i,i+1] M[i+1,i] > 0 (a birth-death chain), else None.
+
+    log d_{i+1} - log d_i = log(M[i,i+1]/M[i+1,i]) / 2 makes D M D^-1
+    symmetric."""
+    if sla.bandwidth(M) != (1, 1):
+        return None
+    lower, upper = np.diag(M, -1), np.diag(M, 1)
+    if not np.all(lower * upper > 0.0):
+        return None
+    log_d = np.concatenate([[0.0], np.cumsum(0.5 * np.log(upper / lower))])
+    return _BirthDeath(diag=np.diag(M).copy(), lower=lower.copy(), upper=upper.copy(),
+                       log_d=log_d - log_d.min())
+
+
 def apply(m: OperatorMatrix, f: Field) -> Field:
     if f.grid != m.grid:
         raise ValueError("grid mismatch")

@@ -14,7 +14,7 @@ import scipy.linalg as sla
 from scipy.linalg import lapack
 
 from .grids import Grid1D, WeightSpec, make_grid, probe_norm
-from .operators import ModelSpec, OperatorMatrix, assemble
+from .operators import ModelSpec, OperatorMatrix, _birth_death, assemble
 from .probes import probe_family
 from .splitting import SplittingSpec, assemble_splitting
 
@@ -48,17 +48,15 @@ def eigenvalues_to_csv(report: SpectrumReport, path: str) -> None:
 def _eigenvalues(M: np.ndarray) -> np.ndarray:
     """Eigenvalues of a real square matrix, unordered, as a complex array.
 
-    A tridiagonal M with every M[i,i+1] M[i+1,i] > 0 (the reversible chains,
-    such as the Classical generator) is similar by a real diagonal matrix to
-    the symmetric tridiagonal matrix with off-diagonal
-    sqrt(M[i,i+1] M[i+1,i]), so its spectrum is real and comes from the
-    symmetric tridiagonal solver.  The diagonal similarity itself is never
-    formed: its entries can span e^72.  Every other M takes the dense
+    A birth-death M (tridiagonal with every M[i,i+1] M[i+1,i] > 0: the
+    reversible chains, such as the Classical generator) is similar by a real
+    diagonal matrix to a symmetric tridiagonal one (``operators._birth_death``,
+    shared with ``semigroup.evolve``), so its spectrum is real and comes from
+    the symmetric tridiagonal solver in O(n^2).  Every other M takes the dense
     non-symmetric solver."""
-    if sla.bandwidth(M) == (1, 1):
-        prod = np.diag(M, -1) * np.diag(M, 1)
-        if np.all(prod > 0.0):
-            return sla.eigvalsh_tridiagonal(np.diag(M), np.sqrt(prod)).astype(complex)
+    bd = _birth_death(M)
+    if bd is not None:
+        return sla.eigvalsh_tridiagonal(bd.diag, bd.offdiag).astype(complex)
     return sla.eigvals(M)
 
 

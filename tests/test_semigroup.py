@@ -1,13 +1,25 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
+from fplab import semigroup
 from fplab.grids import Field, WeightSpec, gaussian_density, make_grid, mass, weighted_norm
-from fplab.operators import Classical, DiscreteClassical, Fractional, assemble
+from fplab.operators import (
+    Classical,
+    DiscreteClassical,
+    DiscreteFractional,
+    Fractional,
+    OperatorMatrix,
+    _birth_death,
+    assemble,
+)
 from fplab.semigroup import (
     EvolveSpec,
+    _birth_death_expm,
+    _cosine_sum,
     decay_rate,
-    default_dt,
     evolve,
+    fit_log_decay,
     fourier_steady_oracle,
     steady_state,
     uniform_decay_sweep,
@@ -32,9 +44,89 @@ def test_evolve_spec_validation():
         EvolveSpec(t_end=1.0, dt=0.1, scheme="ForwardEuler")
 
 
-def test_default_dt_stiffness():
-    assert default_dt(DiscreteClassical(eps=0.05)) == pytest.approx(0.00125)
-    assert default_dt(Classical()) == 0.01
+def _dense_evolve(M, f0, spec):
+    """Reference trajectory from one dense expm(dt M) or one dense LU."""
+    eye, dt = np.eye(M.shape[0]), spec.dt
+    if spec.scheme == "ExactExpm":
+        E = sla.expm(dt * M)
+        step = lambda v: E @ v
+    elif spec.scheme == "BackwardEuler":
+        lu = sla.lu_factor(eye - dt * M)
+        step = lambda v: sla.lu_solve(lu, v)
+    else:
+        lu = sla.lu_factor(eye - 0.5 * dt * M)
+        right = eye + 0.5 * dt * M
+        step = lambda v: sla.lu_solve(lu, right @ v)
+    nsteps = int(round(spec.t_end / dt))
+    out, v = [f0], f0
+    for k in range(1, nsteps + 1):
+        v = step(v)
+        if k % spec.record_every == 0 or k == nsteps:
+            out.append(v)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("n", [513, 1025])
+def test_birth_death_paths_match_dense(n):
+    grid = make_grid(12.0, n)
+    op = assemble(Classical(), grid)
+    # the decay datum of decay_rate: Gaussian(1, 1) minus its mass times G
+    f0 = gaussian_density(grid, 1.0, 1.0)
+    g0 = Field(grid, f0.values - mass(f0) * steady_state(op).values)
+    spec = EvolveSpec(t_end=4.0, dt=0.05, scheme="ExactExpm")
+    traj = evolve(op, g0, spec)
+    times = np.array([t for t, _ in traj])
+    ref = _dense_evolve(op.entries, g0.values, spec)
+    w = WeightSpec(p=1, q=1)
+    norms = np.array([weighted_norm(f, w) for _, f in traj])
+    ref_norms = np.array([weighted_norm(Field(grid, v), w) for v in ref])
+    assert np.max(np.abs(norms - ref_norms) / ref_norms) <= 1e-10
+    rate, ref_rate = fit_log_decay(times, norms)[0], fit_log_decay(times, ref_norms)[0]
+    assert abs(rate - ref_rate) <= 1e-12 * abs(ref_rate)
+    assert max(abs(mass(f) - mass(g0)) for _, f in traj) <= 1e-12
+    f1 = gaussian_density(grid, 0.5, 1.0)
+    for scheme in ("BackwardEuler", "CrankNicolson"):
+        spec = EvolveSpec(t_end=0.5, dt=0.01, scheme=scheme, record_every=10)
+        new = np.array([f.values for _, f in evolve(op, f1, spec)])
+        ref = _dense_evolve(op.entries, f1.values, spec)
+        assert np.max(np.abs(new - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_exact_expm_guard_keeps_dense_path_for_flat_datum():
+    # d ~ G^(-1/2) spans e^72 at L = 12: for a flat datum the symmetrized
+    # exponential would lose ~1e-2 in the sup norm, so the guard refuses it
+    grid = make_grid(12.0, 257)
+    op = assemble(Classical(), grid)
+    f0 = Field(grid, np.ones(grid.n))
+    assert _birth_death_expm(_birth_death(op.entries), op, f0.values, np.array([0.05])) is None
+    spec = EvolveSpec(t_end=0.5, dt=0.05, scheme="ExactExpm", record_every=2)
+    out = np.array([f.values for _, f in evolve(op, f0, spec)])
+    np.testing.assert_array_equal(out, _dense_evolve(op.entries, f0.values, spec))
+
+
+def test_non_finite_state_reports_its_step(monkeypatch):
+    # Classical + 5 I is still a birth-death chain; its states grow like
+    # e^(5 t) until they overflow
+    grid = make_grid(12.0, 129)
+    grow = OperatorMatrix(grid=grid, entries=assemble(Classical(), grid).entries
+                          + 5.0 * np.eye(grid.n))
+    f0 = gaussian_density(grid, 0.5)
+
+    def failing_step(scheme):
+        with pytest.raises(FloatingPointError, match=r"^non-finite state at step \d+$") as err:
+            evolve(grow, f0, EvolveSpec(t_end=150.0, dt=0.1, scheme=scheme))
+        return int(str(err.value).rsplit(" ", 1)[1])
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        steps = {s: failing_step(s) for s in ("ExactExpm", "BackwardEuler", "CrankNicolson")}
+        monkeypatch.setattr(semigroup, "_birth_death", lambda M: None)
+        dense = {s: failing_step(s) for s in steps}
+    # growth factors 2 (BE) and 5/3 (CN) per step: the tridiagonal LU
+    # overflows at the same step as the dense LU (1024 and 1390)
+    assert steps["BackwardEuler"] == dense["BackwardEuler"]
+    assert steps["CrankNicolson"] == dense["CrankNicolson"]
+    # e^(0.5 k) passes 1.8e308 near k = 1420 on either path
+    assert abs(steps["ExactExpm"] - dense["ExactExpm"]) <= 5
 
 
 def test_gaussian_variance_relaxation_oracle():
@@ -81,6 +173,25 @@ def test_steady_state_classical_matches_gaussian():
     err = weighted_norm(G - gaussian_density(GRID), WeightSpec(p=1))
     assert err <= 1e-6
     assert np.all(G.values[1:-1] > 0.0)
+
+
+def test_cosine_sum_matches_direct_sum():
+    z = np.linspace(0.2, 5.0, 1501)
+    a = z ** -2.0 * (z[1] - z[0])
+    for s in (np.linspace(1e-12, 40.0, 2001), np.linspace(0.5, 63.0, 1200)):
+        direct = np.concatenate([(np.cos(np.outer(blk, z)) - 1.0) @ a
+                                 for blk in np.array_split(s, 8)])
+        fast = _cosine_sum(s, z, a)
+        assert np.max(np.abs(fast - direct)) <= 1e-10 * np.max(np.abs(direct))
+
+
+def test_discrete_fractional_oracle_matches_steady_state():
+    grid = make_grid(12.8, 513)
+    model = DiscreteFractional(eps=0.2, alpha=1.0)
+    G = steady_state(assemble(model, grid))
+    O = fourier_steady_oracle(model, grid)
+    # measured 8.0e-3: the matrix discretization's error at this resolution
+    assert weighted_norm(G - O, WeightSpec(p=1)) <= 2e-2
 
 
 def test_steady_state_heavy_tail_power():

@@ -8,10 +8,11 @@ from fplab.operators import (
     DiscreteClassical,
     DiscreteFractional,
     Fractional,
+    OperatorMatrix,
     _drift_diffusion_block,
     assemble,
 )
-from fplab.semigroup import steady_state
+from fplab.semigroup import EvolveSpec, evolve, steady_state
 from fplab.spectra import (
     _eigenvalues,
     eigen_spectrum,
@@ -56,23 +57,43 @@ def test_eigen_spectrum_reversible_tridiagonal_matches_dense():
 
 def test_eigensolve_selection_follows_matrix_structure(monkeypatch):
     dense_calls = []
-    dense = sla.eigvals
 
-    def spy(M):
-        dense_calls.append(M.shape[0])
-        return dense(M)
+    def spy(name):
+        dense = getattr(sla, name)
 
-    monkeypatch.setattr(sla, "eigvals", spy)
-    # reversible chain: symmetric tridiagonal solver, no dense call
-    _eigenvalues(OP.entries)
-    assert dense_calls == []
-    # upwind drift (zero off-diagonal products) and the Fourier-side
-    # collocation (negative products, one-sided boundary stencils)
+        def wrapped(M, *args, **kwargs):
+            dense_calls.append((name, M.shape[0]))
+            return dense(M, *args, **kwargs)
+
+        monkeypatch.setattr(sla, name, wrapped)
+
+    for name in ("eigvals", "expm", "lu_factor"):
+        spy(name)
     g = make_grid(12.0, 65)
-    for M in (_drift_diffusion_block(g, diffusion=0.0),
-              fourier_side_generator(1.0, 30.0, 65).entries):
-        _eigenvalues(M)
-    assert dense_calls == [65, 65]
+    schemes = [EvolveSpec(t_end=0.2, dt=0.05, scheme=s)
+               for s in ("ExactExpm", "BackwardEuler", "CrankNicolson")]
+
+    def evolve_all(op):
+        f0 = gaussian_density(op.grid, 0.5)
+        for spec in schemes:
+            evolve(op, f0, spec)
+
+    # reversible chain: symmetric tridiagonal eigensolve, tridiagonal LU and
+    # the symmetrized exponential, no dense call
+    _eigenvalues(OP.entries)
+    evolve_all(assemble(Classical(), g))
+    assert dense_calls == []
+    # upwind drift (zero off-diagonal products), a full jump generator and
+    # the Fourier-side collocation (negative products, one-sided boundary
+    # stencils) stay dense
+    dense_ops = (OperatorMatrix(grid=g, entries=_drift_diffusion_block(g, diffusion=0.0)),
+                 assemble(DiscreteClassical(eps=0.4), make_grid(1.6, 65)),
+                 fourier_side_generator(1.0, 30.0, 65))
+    for op in dense_ops:
+        _eigenvalues(op.entries)
+        evolve_all(op)
+    assert dense_calls == [("eigvals", 65), ("expm", 65), ("lu_factor", 65),
+                           ("lu_factor", 65)] * 3
 
 
 def test_fourier_side_gaps_uniform_in_order():
