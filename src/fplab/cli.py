@@ -16,7 +16,6 @@ import sys
 import numpy as np
 
 from . import acceptance
-from .config import RunConfig
 from .grids import WeightSpec, field_to_csv, gaussian_density, make_grid
 from .inequalities import (
     adjoint_dissipativity_check,
@@ -125,31 +124,30 @@ def parse_noise(text: str):
     raise UsageError("noise must be stable:ALPHA or compound:EPS")
 
 
-def _resolve(args) -> RunConfig:
-    cfg = RunConfig.from_file(args.config) if getattr(args, "config", None) else RunConfig()
-    overrides = {
-        k: getattr(args, k)
-        for k in ("model", "L", "n", "weight", "splitting", "gap_target",
-                  "a_target", "seed", "n_paths", "t_end", "dt", "scheme", "outdir")
-        if hasattr(args, k)
-    }
-    if hasattr(args, "params") and args.params:
-        overrides["params"] = [float(v) for v in args.params]
-    return cfg.override(**overrides)
+def _write_config(args) -> None:
+    """resolved_config.json: the subcommand and every parameter it read."""
+    os.makedirs(args.outdir, exist_ok=True)
+    read = {k: v for k, v in vars(args).items() if k not in ("fn", "config")}
+    with open(os.path.join(args.outdir, "resolved_config.json"), "w") as fh:
+        json.dump(read, fh, indent=2, sort_keys=True)
 
 
-def _emit(cfg: RunConfig, name: str, payload: dict) -> str:
-    os.makedirs(cfg.outdir, exist_ok=True)
-    cfg.persist()
-    path = os.path.join(cfg.outdir, name)
+def _emit(args, name: str, payload: dict) -> str:
+    _write_config(args)
+    path = os.path.join(args.outdir, name)
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, default=float)
     return path
 
 
-def _build(cfg: RunConfig):
-    model = parse_model(cfg.model)
-    grid = make_grid(cfg.L, cfg.n)
+def _verdict(ok: bool, text: str) -> int:
+    print(text + ("PASS" if ok else "FAIL"))
+    return 0 if ok else 1
+
+
+def _build(args):
+    model = parse_model(args.model)
+    grid = make_grid(args.L, args.n)
     return model, grid, assemble(model, grid)
 
 
@@ -158,31 +156,29 @@ def _build(cfg: RunConfig):
 
 
 def cmd_steady(args) -> int:
-    cfg = _resolve(args)
-    _, grid, op = _build(cfg)
+    _, grid, op = _build(args)
     G = steady_state(op)
-    os.makedirs(cfg.outdir, exist_ok=True)
-    field_to_csv(G, os.path.join(cfg.outdir, "steady_state.csv"))
-    _emit(cfg, "steady_state.json",
-          {"model": cfg.model, "min": float(G.values.min()),
+    os.makedirs(args.outdir, exist_ok=True)
+    field_to_csv(G, os.path.join(args.outdir, "steady_state.csv"))
+    _emit(args, "steady_state.json",
+          {"model": args.model, "min": float(G.values.min()),
            "max": float(G.values.max())})
-    print(f"steady state written to {cfg.outdir}/steady_state.csv")
+    print(f"steady state written to {args.outdir}/steady_state.csv")
     return 0
 
 
 def cmd_spectrum(args) -> int:
-    cfg = _resolve(args)
     if args.fourier_side:
-        model = parse_model(cfg.model)
+        model = parse_model(args.model)
         if not isinstance(model, Fractional):
             raise UsageError("--fourier-side requires a fractional model")
-        op = fourier_side_generator(model.alpha, cfg.L, cfg.n)
+        op = fourier_side_generator(model.alpha, args.L, args.n)
     else:
-        _, _, op = _build(cfg)
-    rep = eigen_spectrum(op, separation_a=cfg.a_target)
-    os.makedirs(cfg.outdir, exist_ok=True)
-    eigenvalues_to_csv(rep, os.path.join(cfg.outdir, "eigenvalues.csv"))
-    _emit(cfg, "spectrum.json", json.loads(rep.to_json()))
+        _, _, op = _build(args)
+    rep = eigen_spectrum(op, separation_a=args.a_target)
+    os.makedirs(args.outdir, exist_ok=True)
+    eigenvalues_to_csv(rep, os.path.join(args.outdir, "eigenvalues.csv"))
+    _emit(args, "spectrum.json", json.loads(rep.to_json()))
     print(f"gap = {rep.gap:.6f} (zero residual {rep.zero_residual:.2e})")
     return 0
 
@@ -192,65 +188,58 @@ def _error_suffix(row: dict) -> str:
     return f" [error: {err['type']}: {err['message']}]" if err else ""
 
 
+def _sweep_builder(args):
+    base = parse_model(args.model)
+    grid = make_grid(args.L, args.n)
+    return lambda p: assemble(dataclasses.replace(base, **{args.sweep: p}), grid)
+
+
 def cmd_gap_sweep(args) -> int:
-    cfg = _resolve(args)
-    if not cfg.params:
+    if not args.params:
         print("warning: empty parameter list, nothing swept")
-        _emit(cfg, "gap_sweep.json", {"rows": [], "pass": True, "warning": "empty"})
+        _emit(args, "gap_sweep.json", {"rows": [], "pass": True, "warning": "empty"})
         return 0
-    base = parse_model(cfg.model)
-    grid = make_grid(cfg.L, cfg.n)
-
-    def build(p):
-        return assemble(dataclasses.replace(base, **{args.sweep: p}), grid)
-
-    rep = gap_sweep(build, list(cfg.params), gap_target=cfg.gap_target)
-    _emit(cfg, "gap_sweep.json", rep)
+    rep = gap_sweep(_sweep_builder(args), list(args.params), gap_target=args.gap_target)
+    _emit(args, "gap_sweep.json", rep)
     for row in rep["rows"]:
         print(f"{args.sweep}={row['param']}: gap={row['gap']}"
               + _error_suffix(row))
-    print(f"max gap {rep['max_gap']} vs target {rep['gap_target']}: "
-          + ("PASS" if rep["pass"] else "FAIL"))
-    return 0 if rep["pass"] else 1
+    return _verdict(rep["pass"],
+                    f"max gap {rep['max_gap']} vs target {rep['gap_target']}: ")
 
 
 def cmd_decay(args) -> int:
-    cfg = _resolve(args)
-    w = parse_weight(cfg.weight)
-    spec = EvolveSpec(t_end=cfg.t_end, dt=cfg.dt, scheme=cfg.scheme)
-    if cfg.params:
-        base = parse_model(cfg.model)
-        grid = make_grid(cfg.L, cfg.n)
+    w = parse_weight(args.weight)
+    spec = EvolveSpec(t_end=args.t_end, dt=args.dt, scheme=args.scheme)
+    if args.params:
         rep = uniform_decay_sweep(
-            lambda p: assemble(dataclasses.replace(base, **{args.sweep: p}), grid),
-            list(cfg.params),
+            _sweep_builder(args),
+            list(args.params),
             lambda g: gaussian_density(g, 1.0, 1.0),
-            w, spec, a_target=cfg.a_target,
+            w, spec, a_target=args.a_target,
         )
-        _emit(cfg, "decay_sweep.json", rep)
+        _emit(args, "decay_sweep.json", rep)
         for row in rep["rows"]:
             print(f"{args.sweep}={row['param']}: rate={row['rate']}"
                   + _error_suffix(row))
-        print(f"sup rate {rep['sup_rate']} vs target {rep['a_target']}: "
-              + ("PASS" if rep["pass"] else "FAIL"))
-        return 0 if rep["pass"] else 1
-    _, grid, op = _build(cfg)
+        return _verdict(rep["pass"],
+                        f"sup rate {rep['sup_rate']} vs target {rep['a_target']}: ")
+    _, grid, op = _build(args)
     rep = decay_rate(op, gaussian_density(grid, 1.0, 1.0), w, spec)
-    _emit(cfg, "decay.json", json.loads(rep.to_json()))
+    _emit(args, "decay.json", json.loads(rep.to_json()))
     print(f"fitted rate {rep.fitted_rate:.4f} (residual {rep.residual:.3g})")
     return 0
 
 
 def cmd_converge(args) -> int:
-    cfg = _resolve(args)
-    base = parse_model(cfg.model)
-    grid = make_grid(cfg.L, cfg.n)
+    base = parse_model(args.model)
+    grid = make_grid(args.L, args.n)
     limit = parse_model(args.limit)
     m0 = assemble(limit, grid)
-    src = parse_weight(cfg.weight)
+    src = parse_weight(args.weight)
     tgt = WeightSpec(p=src.p, q=src.q)
     rows = []
-    for p in cfg.params or []:
+    for p in args.params:
         m = assemble(dataclasses.replace(base, eps=float(p)), grid)
         d = operator_distance(m, m0, src, tgt, probes=32,
                               oscillatory=args.oscillatory)
@@ -262,168 +251,197 @@ def cmd_converge(args) -> int:
         d = np.array([r["distance"] for r in rows])
         out["slope"] = float(np.polyfit(np.log(e), np.log(d), 1)[0])
         print(f"log-log slope {out['slope']:.3f}")
-    _emit(cfg, "convergence.json", out)
+    _emit(args, "convergence.json", out)
     return 0
 
 
 def cmd_verify(args) -> int:
-    cfg = _resolve(args)
     check = args.check
     k = gaussian_reference_kernel()
-    grid = make_grid(cfg.L, cfg.n)
+    grid = make_grid(args.L, args.n)
     if check == "dissipativity":
-        model, _, _ = _build(cfg)
-        split = parse_splitting(cfg.splitting or "classical:10,6")
+        model = parse_model(args.model)
+        split = parse_splitting(args.splitting or "classical:10,6")
         _, B = assemble_splitting(model, grid, split)
-        rep = dissipativity_check(B, parse_weight(cfg.weight), a=cfg.a_target,
-                                  seed=cfg.seed)
-        _emit(cfg, "dissipativity.json", json.loads(rep.to_json()))
-        print(f"worst ratio {rep.worst_ratio:.4f} vs a = {rep.a}: "
-              + ("PASS" if rep.passed else "FAIL"))
-        return 0 if rep.passed else 1
+        rep = dissipativity_check(B, parse_weight(args.weight), a=args.a_target,
+                                  seed=args.seed)
+        _emit(args, "dissipativity.json", json.loads(rep.to_json()))
+        return _verdict(rep.passed, f"worst ratio {rep.worst_ratio:.4f} vs a = {rep.a}: ")
     if check == "adjoint":
-        model, _, _ = _build(cfg)
+        model = parse_model(args.model)
         if not isinstance(model, (Fractional, DiscreteFractional)):
             raise UsageError("adjoint check requires a fractional-family model")
-        split = parse_splitting(cfg.splitting or "fractional:0.5,2,4")
+        split = parse_splitting(args.splitting or "fractional:0.5,2,4")
         _, B = assemble_splitting(model, grid, split)
-        rep = adjoint_dissipativity_check(B, parse_weight(cfg.weight),
-                                          b=cfg.a_target, alpha=model.alpha,
-                                          seed=cfg.seed)
-        _emit(cfg, "adjoint.json", rep)
-        print(f"worst ratio {rep['worst_ratio']:.4f} vs b = {rep['b']}: "
-              + ("PASS" if rep["pass"] else "FAIL"))
-        return 0 if rep["pass"] else 1
+        rep = adjoint_dissipativity_check(B, parse_weight(args.weight),
+                                          b=args.a_target, alpha=model.alpha,
+                                          seed=args.seed)
+        _emit(args, "adjoint.json", rep)
+        return _verdict(rep["pass"],
+                        f"worst ratio {rep['worst_ratio']:.4f} vs b = {rep['b']}: ")
     if check == "psi":
         eps = args.eps if args.eps is not None else 0.05
         C = psi_constant(k, q=1.0, p=1)
         prof = psi_profile(grid, eps=eps, M=10.0, R=6.0, p=1, q=1.0,
                            C_bound=C, k=k)
-        os.makedirs(cfg.outdir, exist_ok=True)
-        prof.to_csv(os.path.join(cfg.outdir, "psi_profile.csv"))
-        ok = prof.sup <= cfg.a_target
-        _emit(cfg, "psi.json", {"sup": prof.sup, "C": C, "params": prof.params,
-                                "pass": ok})
-        print(f"sup(psi - M chi_R) = {prof.sup:.4f} vs {cfg.a_target}: "
-              + ("PASS" if ok else "FAIL"))
-        return 0 if ok else 1
+        os.makedirs(args.outdir, exist_ok=True)
+        prof.to_csv(os.path.join(args.outdir, "psi_profile.csv"))
+        ok = prof.sup <= args.a_target
+        _emit(args, "psi.json", {"sup": prof.sup, "C": C, "params": prof.params,
+                                 "pass": ok})
+        return _verdict(ok, f"sup(psi - M chi_R) = {prof.sup:.4f} vs {args.a_target}: ")
     if check == "dirichlet":
         eps = args.eps if args.eps is not None else 0.25
         worst = 0.0
-        for f in probe_family(grid, count=16, seed=cfg.seed):
+        for f in probe_family(grid, count=16, seed=args.seed):
             a = dirichlet_form(f, k, eps, path="double-sum")
             b = dirichlet_form(f, k, eps, path="fourier")
             worst = max(worst, abs(a - b) / max(abs(a), 1e-300))
         ok = worst <= 1e-8
-        _emit(cfg, "dirichlet.json", {"worst_relative_gap": worst, "pass": ok})
-        print(f"worst path disagreement {worst:.3e}: " + ("PASS" if ok else "FAIL"))
-        return 0 if ok else 1
+        _emit(args, "dirichlet.json", {"worst_relative_gap": worst, "pass": ok})
+        return _verdict(ok, f"worst path disagreement {worst:.3e}: ")
     if check == "gradient-bound":
         K = fourier_ratio_constant(k).value
         eps = args.eps if args.eps is not None else 0.25
         fails = 0
-        probes = probe_family(grid, count=64, seed=cfg.seed)
+        probes = probe_family(grid, count=64, seed=args.seed)
         for f in probes:
             if not gradient_convolution_check(f, k, eps, K)["pass"]:
                 fails += 1
         ok = fails == 0
-        _emit(cfg, "gradient_bound.json",
+        _emit(args, "gradient_bound.json",
               {"K": K, "failures": fails, "total": len(probes), "pass": ok})
-        print(f"K = {K:.6f}, {fails}/{len(probes)} probe failures: "
-              + ("PASS" if ok else "FAIL"))
-        return 0 if ok else 1
+        return _verdict(ok, f"K = {K:.6f}, {fails}/{len(probes)} probe failures: ")
     if check == "regularization":
-        model, _, _ = _build(cfg)
-        split = parse_splitting(cfg.splitting or "classical:10,6")
+        model = parse_model(args.model)
+        split = parse_splitting(args.splitting or "classical:10,6")
         A, B = assemble_splitting(model, grid, split)
         rep = regularization_norm(A, B, n_conv=args.n_conv,
                                   t_grid=[1.0, 2.0, 4.0, 6.0],
                                   source=WeightSpec(p=2, q=1),
                                   target=WeightSpec(p=2, q=1, s=1),
-                                  seed=cfg.seed)
-        _emit(cfg, "regularization.json", rep)
+                                  seed=args.seed)
+        _emit(args, "regularization.json", rep)
         print(f"fitted rate {rep['fitted_rate']:.4f}")
         return 0
     if check == "sobolev-id":
-        model = parse_model(cfg.model)
+        model = parse_model(args.model)
         if not isinstance(model, (Fractional, DiscreteFractional)):
             raise UsageError("sobolev-id requires a fractional-family model")
         worst = 0.0
         ok = True
-        for f in probe_family(grid, count=8, seed=cfg.seed):
+        for f in probe_family(grid, count=8, seed=args.seed):
             rep = fractional_sobolev_check(f, model.alpha)
             worst = max(worst, rep["rel_error"])
             ok = ok and rep["pass"]
-        _emit(cfg, "sobolev_id.json", {"worst_rel_error": worst, "pass": ok})
-        print(f"worst relative error {worst:.3e}: " + ("PASS" if ok else "FAIL"))
-        return 0 if ok else 1
+        _emit(args, "sobolev_id.json", {"worst_rel_error": worst, "pass": ok})
+        return _verdict(ok, f"worst relative error {worst:.3e}: ")
     raise UsageError(f"unknown check {check!r}")
 
 
 def cmd_sde(args) -> int:
-    cfg = _resolve(args)
     noise = parse_noise(args.noise)
-    spec = JumpOuSpec(noise=noise, t_end=cfg.t_end, n_paths=cfg.n_paths,
-                      seed=cfg.seed, dt_record=max(cfg.dt, 0.01))
+    spec = JumpOuSpec(noise=noise, t_end=args.t_end, n_paths=args.n_paths,
+                      seed=args.seed, dt_record=max(args.dt, 0.01))
     if args.check == "coupling":
         rep = coupled_decay(spec, 1.0, 0.0)
-        _emit(cfg, "coupling.json",
+        _emit(args, "coupling.json",
               {"max_error": rep["max_error"], "pass": rep["pass"]})
-        print(f"coupled-gap max error {rep['max_error']:.3e}: "
-              + ("PASS" if rep["pass"] else "FAIL"))
-        return 0 if rep["pass"] else 1
+        return _verdict(rep["pass"], f"coupled-gap max error {rep['max_error']:.3e}: ")
     if args.check == "wasserstein":
-        t_grid = [t for t in (0.5, 1.0, 2.0) if t <= cfg.t_end] or [cfg.t_end]
+        t_grid = [t for t in (0.5, 1.0, 2.0) if t <= args.t_end] or [args.t_end]
         rep = wasserstein_contraction_check(
             spec, lambda r, n: np.full(n, 3.0), t_grid)
-        _emit(cfg, "wasserstein.json", rep)
-        for row in rep["rows"]:
-            print(f"t={row['t']}: W1={row['w1']:.5f} bound={row['bound']:.5f} "
-                  + ("PASS" if row["pass"] else "FAIL"))
-        return 0 if rep["pass"] else 1
+        _emit(args, "wasserstein.json", rep)
+        # rep["pass"] is the conjunction of the row verdicts
+        return max([_verdict(row["pass"], f"t={row['t']}: W1={row['w1']:.5f} "
+                             f"bound={row['bound']:.5f} ") for row in rep["rows"]])
     if args.check == "ensemble":
         ens = simulate(spec, lambda r, n: np.full(n, 3.0))
-        os.makedirs(cfg.outdir, exist_ok=True)
-        cfg.persist()
-        ensemble_to_csv(ens, os.path.join(cfg.outdir, "ensemble.csv"))
-        print(f"ensemble percentiles written to {cfg.outdir}/ensemble.csv")
+        _write_config(args)
+        ensemble_to_csv(ens, os.path.join(args.outdir, "ensemble.csv"))
+        print(f"ensemble percentiles written to {args.outdir}/ensemble.csv")
         return 0
     raise UsageError(f"unknown sde check {args.check!r}")
 
 
 def cmd_accept(args) -> int:
-    cfg = _resolve(args)
     rep = acceptance.run_all(progress=True)
-    _emit(cfg, "acceptance.json", rep)
+    _emit(args, "acceptance.json", rep)
     n_pass = sum(1 for r in rep["results"] if r["pass"])
-    print(f"{n_pass}/{len(rep['results'])} criteria passed: "
-          + ("PASS" if rep["pass"] else "FAIL"))
-    return 0 if rep["pass"] else 1
+    return _verdict(rep["pass"], f"{n_pass}/{len(rep['results'])} criteria passed: ")
 
 
 # ---------------------------------------------------------------------------
 # argument wiring
 
+# Every run parameter, keyed by its namespace name; the flag is
+# "--" + name with "_" written as "-".  A subcommand declares the names its
+# cmd_* reads, so resolved_config.json records exactly those.
+_PARAMS = {
+    "outdir": dict(default="out", help="output directory"),
+    "model": dict(default="classical",
+                  help="classical | discrete-classical:EPS | fractional:ALPHA | "
+                       "fractional-raw:ALPHA | discrete-fractional:EPS,ALPHA"),
+    "L": dict(type=float, default=12.0, help="grid half-width: nodes span [-L, L]"),
+    "n": dict(type=int, default=1025, help="number of grid nodes"),
+    "weight": dict(default="1,0", help="p,q[,s]"),
+    "params": dict(type=float, nargs="*", default=[],
+                   help="parameter list for sweeps"),
+    "sweep": dict(default="eps", choices=["eps", "alpha"],
+                  help="model field that --params sweeps"),
+    "splitting": dict(default="", help="classical:M,R or fractional:ETA,LCUT,R"),
+    "gap_target": dict(type=float, default=-0.5, help="largest gap that passes"),
+    "a_target": dict(type=float, default=-0.5,
+                     help="rate or bound a the run compares against"),
+    "seed": dict(type=int, default=0, help="probe and sampling seed"),
+    "n_paths": dict(type=int, default=100000, help="Monte Carlo paths"),
+    "t_end": dict(type=float, default=4.0, help="final time"),
+    "dt": dict(type=float, default=0.05, help="time step (sde: recording step)"),
+    "scheme": dict(default="ExactExpm",
+                   choices=["BackwardEuler", "CrankNicolson", "ExactExpm"],
+                   help="time stepper"),
+    "fourier_side": dict(action="store_true",
+                         help="frequency-side collocation for the power-law family"),
+    "limit": dict(required=True, help="limit model string, e.g. classical"),
+    "oscillatory": dict(type=int, default=0, help="modulated probes added to the block"),
+    "eps": dict(type=float, default=None,
+                help="kernel scale of psi (0.05), dirichlet and gradient-bound (0.25)"),
+    "n_conv": dict(type=int, default=2, help="convolution order of the regularization check"),
+    "noise": dict(required=True, help="stable:ALPHA or compound:EPS"),
+}
 
-def _add_common(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--config", help="JSON config file")
-    sp.add_argument("--model", default=None)
-    sp.add_argument("--L", type=float, default=None)
-    sp.add_argument("--n", type=int, default=None)
-    sp.add_argument("--weight", default=None, help="p,q[,s]")
-    sp.add_argument("--splitting", default=None,
-                    help="classical:M,R or fractional:ETA,LCUT,R")
-    sp.add_argument("--gap-target", dest="gap_target", type=float, default=None)
-    sp.add_argument("--a-target", dest="a_target", type=float, default=None)
-    sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--n-paths", dest="n_paths", type=int, default=None)
-    sp.add_argument("--t-end", dest="t_end", type=float, default=None)
-    sp.add_argument("--dt", type=float, default=None)
-    sp.add_argument("--scheme", default=None,
-                    choices=[None, "BackwardEuler", "CrankNicolson", "ExactExpm"])
-    sp.add_argument("--outdir", default=None)
-    sp.add_argument("--params", nargs="*", default=None,
-                    help="parameter list for sweeps")
+
+class _ConfigDefaults(argparse.Action):
+    """--config FILE: the file's keys become defaults of this subcommand.
+
+    A key that is not one of the subcommand's parameters is a usage error.
+    Defaults only take effect on a fresh parse, so main() parses again; a
+    flag given on the command line then still wins over the file."""
+
+    def __call__(self, parser, namespace, path, option_string=None):
+        try:
+            with open(path) as fh:
+                data = json.load(fh)
+        except (OSError, ValueError) as exc:
+            parser.error(f"cannot read config {path!r}: {exc}")
+        if not isinstance(data, dict):
+            parser.error(f"config {path!r} is not a JSON object")
+        unknown = set(data) - (set(vars(namespace)) - {"fn", "config"})
+        if unknown:
+            parser.error(f"config keys not read by {parser.prog}: {sorted(unknown)}")
+        parser.set_defaults(**data)
+        setattr(namespace, self.dest, path)
+
+
+def _subcommand(sub, name: str, fn, help: str, *params: str) -> argparse.ArgumentParser:
+    sp = sub.add_parser(name, help=help)
+    sp.add_argument("--config", action=_ConfigDefaults,
+                    help="JSON defaults; keys must be parameters of this subcommand")
+    for p in ("outdir", *params):
+        sp.add_argument("--" + p.replace("_", "-"), dest=p, **_PARAMS[p])
+    sp.set_defaults(fn=fn)
+    return sp
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -433,56 +451,27 @@ def build_parser() -> argparse.ArgumentParser:
                     "finite-jump drift-diffusion generators in one dimension.",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("steady", help="steady state of the generator")
-    _add_common(sp)
-    sp.set_defaults(fn=cmd_steady)
-
-    sp = sub.add_parser("spectrum", help="dense eigenvalue report")
-    _add_common(sp)
-    sp.add_argument("--fourier-side", action="store_true",
-                    help="frequency-side collocation for the power-law family")
-    sp.set_defaults(fn=cmd_spectrum)
-
-    sp = sub.add_parser("gap-sweep", help="spectral gap over a parameter sweep")
-    _add_common(sp)
-    sp.add_argument("--sweep", default="eps", choices=["eps", "alpha"])
-    sp.set_defaults(fn=cmd_gap_sweep)
-
-    sp = sub.add_parser("decay", help="semigroup decay-rate fit (or sweep)")
-    _add_common(sp)
-    sp.add_argument("--sweep", default="eps", choices=["eps", "alpha"])
-    sp.set_defaults(fn=cmd_decay)
-
-    sp = sub.add_parser("converge", help="operator-distance convergence study")
-    _add_common(sp)
-    sp.add_argument("--limit", required=True,
-                    help="limit model string, e.g. classical")
-    sp.add_argument("--oscillatory", type=int, default=0)
-    sp.set_defaults(fn=cmd_converge)
-
-    sp = sub.add_parser("verify", help="functional-inequality checks")
-    _add_common(sp)
+    grid = ("model", "L", "n")
+    _subcommand(sub, "steady", cmd_steady, "steady state of the generator", *grid)
+    _subcommand(sub, "spectrum", cmd_spectrum, "dense eigenvalue report",
+                *grid, "a_target", "fourier_side")
+    _subcommand(sub, "gap-sweep", cmd_gap_sweep, "spectral gap over a parameter sweep",
+                *grid, "params", "sweep", "gap_target")
+    _subcommand(sub, "decay", cmd_decay, "semigroup decay-rate fit (or sweep)",
+                *grid, "weight", "t_end", "dt", "scheme", "params", "sweep", "a_target")
+    _subcommand(sub, "converge", cmd_converge, "operator-distance convergence study",
+                *grid, "limit", "weight", "params", "oscillatory")
+    sp = _subcommand(sub, "verify", cmd_verify, "functional-inequality checks",
+                     *grid, "weight", "splitting", "a_target", "seed", "eps", "n_conv")
     sp.add_argument("--check", required=True,
                     choices=["dissipativity", "psi", "dirichlet",
                              "gradient-bound", "adjoint", "regularization",
                              "sobolev-id"])
-    sp.add_argument("--eps", type=float, default=None)
-    sp.add_argument("--n-conv", dest="n_conv", type=int, default=2)
-    sp.set_defaults(fn=cmd_verify)
-
-    sp = sub.add_parser("sde", help="jump-driven Monte Carlo checks")
-    _add_common(sp)
-    sp.add_argument("--noise", required=True,
-                    help="stable:ALPHA or compound:EPS")
+    sp = _subcommand(sub, "sde", cmd_sde, "jump-driven Monte Carlo checks",
+                     "noise", "t_end", "dt", "n_paths", "seed")
     sp.add_argument("--check", required=True,
                     choices=["coupling", "wasserstein", "ensemble"])
-    sp.set_defaults(fn=cmd_sde)
-
-    sp = sub.add_parser("accept", help="run the full acceptance suite")
-    _add_common(sp)
-    sp.set_defaults(fn=cmd_accept)
-
+    _subcommand(sub, "accept", cmd_accept, "run the full acceptance suite")
     return ap
 
 
@@ -490,6 +479,8 @@ def main(argv: list[str] | None = None) -> int:
     ap = build_parser()
     try:
         args = ap.parse_args(argv)
+        if args.config:
+            args = ap.parse_args(argv)  # again, now under the file's defaults
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

@@ -113,40 +113,6 @@ def truncated_fractional_kernel(alpha: float, eps: float) -> Kernel:
     )
 
 
-@dataclass(frozen=True)
-class MomentReport:
-    zeroth: float
-    first: float
-    second: float
-    third_abs: float
-    zeroth_defect: float
-    first_defect: float
-    second_defect: float
-
-
-def verify_moments(k: Kernel, tail_cut: float | None = None) -> MomentReport:
-    """Quadrature moments of a smooth kernel vs the targets (1, 0, 2)."""
-    if k.variant != "SmoothSymmetric":
-        raise ValueError("moment normalization not applicable")
-    cut = k.tail_cut if tail_cut is None else tail_cut
-    x = np.linspace(-cut, cut, 40001)
-    kv = k(x)
-    m0 = float(np.trapezoid(kv, x))
-    m1 = float(np.trapezoid(x * kv, x))
-    m2 = float(np.trapezoid(x * x * kv, x))
-    m3 = float(np.trapezoid(np.abs(x) ** 3 * kv, x))
-    # targets: unit mass, centered, second moment 2 for the unrescaled kernel
-    return MomentReport(
-        zeroth=m0,
-        first=m1,
-        second=m2,
-        third_abs=m3,
-        zeroth_defect=abs(m0 - 1.0),
-        first_defect=abs(m1),
-        second_defect=abs(m2 - 2.0),
-    )
-
-
 def khat(k: Kernel, xi: np.ndarray | float) -> np.ndarray | float:
     """Real Fourier transform of the symmetric kernel (cosine quadrature,
     or the closed form when one is recorded)."""
@@ -187,13 +153,6 @@ def fourier_ratio_constant(k: Kernel, xi_max: float = 8.0, n_xi: int = 4097) -> 
     ratio = xi**2 * kh**2 / denom
     i = int(np.argmax(ratio))
     return RatioConstant(value=float(ratio[i]), arg_max=float(xi[i]), xi_max=xi_max, n_xi=n_xi)
-
-
-def c_alpha(alpha: float) -> float:
-    """Truncated-second-moment normalization constant, closed form in d = 1."""
-    if not (0.0 < alpha < 2.0):
-        raise ValueError("alpha must be in (0,2)")
-    return 2.0 - alpha
 
 
 def symbol_constant(alpha: float) -> float:

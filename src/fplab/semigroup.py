@@ -150,7 +150,7 @@ def operator_scale(op: OperatorMatrix) -> float:
     return float(np.abs(op.entries).sum(axis=0).max())
 
 
-def steady_state(op: OperatorMatrix, check_rank: bool = True) -> Field:
+def steady_state(op: OperatorMatrix) -> Field:
     """Unit-mass null vector by shifted inverse iteration (shift 1e-8).
 
     Errors when the numerical null space is not one-dimensional (a second,
@@ -175,11 +175,10 @@ def steady_state(op: OperatorMatrix, check_rank: bool = True) -> Field:
         return v, rayleigh
 
     v, _ = iterate(np.ones(n), None)
-    if check_rank:
-        u = v / np.linalg.norm(v)
-        w, lam2 = iterate(np.sin(np.arange(n) + 0.5), u)
-        if abs(lam2) <= 1e-8 * max(1.0, scale * 1e-6):
-            raise ArithmeticError("spectral projector rank != 1")
+    u = v / np.linalg.norm(v)
+    _, lam2 = iterate(np.sin(np.arange(n) + 0.5), u)
+    if abs(lam2) <= 1e-8 * max(1.0, scale * 1e-6):
+        raise ArithmeticError("spectral projector rank != 1")
     g = Field(op.grid, np.sign(v.sum()) * v)
     total = mass(g)
     if total == 0:
