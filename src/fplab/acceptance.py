@@ -250,11 +250,11 @@ def criterion_7() -> dict:
     k = gaussian_reference_kernel()
     g = make_grid(12.0, 1025)
     C = psi_constant(k, q=1.0, p=1)
-    prof = psi_profile(g, eps=0.05, M=10.0, R=6.0, p=1, q=1.0, C_bound=C, k=k)
+    prof = psi_profile(g, eps=0.05, M=10.0, R=6.0, p=1, q=1.0, C_bound=C)
     # report the threshold where the profile bound stops holding
     eps0 = 0.0
     for e in np.linspace(0.0, 1.0, 101):
-        if psi_profile(g, eps=float(e), M=10.0, R=6.0, p=1, q=1.0, C_bound=C, k=k).sup <= -0.5:
+        if psi_profile(g, eps=float(e), M=10.0, R=6.0, p=1, q=1.0, C_bound=C).sup <= -0.5:
             eps0 = float(e)
     classical_reports = {}
     ok = prof.sup <= -0.5

@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import acceptance
-from .grids import WeightSpec, field_to_csv, gaussian_density, make_grid
+from .grids import WeightSpec, gaussian_density, make_grid
 from .inequalities import (
     adjoint_dissipativity_check,
     dirichlet_form,
@@ -42,18 +42,12 @@ from .sde import (
     CompoundPoisson,
     JumpOuSpec,
     coupled_decay,
-    ensemble_to_csv,
     simulate,
     wasserstein_contraction_check,
 )
 from .semigroup import EvolveSpec, decay_rate, steady_state, uniform_decay_sweep
 from .splitting import ClassicalSplitting, FractionalSplitting, assemble_splitting
-from .spectra import (
-    eigen_spectrum,
-    eigenvalues_to_csv,
-    fourier_side_generator,
-    gap_sweep,
-)
+from .spectra import eigen_spectrum, fourier_side_generator, gap_sweep
 
 
 class UsageError(Exception):
@@ -132,12 +126,18 @@ def _write_config(args) -> None:
         json.dump(read, fh, indent=2, sort_keys=True)
 
 
-def _emit(args, name: str, payload: dict) -> str:
+def _emit(args, name: str, payload: dict) -> None:
+    """Write payload as outdir/name in JSON, numpy values as Python ones."""
     _write_config(args)
-    path = os.path.join(args.outdir, name)
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, default=float)
-    return path
+    with open(os.path.join(args.outdir, name), "w") as fh:
+        json.dump(payload, fh, indent=2, default=lambda o: o.tolist())
+
+
+def _emit_csv(args, name: str, header: str, *columns: np.ndarray) -> None:
+    """Write the columns side by side as outdir/name, comma separated."""
+    _write_config(args)
+    np.savetxt(os.path.join(args.outdir, name), np.column_stack(columns),
+               delimiter=",", header=header)
 
 
 def _verdict(ok: bool, text: str) -> int:
@@ -158,11 +158,9 @@ def _build(args):
 def cmd_steady(args) -> int:
     _, grid, op = _build(args)
     G = steady_state(op)
-    os.makedirs(args.outdir, exist_ok=True)
-    field_to_csv(G, os.path.join(args.outdir, "steady_state.csv"))
+    _emit_csv(args, "steady_state.csv", "x,value", grid.nodes, G.values)
     _emit(args, "steady_state.json",
-          {"model": args.model, "min": float(G.values.min()),
-           "max": float(G.values.max())})
+          {"model": args.model, "min": G.values.min(), "max": G.values.max()})
     print(f"steady state written to {args.outdir}/steady_state.csv")
     return 0
 
@@ -176,9 +174,12 @@ def cmd_spectrum(args) -> int:
     else:
         _, _, op = _build(args)
     rep = eigen_spectrum(op, separation_a=args.a_target)
-    os.makedirs(args.outdir, exist_ok=True)
-    eigenvalues_to_csv(rep, os.path.join(args.outdir, "eigenvalues.csv"))
-    _emit(args, "spectrum.json", json.loads(rep.to_json()))
+    ev = rep.eigenvalues
+    _emit_csv(args, "eigenvalues.csv", "re,im", ev.real, ev.imag)
+    _emit(args, "spectrum.json",
+          {"eigenvalues_re": ev.real, "eigenvalues_im": ev.imag, "gap": rep.gap,
+           "zero_residual": rep.zero_residual, "separation_a": rep.separation_a,
+           "separation_count": rep.separation_count})
     print(f"gap = {rep.gap:.6f} (zero residual {rep.zero_residual:.2e})")
     return 0
 
@@ -226,7 +227,7 @@ def cmd_decay(args) -> int:
                         f"sup rate {rep['sup_rate']} vs target {rep['a_target']}: ")
     _, grid, op = _build(args)
     rep = decay_rate(op, gaussian_density(grid, 1.0, 1.0), w, spec)
-    _emit(args, "decay.json", json.loads(rep.to_json()))
+    _emit(args, "decay.json", dataclasses.asdict(rep))
     print(f"fitted rate {rep.fitted_rate:.4f} (residual {rep.residual:.3g})")
     return 0
 
@@ -255,24 +256,38 @@ def cmd_converge(args) -> int:
     return 0
 
 
+# the splitting or kernel scale each check runs when the flag is not given
+_VERIFY_DEFAULTS = {
+    "dissipativity": ("splitting", "classical:10,6"),
+    "regularization": ("splitting", "classical:10,6"),
+    "adjoint": ("splitting", "fractional:0.5,2,4"),
+    "psi": ("eps", 0.05),
+    "dirichlet": ("eps", 0.25),
+    "gradient-bound": ("eps", 0.25),
+}
+
+
 def cmd_verify(args) -> int:
     check = args.check
+    if check in _VERIFY_DEFAULTS:
+        key, value = _VERIFY_DEFAULTS[check]
+        if getattr(args, key) in ("", None):
+            setattr(args, key, value)  # so resolved_config.json records it
     k = gaussian_reference_kernel()
     grid = make_grid(args.L, args.n)
     if check == "dissipativity":
         model = parse_model(args.model)
-        split = parse_splitting(args.splitting or "classical:10,6")
-        _, B = assemble_splitting(model, grid, split)
+        _, B = assemble_splitting(model, grid, parse_splitting(args.splitting))
         rep = dissipativity_check(B, parse_weight(args.weight), a=args.a_target,
                                   seed=args.seed)
-        _emit(args, "dissipativity.json", json.loads(rep.to_json()))
+        _emit(args, "dissipativity.json", {"worst_ratio": rep.worst_ratio, "a": rep.a,
+                                           "pass": rep.passed, "n_probes": rep.n_probes})
         return _verdict(rep.passed, f"worst ratio {rep.worst_ratio:.4f} vs a = {rep.a}: ")
     if check == "adjoint":
         model = parse_model(args.model)
         if not isinstance(model, (Fractional, DiscreteFractional)):
             raise UsageError("adjoint check requires a fractional-family model")
-        split = parse_splitting(args.splitting or "fractional:0.5,2,4")
-        _, B = assemble_splitting(model, grid, split)
+        _, B = assemble_splitting(model, grid, parse_splitting(args.splitting))
         rep = adjoint_dissipativity_check(B, parse_weight(args.weight),
                                           b=args.a_target, alpha=model.alpha,
                                           seed=args.seed)
@@ -280,33 +295,28 @@ def cmd_verify(args) -> int:
         return _verdict(rep["pass"],
                         f"worst ratio {rep['worst_ratio']:.4f} vs b = {rep['b']}: ")
     if check == "psi":
-        eps = args.eps if args.eps is not None else 0.05
         C = psi_constant(k, q=1.0, p=1)
-        prof = psi_profile(grid, eps=eps, M=10.0, R=6.0, p=1, q=1.0,
-                           C_bound=C, k=k)
-        os.makedirs(args.outdir, exist_ok=True)
-        prof.to_csv(os.path.join(args.outdir, "psi_profile.csv"))
+        prof = psi_profile(grid, eps=args.eps, M=10.0, R=6.0, p=1, q=1.0, C_bound=C)
+        _emit_csv(args, "psi_profile.csv", "x,psi_minus_Mchi", prof.x, prof.values)
         ok = prof.sup <= args.a_target
         _emit(args, "psi.json", {"sup": prof.sup, "C": C, "params": prof.params,
                                  "pass": ok})
         return _verdict(ok, f"sup(psi - M chi_R) = {prof.sup:.4f} vs {args.a_target}: ")
     if check == "dirichlet":
-        eps = args.eps if args.eps is not None else 0.25
         worst = 0.0
         for f in probe_family(grid, count=16, seed=args.seed):
-            a = dirichlet_form(f, k, eps, path="double-sum")
-            b = dirichlet_form(f, k, eps, path="fourier")
+            a = dirichlet_form(f, k, args.eps, path="double-sum")
+            b = dirichlet_form(f, k, args.eps, path="fourier")
             worst = max(worst, abs(a - b) / max(abs(a), 1e-300))
         ok = worst <= 1e-8
         _emit(args, "dirichlet.json", {"worst_relative_gap": worst, "pass": ok})
         return _verdict(ok, f"worst path disagreement {worst:.3e}: ")
     if check == "gradient-bound":
         K = fourier_ratio_constant(k).value
-        eps = args.eps if args.eps is not None else 0.25
         fails = 0
         probes = probe_family(grid, count=64, seed=args.seed)
         for f in probes:
-            if not gradient_convolution_check(f, k, eps, K)["pass"]:
+            if not gradient_convolution_check(f, k, args.eps, K)["pass"]:
                 fails += 1
         ok = fails == 0
         _emit(args, "gradient_bound.json",
@@ -314,8 +324,7 @@ def cmd_verify(args) -> int:
         return _verdict(ok, f"K = {K:.6f}, {fails}/{len(probes)} probe failures: ")
     if check == "regularization":
         model = parse_model(args.model)
-        split = parse_splitting(args.splitting or "classical:10,6")
-        A, B = assemble_splitting(model, grid, split)
+        A, B = assemble_splitting(model, grid, parse_splitting(args.splitting))
         rep = regularization_norm(A, B, n_conv=args.n_conv,
                                   t_grid=[1.0, 2.0, 4.0, 6.0],
                                   source=WeightSpec(p=2, q=1),
@@ -358,8 +367,9 @@ def cmd_sde(args) -> int:
                              f"bound={row['bound']:.5f} ") for row in rep["rows"]])
     if args.check == "ensemble":
         ens = simulate(spec, lambda r, n: np.full(n, 3.0))
-        _write_config(args)
-        ensemble_to_csv(ens, os.path.join(args.outdir, "ensemble.csv"))
+        percentiles = (5, 25, 50, 75, 95)
+        _emit_csv(args, "ensemble.csv", "t," + ",".join(f"p{p}" for p in percentiles),
+                  ens.times, np.percentile(ens.states, percentiles, axis=1).T)
         print(f"ensemble percentiles written to {args.outdir}/ensemble.csv")
         return 0
     raise UsageError(f"unknown sde check {args.check!r}")

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grids import Field, Grid1D
+from .grids import Field
 
 
 @dataclass(frozen=True)
@@ -15,8 +15,6 @@ class SpectralField:
 
     xi_nodes: np.ndarray = field(repr=False)
     values: np.ndarray = field(repr=False)
-    # carried so inverse_fourier can reconstruct the physical grid
-    grid: Grid1D | None = None
 
     def __post_init__(self) -> None:
         xi = np.asarray(self.xi_nodes, dtype=float)
@@ -48,25 +46,5 @@ def fourier_transform(f: Field) -> SpectralField:
     xi = 2.0 * np.pi * np.fft.fftfreq(npad, d=h)
     # samples buf[j] live at x = x_min + j h
     fhat = h * np.fft.fft(buf) * np.exp(-1j * xi * (-grid.L))
-    return SpectralField(xi_nodes=xi, values=fhat, grid=grid)
+    return SpectralField(xi_nodes=xi, values=fhat)
 
-
-def inverse_fourier(g: SpectralField) -> Field:
-    if g.grid is None:
-        raise ValueError("spectral field lacks physical grid metadata")
-    grid = g.grid
-    h = grid.h
-    npad = g.xi_nodes.size
-    buf = np.fft.ifft(g.values * np.exp(1j * g.xi_nodes * (-grid.L))) / h
-    return Field(grid, np.real(buf[: grid.n]))
-
-
-def spectral_quadrature_weight(g: SpectralField) -> float:
-    """d(xi) spacing of the spectral grid."""
-    return float(abs(g.xi_nodes[1] - g.xi_nodes[0]))
-
-
-def plancherel_l2(g: SpectralField) -> float:
-    """||f||_{L^2} computed on the spectral side: (1/2pi) int |fhat|^2 dxi."""
-    dxi = spectral_quadrature_weight(g)
-    return float(np.sqrt(np.sum(np.abs(g.values) ** 2) * dxi / (2.0 * np.pi)))

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -150,30 +149,6 @@ def probe_norm(image: np.ndarray, probes: np.ndarray, grid: Grid1D,
     den = _column_norms(probes, grid, source)
     keep = den > 0
     return float(np.max(num[keep] / den[keep], initial=0.0))
-
-
-def field_to_csv(f: Field, path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "value"])
-        for x, v in zip(f.grid.nodes, f.values):
-            writer.writerow([repr(float(x)), repr(float(v))])
-
-
-def field_from_csv(path: str) -> Field:
-    xs, vs = [], []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for row in reader:
-            xs.append(float(row[0]))
-            vs.append(float(row[1]))
-    x = np.asarray(xs)
-    n = len(x)
-    grid = Grid1D(L=float(x[-1]), n=n)
-    if not np.allclose(grid.nodes, x, atol=1e-12):
-        raise ValueError("CSV nodes are not a uniform symmetric grid")
-    return Field(grid, np.asarray(vs))
 
 
 def gaussian_density(grid: Grid1D, variance: float = 1.0, center: float = 0.0) -> Field:

@@ -7,7 +7,6 @@ the fractional Sobolev identity.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -79,8 +78,8 @@ def dirichlet_form(f: Field, k: Kernel, eps: float, path: str = "both") -> float
     raise ValueError(f"unknown path {path}")
 
 
-def dirichlet_form_fourier_oracle(f: Field, k: Kernel, eps: float, xi_max: float = 60.0,
-                                  n_xi: int = 8193) -> float:
+def dirichlet_form_fourier_oracle(f: Field, k: Kernel, eps: float,
+                                  xi_max: float = 60.0) -> float:
     """Independent continuum-side value
     (1/2pi) integral |fhat|^2 (1 - khat(eps xi)) / eps^2 dxi
     using the continuum kernel transform (quadrature in xi)."""
@@ -126,10 +125,6 @@ class PsiProfile:
     sup: float = np.nan
     params: dict = field(default_factory=dict)
 
-    def to_csv(self, path: str) -> None:
-        np.savetxt(path, np.column_stack([self.x, self.values]),
-                   delimiter=",", header="x,psi_minus_Mchi")
-
 
 def psi_constant(k: Kernel, q: float, p: int) -> float:
     """Computable surrogate for the near-origin constant in the dissipativity
@@ -147,7 +142,7 @@ def psi_constant(k: Kernel, q: float, p: int) -> float:
 
 
 def psi_profile(grid: Grid1D, eps: float, M: float, R: float, p: int, q: float,
-                C_bound: float, k: Kernel | None = None) -> PsiProfile:
+                C_bound: float) -> PsiProfile:
     """Samples psi(x) - M chi_R(x) with
     psi(x) = C <x>^-2 + 1/p' - q x^2/<x>^2 + M C_R eps,
     C_R the exact gradient bound of the cutoff.  The sup must fall below the
@@ -181,12 +176,6 @@ class DissipativityReport:
     passed: bool
     n_probes: int
     ratios: np.ndarray = field(repr=False, default=None)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {"worst_ratio": self.worst_ratio, "a": self.a, "pass": self.passed,
-             "n_probes": self.n_probes}
-        )
 
 
 def dissipativity_check(B: OperatorMatrix, w: WeightSpec, a: float,

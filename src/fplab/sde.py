@@ -240,10 +240,3 @@ def wasserstein_contraction_check(
         rows.append({"t": t, "w1": wt, "bound": bound, "pass": bool(passed)})
     return {"rows": rows, "w1_initial": w0, "mc_tol": mc_tol, "pass": bool(ok)}
 
-
-def ensemble_to_csv(ens: PathEnsemble, path: str,
-                    percentiles: tuple[float, ...] = (5, 25, 50, 75, 95)) -> None:
-    pct = np.percentile(ens.states, percentiles, axis=1).T
-    arr = np.column_stack([ens.times, pct])
-    header = "t," + ",".join(f"p{int(p)}" for p in percentiles)
-    np.savetxt(path, arr, delimiter=",", header=header)

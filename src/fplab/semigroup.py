@@ -3,7 +3,6 @@ Fourier-side oracles), and exponential decay-rate fitting."""
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -13,7 +12,7 @@ from scipy.integrate import cumulative_trapezoid
 from scipy.linalg import lapack
 
 from .grids import Field, Grid1D, WeightSpec, mass, weighted_norm
-from .kernels import khat, truncated_fractional_kernel
+from .kernels import khat
 from .operators import (
     Classical,
     DiscreteClassical,
@@ -264,7 +263,6 @@ def fourier_steady_oracle(model: ModelSpec, grid: Grid1D) -> Field:
         return _inverse_fft_of_cf(grid, cf)
 
     if isinstance(model, DiscreteFractional):
-        kern = truncated_fractional_kernel(model.alpha, model.eps)
         eps, alpha = model.eps, model.alpha
 
         def cf(xi: np.ndarray) -> np.ndarray:
@@ -300,21 +298,6 @@ class DecayReport:
     clean: bool = False
     projected: bool = False
     skipped: bool = False
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "times": list(map(float, self.times)),
-                "norms": list(map(float, self.norms)),
-                "fitted_rate": self.fitted_rate,
-                "fitted_prefactor": self.fitted_prefactor,
-                "fit_window": list(self.fit_window),
-                "residual": self.residual,
-                "clean": self.clean,
-                "projected": self.projected,
-                "skipped": self.skipped,
-            }
-        )
 
 
 def fit_log_decay(times: np.ndarray, norms: np.ndarray) -> tuple[float, float, tuple[float, float], float]:

@@ -5,7 +5,6 @@ and the resolvent-perturbation certificate for the truncated jump family.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -26,23 +25,6 @@ class SpectrumReport:
     zero_residual: float = np.nan  # |eigenvalue closest to 0|
     separation_a: float = np.nan
     separation_count: int = 0  # eigenvalues with Re > separation_a
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "eigenvalues_re": [float(v.real) for v in self.eigenvalues],
-                "eigenvalues_im": [float(v.imag) for v in self.eigenvalues],
-                "gap": self.gap,
-                "zero_residual": self.zero_residual,
-                "separation_a": self.separation_a,
-                "separation_count": self.separation_count,
-            }
-        )
-
-
-def eigenvalues_to_csv(report: SpectrumReport, path: str) -> None:
-    arr = np.column_stack([report.eigenvalues.real, report.eigenvalues.imag])
-    np.savetxt(path, arr, delimiter=",", header="re,im")
 
 
 def _eigenvalues(M: np.ndarray) -> np.ndarray:
@@ -122,41 +104,22 @@ def gap_sweep(
     build: Callable[[float], OperatorMatrix],
     params: list[float],
     gap_target: float = -0.5,
-    reference_gap: float | None = None,
-    refine: Callable[[float], OperatorMatrix] | None = None,
-    refine_tol: float = 0.05,
 ) -> dict:
-    """Spectral gap per parameter; PASS iff every gap <= gap_target < 0.
-
-    ``reference_gap`` adds a |gap - reference| continuity column; ``refine``
-    builds each operator on a finer grid and flags parameters whose gap moves
-    by more than refine_tol (grid-convergence guard)."""
+    """Spectral gap per parameter; PASS iff every gap <= gap_target < 0."""
     rows = []
     for p in params:
-        row = {"param": p, "gap": np.nan, "continuity": np.nan,
-               "refined_gap": np.nan, "refine_shift": np.nan, "error": None}
+        row = {"param": p, "gap": np.nan, "error": None}
         try:
-            rep = eigen_spectrum(build(p))
-            row["gap"] = rep.gap
-            if reference_gap is not None:
-                row["continuity"] = abs(rep.gap - reference_gap)
-            if refine is not None:
-                rg = eigen_spectrum(refine(p)).gap
-                row["refined_gap"] = rg
-                row["refine_shift"] = abs(rg - rep.gap)
+            row["gap"] = eigen_spectrum(build(p)).gap
         except Exception as exc:
             row["error"] = {"type": type(exc).__name__, "message": str(exc)}
         rows.append(row)
     gaps = [r["gap"] for r in rows if r["error"] is None and np.isfinite(r["gap"])]
-    shifts = [r["refine_shift"] for r in rows if np.isfinite(r["refine_shift"])]
-    passed = bool(gaps) and max(gaps) <= gap_target
-    if refine is not None and any(s > refine_tol for s in shifts):
-        passed = False
     return {
         "rows": rows,
         "max_gap": max(gaps) if gaps else np.nan,
         "gap_target": gap_target,
-        "pass": passed,
+        "pass": bool(gaps) and max(gaps) <= gap_target,
     }
 
 

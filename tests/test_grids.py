@@ -7,8 +7,6 @@ from fplab.grids import (
     Field,
     Grid1D,
     WeightSpec,
-    field_from_csv,
-    field_to_csv,
     gaussian_density,
     make_grid,
     mass,
@@ -141,11 +139,3 @@ def test_weightspec_validation():
     with pytest.raises(ValueError):
         WeightSpec(p=2, q=0, s=4)
 
-
-def test_csv_roundtrip(tmp_path):
-    f = gaussian_density(GRID)
-    path = tmp_path / "f.csv"
-    field_to_csv(f, str(path))
-    g = field_from_csv(str(path))
-    assert g.grid == GRID
-    assert np.array_equal(g.values, f.values)

@@ -1,4 +1,5 @@
-"""Every name a module of the fplab package imports is used in that module.
+"""Every name a module of the fplab package imports is used in that module,
+and only ``cli.py`` formats or writes files.
 
 Stdlib ``ast`` only: a name bound by ``import``/``from ... import`` counts as
 used when it appears as an identifier anywhere in the module or as a string
@@ -48,3 +49,38 @@ def test_package_has_no_unused_imports():
               for path in files
               for line, name in _unused_imports(ast.parse(path.read_text()))]
     assert not unused, "unused imports: " + ", ".join(unused)
+
+
+def _file_output(tree: ast.Module) -> list[tuple[int, str]]:
+    """Lines that import json or csv, or call open or savetxt."""
+    hits = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            hits += [(node.lineno, f"import {a.name}") for a in node.names
+                     if a.name.split(".")[0] in ("json", "csv")]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 \
+                and node.module.split(".")[0] in ("json", "csv"):
+            hits.append((node.lineno, f"from {node.module} import"))
+        elif isinstance(node, ast.Call):
+            f = node.func
+            name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+            if name in ("open", "savetxt"):
+                hits.append((node.lineno, f"{name}()"))
+    return sorted(hits)
+
+
+def test_scanner_finds_file_output():
+    src = (
+        "import json\nimport numpy as np\nfrom csv import writer\n"
+        "from .json_like import x\n"
+        "def f(p):\n    with open(p) as fh:\n        np.savetxt(fh, x)\n"
+    )
+    assert _file_output(ast.parse(src)) == [
+        (1, "import json"), (3, "from csv import"), (6, "open()"), (7, "savetxt()")]
+
+
+def test_only_cli_writes_files():
+    writers = [f"{path.name}:{line} {what}"
+               for path in sorted(SRC.glob("*.py")) if path.name != "cli.py"
+               for line, what in _file_output(ast.parse(path.read_text()))]
+    assert not writers, "file output outside cli.py: " + ", ".join(writers)
