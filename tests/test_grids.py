@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fplab.cli import main
 from fplab.grids import (
     Field,
     Grid1D,
@@ -139,3 +140,15 @@ def test_weightspec_validation():
     with pytest.raises(ValueError):
         WeightSpec(p=2, q=0, s=4)
 
+
+def test_csv_roundtrip(tmp_path):
+    from fplab.operators import Classical, assemble
+    from fplab.semigroup import steady_state
+
+    out = tmp_path / "run"
+    assert main(["steady", "--model", "classical", "--L", "12", "--n", "513",
+                 "--outdir", str(out)]) == 0
+    x, value = np.loadtxt(out / "steady_state.csv", delimiter=",", unpack=True)
+    assert make_grid(x[-1], x.size) == GRID
+    assert np.array_equal(x, GRID.nodes)
+    assert np.array_equal(value, steady_state(assemble(Classical(), GRID)).values)

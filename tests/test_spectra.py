@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
+from fplab.cli import main
 from fplab.grids import WeightSpec, gaussian_density, make_grid, mass
 from fplab.operators import (
     Classical,
@@ -34,6 +35,16 @@ def test_eigen_spectrum_classical():
     assert rep.zero_residual <= 1e-8
     assert abs(rep.gap + 1.0) <= 3e-3
     assert rep.separation_count == 1  # only 0 lies right of -0.5
+
+
+def test_eigen_spectrum_csv(tmp_path):
+    out = tmp_path / "run"
+    assert main(["spectrum", "--model", "classical", "--L", "12", "--n", "513",
+                 "--outdir", str(out)]) == 0
+    arr = np.loadtxt(out / "eigenvalues.csv", delimiter=",")
+    assert arr.shape == (8, 2)
+    ev = eigen_spectrum(OP).eigenvalues
+    assert np.array_equal(arr, np.column_stack([ev.real, ev.imag]))
 
 
 def test_eigen_spectrum_reversible_tridiagonal_matches_dense():
