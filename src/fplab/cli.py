@@ -267,8 +267,23 @@ _VERIFY_DEFAULTS = {
 }
 
 
+# the checks that read --model and --weight; every other check refuses them
+_VERIFY_READERS = {
+    "model": ("dissipativity", "adjoint", "regularization", "sobolev-id"),
+    "weight": ("dissipativity", "adjoint"),
+}
+
+
 def cmd_verify(args) -> int:
     check = args.check
+    for key, readers in _VERIFY_READERS.items():
+        if check in readers:
+            if getattr(args, key) is None:
+                setattr(args, key, _PARAMS[key]["default"])
+        elif getattr(args, key) is not None:
+            raise UsageError(f"verify --check {check} does not read --{key}")
+        else:
+            delattr(args, key)  # so resolved_config.json does not record it
     if check in _VERIFY_DEFAULTS:
         key, value = _VERIFY_DEFAULTS[check]
         if getattr(args, key) in ("", None):
@@ -473,6 +488,7 @@ def build_parser() -> argparse.ArgumentParser:
                 *grid, "limit", "weight", "params", "oscillatory")
     sp = _subcommand(sub, "verify", cmd_verify, "functional-inequality checks",
                      *grid, "weight", "splitting", "a_target", "seed", "eps", "n_conv")
+    sp.set_defaults(model=None, weight=None)  # None: not given (see cmd_verify)
     sp.add_argument("--check", required=True,
                     choices=["dissipativity", "psi", "dirichlet",
                              "gradient-bound", "adjoint", "regularization",

@@ -22,6 +22,9 @@ from .operators import (
     OperatorMatrix,
     _BirthDeath,
     _birth_death,
+    _mirror_blocks,
+    _mirror_fold,
+    _mirror_unfold,
 )
 
 
@@ -53,8 +56,11 @@ def evolve(op: OperatorMatrix, f0: Field, spec: EvolveSpec) -> list[tuple[float,
     exact in the D-weighted 2-norm, but a state's sup-norm error is about
     eps ||D f0||_2 / d_i, so ExactExpm keeps the dense expm whenever
     eps ||D f0||_2 / (min d ||f0||_inf) > 1e-9 (for instance a flat f0 on
-    the Classical generator at L = 12, where d spans e^72).  Every other M
-    uses dense LU factors or one dense expm(dt M)."""
+    the Classical generator at L = 12, where d spans e^72).  Any other
+    centrosymmetric M (``operators._mirror_blocks``: the jump generators and
+    the Fourier-side collocation) is stepped in the folded basis, with LU
+    factors or an expm of each half-size block and an O(n) fold and unfold
+    per step.  Every other M uses dense LU factors or one dense expm(dt M)."""
     if f0.grid != op.grid:
         raise ValueError("grid mismatch")
     n = op.grid.n
@@ -110,20 +116,39 @@ def _birth_death_expm(bd: _BirthDeath, op: OperatorMatrix, f0: np.ndarray,
     return states
 
 
-def _stepper(M: np.ndarray, bd: _BirthDeath | None, spec: EvolveSpec) -> Callable[[np.ndarray], np.ndarray]:
-    """One time step v -> v_next of ``spec.scheme`` for df/dt = M f."""
+def _dense_step(M: np.ndarray, spec: EvolveSpec) -> Callable[[np.ndarray], np.ndarray]:
+    """One time step of ``spec.scheme`` from a dense expm(dt M) or LU factors."""
     dt = spec.dt
     if spec.scheme == "ExactExpm":
         E = sla.expm(dt * M)
         return lambda v: E @ v
+    eye = np.eye(M.shape[0])
+    if spec.scheme == "BackwardEuler":
+        lu = sla.lu_factor(eye - dt * M)
+        return lambda v: sla.lu_solve(lu, v)
+    lu = sla.lu_factor(eye - 0.5 * dt * M)
+    right = eye + 0.5 * dt * M
+    return lambda v: sla.lu_solve(lu, right @ v)
+
+
+def _stepper(M: np.ndarray, bd: _BirthDeath | None, spec: EvolveSpec) -> Callable[[np.ndarray], np.ndarray]:
+    """One time step v -> v_next of ``spec.scheme`` for df/dt = M f.
+
+    A birth-death M gets here for ExactExpm only when the guard of
+    ``_birth_death_expm`` refused it, and then keeps the dense expm."""
+    blocks = _mirror_blocks(M) if bd is None else None
+    if blocks is not None:
+        even, odd = (_dense_step(B, spec) for B in blocks)
+
+        def mirror_step(v: np.ndarray) -> np.ndarray:
+            a, b = _mirror_fold(v)
+            return _mirror_unfold(even(a), odd(b))
+
+        return mirror_step
+    if bd is None or spec.scheme == "ExactExpm":
+        return _dense_step(M, spec)
+    dt = spec.dt
     theta = 1.0 if spec.scheme == "BackwardEuler" else 0.5
-    if bd is None:
-        eye = np.eye(M.shape[0])
-        lu = sla.lu_factor(eye - theta * dt * M)
-        if theta == 1.0:
-            return lambda v: sla.lu_solve(lu, v)
-        right = eye + 0.5 * dt * M
-        return lambda v: sla.lu_solve(lu, right @ v)
     # an exactly singular factor gives a non-finite first step, as dense LU does
     dl, d, du, du2, ipiv, _ = lapack.dgttrf(-theta * dt * bd.lower, 1.0 - theta * dt * bd.diag,
                                             -theta * dt * bd.upper)

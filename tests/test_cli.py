@@ -116,6 +116,23 @@ def test_verify_records_the_defaults_it_runs(tmp_path):
     assert resolved("dirichlet")["eps"] == 0.25
 
 
+def test_verify_refuses_flags_its_check_does_not_read(tmp_path):
+    for check in ("psi", "dirichlet", "gradient-bound"):
+        for flag in (["--model", "classical"], ["--weight", "1,0"]):
+            out = tmp_path / "refused"
+            assert main(["verify", "--check", check, "--n", "129", *flag,
+                         "--outdir", str(out)]) == 2
+            assert not out.exists()
+    out = tmp_path / "dirichlet"
+    assert main(["verify", "--check", "dirichlet", "--n", "129", "--outdir", str(out)]) == 0
+    recorded = json.loads((out / "resolved_config.json").read_text())
+    assert "model" not in recorded and "weight" not in recorded
+    out = tmp_path / "dissipativity"
+    assert main(["verify", "--check", "dissipativity", "--n", "129", "--outdir", str(out)]) == 0
+    recorded = json.loads((out / "resolved_config.json").read_text())
+    assert (recorded["model"], recorded["weight"]) == ("classical", "1,0")
+
+
 def test_sde_coupling(tmp_path):
     rc = main(["sde", "--noise", "stable:1.5", "--check", "coupling",
                "--n-paths", "100", "--t-end", "1.0", "--dt", "0.5",

@@ -11,6 +11,7 @@ from fplab.operators import (
     Fractional,
     OperatorMatrix,
     _birth_death,
+    _mirror_blocks,
     assemble,
 )
 from fplab.semigroup import (
@@ -105,28 +106,36 @@ def test_exact_expm_guard_keeps_dense_path_for_flat_datum():
 
 
 def test_non_finite_state_reports_its_step(monkeypatch):
-    # Classical + 5 I is still a birth-death chain; its states grow like
-    # e^(5 t) until they overflow
-    grid = make_grid(12.0, 129)
-    grow = OperatorMatrix(grid=grid, entries=assemble(Classical(), grid).entries
-                          + 5.0 * np.eye(grid.n))
-    f0 = gaussian_density(grid, 0.5)
+    # Classical + 5 I is still a birth-death chain and DiscreteClassical + 5 I
+    # is centrosymmetric (stepped on its two half-size blocks); their states
+    # grow like e^(5 t) until they overflow
+    ops = []
+    for model, grid in ((Classical(), make_grid(12.0, 129)),
+                        (DiscreteClassical(eps=0.4), make_grid(3.2, 129))):
+        ops.append(OperatorMatrix(grid=grid, entries=assemble(model, grid).entries
+                                  + 5.0 * np.eye(grid.n)))
+    assert _birth_death(ops[1].entries) is None and _mirror_blocks(ops[1].entries) is not None
 
-    def failing_step(scheme):
+    def failing_step(op, scheme):
+        f0 = gaussian_density(op.grid, 0.5)
         with pytest.raises(FloatingPointError, match=r"^non-finite state at step \d+$") as err:
-            evolve(grow, f0, EvolveSpec(t_end=150.0, dt=0.1, scheme=scheme))
+            evolve(op, f0, EvolveSpec(t_end=150.0, dt=0.1, scheme=scheme))
         return int(str(err.value).rsplit(" ", 1)[1])
 
+    schemes = ("ExactExpm", "BackwardEuler", "CrankNicolson")
     with np.errstate(over="ignore", invalid="ignore"):
-        steps = {s: failing_step(s) for s in ("ExactExpm", "BackwardEuler", "CrankNicolson")}
+        steps = [{s: failing_step(op, s) for s in schemes} for op in ops]
         monkeypatch.setattr(semigroup, "_birth_death", lambda M: None)
-        dense = {s: failing_step(s) for s in steps}
-    # growth factors 2 (BE) and 5/3 (CN) per step: the tridiagonal LU
-    # overflows at the same step as the dense LU (1024 and 1390)
-    assert steps["BackwardEuler"] == dense["BackwardEuler"]
-    assert steps["CrankNicolson"] == dense["CrankNicolson"]
-    # e^(0.5 k) passes 1.8e308 near k = 1420 on either path
-    assert abs(steps["ExactExpm"] - dense["ExactExpm"]) <= 5
+        monkeypatch.setattr(semigroup, "_mirror_blocks", lambda M: None)
+        dense = [{s: failing_step(op, s) for s in schemes} for op in ops]
+    for fast, ref in zip(steps, dense):
+        # growth factors 2 (BE) and 5/3 (CN) per step: the tridiagonal and
+        # the half-size LU overflow at the same step as the dense LU (1024
+        # and 1390 for Classical, 1025 and 1391 for DiscreteClassical)
+        assert fast["BackwardEuler"] == ref["BackwardEuler"]
+        assert fast["CrankNicolson"] == ref["CrankNicolson"]
+        # e^(0.5 k) passes 1.8e308 near k = 1420 on either path
+        assert abs(fast["ExactExpm"] - ref["ExactExpm"]) <= 5
 
 
 def test_gaussian_variance_relaxation_oracle():
