@@ -208,13 +208,14 @@ def _bernoulli(w: np.ndarray) -> np.ndarray:
     return out
 
 
-def _drift_diffusion_block(grid: Grid1D, diffusion: float) -> np.ndarray:
-    """Conservative interface-flux discretization of
-    diffusion * f'' + (x f)' on the trapezoid cells.
+def _add_drift_diffusion(M: np.ndarray, grid: Grid1D, diffusion: float) -> np.ndarray:
+    """Add the conservative interface-flux discretization of
+    diffusion * f'' + (x f)' on the trapezoid cells to M in place; returns M.
 
     diffusion > 0: exponential-fitting two-point flux (exact Gaussian-profile
     steady state for the Classical model); diffusion = 0: monotone upwind
-    drift flux.  Zero flux through the outer interfaces."""
+    drift flux.  Zero flux through the outer interfaces.  The flux touches
+    only the three central bands, which are built as O(n) vectors."""
     n, h = grid.n, grid.h
     x = grid.nodes
     wq = grid.cell_sizes
@@ -226,44 +227,49 @@ def _drift_diffusion_block(grid: Grid1D, diffusion: float) -> np.ndarray:
     else:
         coef_left = h * np.maximum(-xm, 0.0)
         coef_right = h * np.maximum(xm, 0.0)
-    M = np.zeros((n, n))
-    idx = np.arange(n - 1)
     # interface flux Phi_{i+1/2} = (coef_right f_{i+1} - coef_left f_i)/h
     # df_i/dt += Phi_{i+1/2}/wq_i ; df_{i+1}/dt -= Phi_{i+1/2}/wq_{i+1}
-    np.add.at(M, (idx, idx + 1), coef_right / h / wq[idx])
-    np.add.at(M, (idx, idx), -coef_left / h / wq[idx])
-    np.add.at(M, (idx + 1, idx + 1), -coef_right / h / wq[idx + 1])
-    np.add.at(M, (idx + 1, idx), coef_left / h / wq[idx + 1])
+    diag = np.zeros(n)
+    diag[:-1] += -coef_left / h / wq[:-1]
+    diag[1:] += -coef_right / h / wq[1:]
+    i = np.arange(n - 1)
+    M[i, i + 1] += coef_right / h / wq[:-1]
+    M[i + 1, i] += coef_left / h / wq[1:]
+    d = np.arange(n)
+    M[d, d] += diag
     return M
 
 
 def _jump_block(grid: Grid1D, offset_weights: np.ndarray) -> np.ndarray:
     """Toeplitz gain matrix from per-offset weights plus the censored killing
-    diagonal that conserves the trapezoid-weighted mass exactly.
+    diagonal that conserves the trapezoid-weighted mass exactly.  The result
+    is the only n x n array made.
 
     offset_weights[j] is the integrated kernel mass at grid offset j >= 1."""
-    n = grid.n
+    n, h = grid.n, grid.h
     wq = grid.cell_sizes
     col = np.zeros(n)
     col[1:] = offset_weights[: n - 1]
-    K = sla.toeplitz(col)
-    np.fill_diagonal(K, 0.0)
-    # boundary rows represent half cells: gains into them scale by wq_i/h
-    K *= (wq / grid.h)[:, None]
+    K = sla.toeplitz(col)  # zero diagonal: no self-jump
+    # boundary rows represent half cells: gains into them scale by wq_i/h,
+    # which is exactly 1 on every interior row
+    K[0] *= wq[0] / h
+    K[-1] *= wq[-1] / h
     kill = (wq @ K) / wq
-    return K - np.diag(kill)
+    d = np.arange(n)
+    K[d, d] -= kill
+    return K
 
 
 def _finalize(grid: Grid1D, M: np.ndarray, label: str, jump_min: float) -> OperatorMatrix:
-    """Column renormalization: zero the weighted column sums exactly and
-    record the relative diagonal adjustment."""
+    """Column renormalization in place: zero the weighted column sums exactly
+    and record the relative diagonal adjustment."""
     wq = grid.cell_sizes
-    defect = wq @ M
-    diag = np.diag(M).copy()
-    adj = defect / wq
-    scale = np.abs(diag).max()
+    adj = (wq @ M) / wq
+    d = np.arange(grid.n)
+    scale = np.abs(M[d, d]).max()
     rel = float(np.abs(adj).max() / scale) if scale > 0 else 0.0
-    M = M - np.diag(adj)
+    M[d, d] -= adj
     final_defect = float(np.abs(wq @ M).max())
     return OperatorMatrix(
         grid=grid,
@@ -330,13 +336,14 @@ def assemble(model: ModelSpec, grid: Grid1D) -> OperatorMatrix:
     """Assemble the dense generator matrix for a model on a grid."""
     h = grid.h
     if isinstance(model, Classical):
-        M = _drift_diffusion_block(grid, diffusion=1.0)
+        M = _add_drift_diffusion(np.zeros((grid.n, grid.n)), grid, diffusion=1.0)
         return _finalize(grid, M, "full:classical", jump_min=0.0)
 
     if isinstance(model, DiscreteClassical):
         w0, w = sampled_convolution_weights(model, grid)
-        J = _jump_block(grid, w)
-        M = J / model.eps**2 + _drift_diffusion_block(grid, diffusion=0.0)
+        M = _jump_block(grid, w)
+        M /= model.eps**2
+        _add_drift_diffusion(M, grid, diffusion=0.0)
         return _finalize(grid, M, "full:discrete-classical", jump_min=float(w.min()))
 
     if isinstance(model, Fractional):
@@ -347,8 +354,7 @@ def assemble(model: ModelSpec, grid: Grid1D) -> OperatorMatrix:
         # exponential-fitting flux block
         near_diffusion = c * delta ** (2.0 - model.alpha) / (2.0 - model.alpha)
         w = _power_cell_weights(grid, model.alpha, c, delta)
-        J = _jump_block(grid, w)
-        M = J + _drift_diffusion_block(grid, diffusion=near_diffusion)
+        M = _add_drift_diffusion(_jump_block(grid, w), grid, diffusion=near_diffusion)
         return _finalize(grid, M, "full:fractional", jump_min=float(w.min()))
 
     if isinstance(model, DiscreteFractional):
@@ -358,8 +364,7 @@ def assemble(model: ModelSpec, grid: Grid1D) -> OperatorMatrix:
             )
         kern = truncated_fractional_kernel(model.alpha, model.eps)
         w = _truncated_cell_weights(grid, kern)
-        J = _jump_block(grid, w)
-        M = J + _drift_diffusion_block(grid, diffusion=0.0)
+        M = _add_drift_diffusion(_jump_block(grid, w), grid, diffusion=0.0)
         return _finalize(grid, M, "full:discrete-fractional", jump_min=float(w.min()))
 
     raise TypeError(f"unknown model {model!r}")

@@ -151,10 +151,11 @@ def spectral_projector(op: OperatorMatrix, radius: float) -> ProjectorReport:
 
     M = Z T Z^T (LAPACK dgees); dtrsen reorders it so that the k eigenvalues
     with |lambda| < radius lead, T = [[T11, T12], [0, T22]], Z = [Z1 Z2], and
-    estimates sep(T11, T22).  With Y solving T11 Y - Y T22 = -T12 (dtrsyl),
-    P = Z1 W and W = Z1^T - Y Z2^T.  Z1 has orthonormal columns, so
-    ||P||_2 = ||W||_2 and ||P^2 - P||_2 = ||(W Z1 - I) W||_2: the rank (k),
-    norm and idempotency defect cost O(n k^2) beyond the O(n^2 k) product.
+    estimates sep(T11, T22).  With Y solving T11 Y - Y T22 = -T12 (dtrsyl)
+    and refined once from the residual W M Z, P = Z1 W and
+    W = Z1^T - Y Z2^T.  Z1 has orthonormal columns, so ||P||_2 = ||W||_2 and
+    ||P^2 - P||_2 = ||(W Z1 - I) W||_2: the rank (k), norm and idempotency
+    defect cost O(n k^2) beyond the O(n^2 k) products.
 
     Errors if an eigenvalue lies within 1e-6 of the contour, suggesting a
     safe radius."""
@@ -183,14 +184,20 @@ def spectral_projector(op: OperatorMatrix, radius: float) -> ProjectorReport:
     )
     if info != 0:
         raise ArithmeticError(f"Schur reordering failed (dtrsen info={info})")
-    Y = np.zeros((k, n - k))
+    Z1, Z2 = Z[:, :k], Z[:, k:]
+    W = Z1.T
     if 0 < k < n:
-        Y, scale, info = lapack.dtrsyl(T[:k, :k], T[k:, k:], -T[:k, k:], isgn=-1)
-        if info != 0:
-            raise ArithmeticError("eigenvalues inside and outside the contour too close")
-        Y /= scale
-    Z1 = Z[:, :k]
-    W = Z1.T - Y @ Z[:, k:].T
+        T11, T22 = T[:k, :k], T[k:, k:]
+        Y = _sylvester(T11, T22, -T[:k, k:])
+        W = Z1.T - Y @ Z2.T
+        # one refinement step: T and Z are backward stable only to
+        # eps ||M||, so W is a left invariant subspace of M only to that
+        # order.  With L = W M Z1 (the inside eigenvalues as W sees them) the
+        # residual of W M = L W on Z2 is R = W M Z2 - L W Z2, and
+        # T11 dY - dY T22 = -R removes its first order
+        WMZ = (W @ M) @ Z
+        Y += _sylvester(T11, T22, WMZ[:, :k] @ (W @ Z2) - WMZ[:, k:])
+        W = Z1.T - Y @ Z2.T
     norm = float(np.linalg.norm(W, 2))
     idem = float(np.linalg.norm((W @ Z1 - np.eye(k)) @ W, 2) / max(norm, 1e-300))
     return ProjectorReport(
@@ -202,6 +209,14 @@ def spectral_projector(op: OperatorMatrix, radius: float) -> ProjectorReport:
         sep=float(sep),
         projector=Z1 @ W,
     )
+
+
+def _sylvester(T11: np.ndarray, T22: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """X with T11 X - X T22 = C for quasi-triangular T11, T22 (dtrsyl)."""
+    X, scale, info = lapack.dtrsyl(T11, T22, C, isgn=-1)
+    if info != 0:
+        raise ArithmeticError("eigenvalues inside and outside the contour too close")
+    return X / scale
 
 
 def projector_distance(

@@ -121,31 +121,26 @@ SplittingSpec = Union[ClassicalSplitting, FractionalSplitting]
 # assembly
 
 
-def _convolution_matrix(grid: Grid1D, w0: float, w: np.ndarray) -> np.ndarray:
-    """Dense matrix of f -> k_eps * f from per-offset quadrature weights."""
-    col = np.zeros(grid.n)
-    col[0] = w0
-    col[1:] = w[: grid.n - 1]
-    return sla.toeplitz(col)
-
-
 def _five_part_bounded(grid: Grid1D, alpha: float, constant: float,
                        split: FractionalSplitting) -> np.ndarray:
     """Gain matrix of the localized band-restricted power-law jump operator.
 
     Uses the pure power-law cell integrals (no plateau, no support cut), so
-    the matrix does not depend on the truncation parameter of the model."""
+    the matrix does not depend on the truncation parameter of the model.
+    The band factor depends only on the offset, so it scales the offset
+    weights before the Toeplitz copy; xi_R = 1 - (1 - chi_R(x))(1 - chi_R(y))
+    is the one further n x n array."""
     n, h = grid.n, grid.h
-    x = grid.nodes
     # exact cell integrals of the power-law kernel for every offset; the
     # near-field radius is irrelevant because the band factor vanishes there
     w = np.zeros(n)
     w[1:] = _power_cell_weights(grid, alpha, constant, delta=0.5 * h)
+    w *= chi_band(np.arange(n) * h, split.eta, split.Lcut)
     K = sla.toeplitz(w)
-    np.fill_diagonal(K, 0.0)
-    Z = x[:, None] - x[None, :]
-    K *= chi_band(Z, split.eta, split.Lcut)
-    K *= xi_pair(x[:, None], x[None, :], split.R)
+    u = 1.0 - np.asarray(chi_scaled(grid.nodes, split.R))
+    xi = np.outer(u, u)
+    np.subtract(1.0, xi, out=xi)
+    K *= xi
     return K
 
 
@@ -155,8 +150,8 @@ def assemble_splitting(
     """Split the assembled generator as A + B (entrywise exact).
 
     A is the bounded localized part of the chosen scheme; B is the full
-    generator minus A."""
-    full = assemble(model, grid)
+    generator minus A, subtracted in place from a freshly assembled
+    generator, so the two parts are the only n x n arrays left."""
     x = grid.nodes
     h = grid.h
 
@@ -165,8 +160,10 @@ def assemble_splitting(
             raise ValueError("splitting scheme does not match model family")
         mult = split.M * np.asarray(chi_scaled(x, split.R))
         if isinstance(model, DiscreteClassical):
+            # the dense matrix of f -> k_eps * f, rows scaled by the multiplier
             w0, w = sampled_convolution_weights(model, grid)
-            A = mult[:, None] * _convolution_matrix(grid, w0, w)
+            A = sla.toeplitz(np.concatenate([[w0], w]))
+            A *= mult[:, None]
         else:  # Classical or Fractional limit model: pure multiplier
             A = np.diag(mult)
     elif isinstance(split, FractionalSplitting):
@@ -188,7 +185,8 @@ def assemble_splitting(
     else:
         raise TypeError(f"unknown splitting spec {split!r}")
 
-    B = full.entries - A
+    B = assemble(model, grid).entries
+    B -= A
     wq = grid.cell_sizes
     a_op = OperatorMatrix(
         grid=grid,

@@ -11,7 +11,7 @@ from fplab.operators import (
     DiscreteFractional,
     Fractional,
     OperatorMatrix,
-    _drift_diffusion_block,
+    _add_drift_diffusion,
     _mirror_blocks,
     assemble,
 )
@@ -91,7 +91,7 @@ def test_eigensolve_selection_follows_matrix_structure(monkeypatch):
     # the Fourier-side collocation (negative products, one-sided boundary
     # stencils) are centrosymmetric: each dense call is made on the even
     # (33) and the odd (32) block
-    mirrored = (OperatorMatrix(grid=g, entries=_drift_diffusion_block(g, diffusion=0.0)),
+    mirrored = (OperatorMatrix(grid=g, entries=_add_drift_diffusion(np.zeros((65, 65)), g, 0.0)),
                 assemble(DiscreteClassical(eps=0.4), make_grid(1.6, 65)),
                 fourier_side_generator(1.0, 30.0, 65))
     for op in mirrored:
@@ -215,6 +215,20 @@ def test_projector_matches_rank_one_closed_form():
         closed = np.outer(G, wq) / (wq @ G)
         P = spectral_projector(op, radius=0.5).projector
         assert np.max(np.abs(P - closed)) <= 1e-13, model
+
+
+@pytest.mark.parametrize("model", [Fractional(alpha=1.0, constant=1.0),
+                                   DiscreteFractional(eps=0.05, alpha=1.0)],
+                         ids=lambda m: m.family)
+def test_projector_refined_to_closed_form_at_criterion_10_size(model):
+    # criterion 10's operators: the Schur form alone leaves the left block
+    # off by eps ||M|| (~1.7e-14 in P); the residual refinement reaches ~4e-15
+    g = make_grid(12.8, 1025)
+    op = assemble(model, g)
+    G = steady_state(op).values
+    wq = g.cell_sizes
+    P = spectral_projector(op, radius=0.5).projector
+    assert np.max(np.abs(P - np.outer(G, wq) / (wq @ G))) <= 5e-15
 
 
 def test_projector_matches_fine_contour_quadrature():
