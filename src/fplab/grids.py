@@ -36,7 +36,12 @@ class Grid1D:
 
     @property
     def nodes(self) -> np.ndarray:
-        return np.linspace(-self.L, self.L, self.n)
+        """x_i = h (i - n // 2), with the endpoints exactly -L and L: the
+        nodes are exactly antisymmetric, x[n-1-i] = -x[i], so the generators
+        of mirror-symmetric models come out centrosymmetric to roundoff."""
+        x = self.h * (np.arange(self.n) - self.n // 2)
+        x[0], x[-1] = -self.L, self.L
+        return x
 
     @property
     def cell_sizes(self) -> np.ndarray:

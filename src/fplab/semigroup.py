@@ -9,7 +9,6 @@ from typing import Callable
 import numpy as np
 import scipy.linalg as sla
 from scipy.integrate import cumulative_trapezoid
-from scipy.linalg import lapack
 
 from .grids import Field, Grid1D, WeightSpec, mass, weighted_norm
 from .kernels import khat
@@ -25,6 +24,7 @@ from .operators import (
     _mirror_blocks,
     _mirror_fold,
     _mirror_unfold,
+    _shifted_solver,
 )
 
 
@@ -45,7 +45,18 @@ class EvolveSpec:
 
 
 def evolve(op: OperatorMatrix, f0: Field, spec: EvolveSpec) -> list[tuple[float, Field]]:
-    """Integrate df/dt = M f and return [(t, f)] at recorded times.
+    """Integrate df/dt = M f and return [(t, f)] at recorded times: the
+    one-column case of ``evolve_block``."""
+    if f0.grid != op.grid:
+        raise ValueError("grid mismatch")
+    traj = evolve_block(op, f0.values[:, None], spec)
+    return [(0.0, f0)] + [(t, Field(op.grid, F[:, 0])) for t, F in traj[1:]]
+
+
+def evolve_block(op: OperatorMatrix, F0: np.ndarray, spec: EvolveSpec) -> list[tuple[float, np.ndarray]]:
+    """Integrate dF/dt = M F for every column of the n x k block F0 and
+    return [(t, F)] at recorded times; one factorization (or exponential)
+    serves all k columns.
 
     A birth-death M (``operators._birth_death``: tridiagonal, every
     M[i,i+1] M[i+1,i] > 0, such as the Classical generator) takes O(n^2)
@@ -55,48 +66,50 @@ def evolve(op: OperatorMatrix, f0: Field, spec: EvolveSpec) -> list[tuple[float,
     state as D^-1 Q (e^(t lam) * Q^T D f0) in one block product.  That is
     exact in the D-weighted 2-norm, but a state's sup-norm error is about
     eps ||D f0||_2 / d_i, so ExactExpm keeps the dense expm whenever
-    eps ||D f0||_2 / (min d ||f0||_inf) > 1e-9 (for instance a flat f0 on
-    the Classical generator at L = 12, where d spans e^72).  Any other
-    centrosymmetric M (``operators._mirror_blocks``: the jump generators and
-    the Fourier-side collocation) is stepped in the folded basis, with LU
-    factors or an expm of each half-size block and an O(n) fold and unfold
-    per step.  Every other M uses dense LU factors or one dense expm(dt M)."""
-    if f0.grid != op.grid:
-        raise ValueError("grid mismatch")
+    eps ||D f0||_2 / (min d ||f0||_inf) > 1e-9 for some column (for instance
+    a flat f0 on the Classical generator at L = 12, where d spans e^72).  Any
+    other centrosymmetric M (``operators._mirror_blocks``: the jump
+    generators and the Fourier-side collocation) is stepped in the folded
+    basis, with LU factors or an expm of each half-size block and an O(n)
+    fold and unfold per step.  Every other M uses dense LU factors or one
+    dense expm(dt M)."""
     n = op.grid.n
+    if F0.shape[0] != n:
+        raise ValueError("grid mismatch")
     if spec.scheme == "ExactExpm" and n > 2049:
         raise ValueError("ExactExpm limited to n <= 2049")
     M = op.entries
     nsteps = int(round(spec.t_end / spec.dt))
-    out = [(0.0, f0)]
-    f = f0.values.copy()
+    F = np.array(F0, dtype=float)  # every step returns a new array
+    out = [(0.0, F)]
     if spec.t_end == 0 or nsteps == 0:
         return out
+    recorded = [k for k in range(1, nsteps + 1) if k % spec.record_every == 0 or k == nsteps]
     bd = _birth_death(M)
     if spec.scheme == "ExactExpm" and bd is not None:
-        recorded = [k for k in range(1, nsteps + 1) if k % spec.record_every == 0 or k == nsteps]
-        states = _birth_death_expm(bd, op, f, spec.dt * np.array(recorded))
-        if states is not None:
-            for k, col in zip(recorded, states.T):
-                if not np.all(np.isfinite(col)):
+        cols = [_birth_death_expm(bd, op, f, spec.dt * np.array(recorded)) for f in F.T]
+        if all(c is not None for c in cols):
+            states = np.stack(cols, axis=-1)  # (n, times, k)
+            for j, k in enumerate(recorded):
+                if not np.all(np.isfinite(states[:, j])):
                     raise FloatingPointError(f"non-finite state at step {k}")
-                out.append((k * spec.dt, Field(op.grid, col)))
+                out.append((k * spec.dt, states[:, j]))
             return out
     step = _stepper(M, bd, spec)
     for k in range(1, nsteps + 1):
-        f = step(f)
-        if not np.all(np.isfinite(f)):
+        F = step(F)
+        if not np.all(np.isfinite(F)):
             raise FloatingPointError(f"non-finite state at step {k}")
         if k % spec.record_every == 0 or k == nsteps:
-            out.append((k * spec.dt, Field(op.grid, f)))
+            out.append((k * spec.dt, F))
     return out
 
 
 def _birth_death_expm(bd: _BirthDeath, op: OperatorMatrix, f0: np.ndarray,
                       times: np.ndarray) -> np.ndarray | None:
     """Columns e^(t M) f0 for t in ``times`` from the symmetrized
-    eigendecomposition, or None when the sup-norm guard of ``evolve`` fails
-    (or D f0 overflows).
+    eigendecomposition, or None when the sup-norm guard of ``evolve_block``
+    fails (or D f0 overflows).
 
     For a mass-conserving M (wq^T M = 0) the roundoff mass defect of each
     column is put back along the equilibrium wq / d^2, the null vector of M:
@@ -116,57 +129,33 @@ def _birth_death_expm(bd: _BirthDeath, op: OperatorMatrix, f0: np.ndarray,
     return states
 
 
-def _dense_step(M: np.ndarray, spec: EvolveSpec) -> Callable[[np.ndarray], np.ndarray]:
-    """One time step of ``spec.scheme`` from a dense expm(dt M) or LU factors."""
+def _stepper(M: np.ndarray, bd: _BirthDeath | None, spec: EvolveSpec) -> Callable[[np.ndarray], np.ndarray]:
+    """One time step V -> V_next of ``spec.scheme`` for dF/dt = M F, V a
+    vector or an n x k block.
+
+    The implicit schemes factor I - theta dt M once on the structure of M
+    (``operators._shifted_solver``).  ExactExpm takes the exponential of each
+    mirror block, or the dense one: a birth-death M gets here only when the
+    guard of ``_birth_death_expm`` refused it, and then keeps the dense
+    expm."""
     dt = spec.dt
     if spec.scheme == "ExactExpm":
-        E = sla.expm(dt * M)
-        return lambda v: E @ v
-    eye = np.eye(M.shape[0])
-    if spec.scheme == "BackwardEuler":
-        lu = sla.lu_factor(eye - dt * M)
-        return lambda v: sla.lu_solve(lu, v)
-    lu = sla.lu_factor(eye - 0.5 * dt * M)
-    right = eye + 0.5 * dt * M
-    return lambda v: sla.lu_solve(lu, right @ v)
-
-
-def _stepper(M: np.ndarray, bd: _BirthDeath | None, spec: EvolveSpec) -> Callable[[np.ndarray], np.ndarray]:
-    """One time step v -> v_next of ``spec.scheme`` for df/dt = M f.
-
-    A birth-death M gets here for ExactExpm only when the guard of
-    ``_birth_death_expm`` refused it, and then keeps the dense expm."""
-    blocks = _mirror_blocks(M) if bd is None else None
-    if blocks is not None:
-        even, odd = (_dense_step(B, spec) for B in blocks)
+        blocks = _mirror_blocks(M) if bd is None else None
+        if blocks is None:
+            E = sla.expm(dt * M)
+            return lambda v: E @ v
+        even, odd = (sla.expm(dt * B) for B in blocks)
 
         def mirror_step(v: np.ndarray) -> np.ndarray:
             a, b = _mirror_fold(v)
-            return _mirror_unfold(even(a), odd(b))
+            return _mirror_unfold(even @ a, odd @ b)
 
         return mirror_step
-    if bd is None or spec.scheme == "ExactExpm":
-        return _dense_step(M, spec)
-    dt = spec.dt
     theta = 1.0 if spec.scheme == "BackwardEuler" else 0.5
-    # an exactly singular factor gives a non-finite first step, as dense LU does
-    dl, d, du, du2, ipiv, _ = lapack.dgttrf(-theta * dt * bd.lower, 1.0 - theta * dt * bd.diag,
-                                            -theta * dt * bd.upper)
-
-    def solve(v: np.ndarray) -> np.ndarray:
-        return lapack.dgttrs(dl, d, du, du2, ipiv, v)[0]
-
+    fac = _shifted_solver(M, 1.0, -theta * dt)
     if theta == 1.0:
-        return solve
-    rd, rl, ru = 1.0 + 0.5 * dt * bd.diag, 0.5 * dt * bd.lower, 0.5 * dt * bd.upper
-
-    def cn_step(v: np.ndarray) -> np.ndarray:
-        r = rd * v
-        r[:-1] += ru * v[1:]
-        r[1:] += rl * v[:-1]
-        return solve(r)
-
-    return cn_step
+        return fac.solve
+    return lambda v: fac.solve(v + fac.matvec(0.5 * dt * v))
 
 
 def operator_scale(op: OperatorMatrix) -> float:
@@ -177,26 +166,28 @@ def operator_scale(op: OperatorMatrix) -> float:
 def steady_state(op: OperatorMatrix) -> Field:
     """Unit-mass null vector by shifted inverse iteration (shift 1e-8).
 
-    Errors when the numerical null space is not one-dimensional (a second,
-    deflated iteration also converging to eigenvalue ~0)."""
+    The shifted solve and the products with M run on the structure of M
+    (``operators._shifted_solver``: three bands, two half-size mirror blocks
+    or dense).  Errors when the numerical null space is not one-dimensional
+    (a second, deflated iteration also converging to eigenvalue ~0)."""
     n = op.grid.n
     M = op.entries
     shift = 1e-8
-    lu = sla.lu_factor(M - shift * np.eye(n))
+    fac = _shifted_solver(M, -shift, 1.0)
     scale = operator_scale(op)
 
     def iterate(v0: np.ndarray, deflate: np.ndarray | None) -> tuple[np.ndarray, float]:
         v = v0.copy()
         for _ in range(200):
-            v = sla.lu_solve(lu, v)
+            v = fac.solve(v)
             if deflate is not None:
                 v -= deflate * (deflate @ v)
             v /= np.linalg.norm(v)
-            res = np.linalg.norm(M @ v - (v @ (M @ v)) * v)
+            Mv = fac.matvec(v)
+            res = np.linalg.norm(Mv - (v @ Mv) * v)
             if res <= 1e-12 * scale:
                 break
-        rayleigh = float(v @ (M @ v))
-        return v, rayleigh
+        return v, float(v @ Mv)
 
     v, _ = iterate(np.ones(n), None)
     u = v / np.linalg.norm(v)

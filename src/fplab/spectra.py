@@ -13,7 +13,16 @@ import scipy.linalg as sla
 from scipy.linalg import lapack
 
 from .grids import Grid1D, WeightSpec, make_grid, probe_norm
-from .operators import ModelSpec, OperatorMatrix, _birth_death, _mirror_blocks, assemble
+from .operators import (
+    ModelSpec,
+    OperatorMatrix,
+    _birth_death,
+    _mirror_blocks,
+    _mirror_fold,
+    _mirror_unfold,
+    _shifted_solver,
+    assemble,
+)
 from .probes import probe_family
 from .splitting import SplittingSpec, assemble_splitting
 
@@ -92,13 +101,16 @@ def fourier_side_generator(alpha: float, xi_max: float = 30.0, n_xi: int = 2049)
     xi = grid.nodes
     h = grid.h
     n = grid.n
-    D = np.zeros((n, n))
-    idx = np.arange(1, n - 1)
-    D[idx, idx + 1] = 1.0 / (2.0 * h)
-    D[idx, idx - 1] = -1.0 / (2.0 * h)
-    D[0, 0], D[0, 1], D[0, 2] = -1.5 / h, 2.0 / h, -0.5 / h
-    D[-1, -1], D[-1, -2], D[-1, -3] = 1.5 / h, -2.0 / h, 0.5 / h
-    M = -np.diag(np.abs(xi) ** alpha) - np.diag(xi) @ D
+    # -diag(|xi|^alpha) - diag(xi) D, written band by band: row i of
+    # diag(xi) D is xi_i times row i of the difference matrix D
+    M = np.zeros((n, n))
+    d = np.arange(n)
+    M[d, d] = -np.abs(xi) ** alpha
+    i = d[1:-1]
+    M[i, i + 1] -= xi[i] * (1.0 / (2.0 * h))
+    M[i, i - 1] -= xi[i] * (-1.0 / (2.0 * h))
+    M[0, :3] -= xi[0] * np.array([-1.5 / h, 2.0 / h, -0.5 / h])
+    M[-1, -3:] -= xi[-1] * np.array([0.5 / h, -2.0 / h, 1.5 / h])
     return OperatorMatrix(grid=grid, entries=M, label=f"fourier-side:alpha={alpha}")
 
 
@@ -140,7 +152,7 @@ class ProjectorReport:
     contour_radius: float
     contour_margin: float  # min over eigenvalues of ||lambda| - radius|
     norm: float  # ||P||_2
-    sep: float  # LAPACK estimate of sep(T11, T22), the spectral separation
+    sep: float  # LAPACK estimate of sep(T11, T22); the smaller block's on the mirror path
     projector: np.ndarray = field(repr=False)
 
 
@@ -153,20 +165,27 @@ def spectral_projector(op: OperatorMatrix, radius: float) -> ProjectorReport:
     with |lambda| < radius lead, T = [[T11, T12], [0, T22]], Z = [Z1 Z2], and
     estimates sep(T11, T22).  With Y solving T11 Y - Y T22 = -T12 (dtrsyl)
     and refined once from the residual W M Z, P = Z1 W and
-    W = Z1^T - Y Z2^T.  Z1 has orthonormal columns, so ||P||_2 = ||W||_2 and
-    ||P^2 - P||_2 = ||(W Z1 - I) W||_2: the rank (k), norm and idempotency
-    defect cost O(n k^2) beyond the O(n^2 k) products.
+    W = Z1^T - Y Z2^T.
+
+    A centrosymmetric M (``operators._mirror_blocks``) is similar to
+    diag(M_even, M_odd) by the fold, so P is the unfolded block-diagonal
+    projector: the Schur steps run on each half-size block, and P = U V with
+    U (n x k) the unfolded Z1 of each block and V (k x n) the W of each block
+    composed with the fold.  ``sep`` is then the smaller of the two blocks'
+    estimates: an even and an odd eigenvalue never couple in P, so their
+    separation does not enter it.  With U = QR, ||P||_2 = ||R V||_2 and
+    ||P^2 - P||_2 = ||R (V U - I) V||_2; on the dense path U = Z1 has
+    orthonormal columns.  The rank (k), norm and idempotency defect cost
+    O(n k^2) beyond the O(n^2 k) products.
 
     Errors if an eigenvalue lies within 1e-6 of the contour, suggesting a
     safe radius."""
     M = op.entries
-    n = M.shape[0]
-    no_sort = lambda wr, wi: 0  # dgees takes a selection callback even unsorted
-    lwork = int(lapack.dgees(no_sort, M, lwork=-1)[-2][0])
-    T, _, wr, wi, Z, _, info = lapack.dgees(no_sort, M, lwork=lwork)
-    if info != 0:
-        raise ArithmeticError(f"Schur decomposition failed (dgees info={info})")
-    mod = np.hypot(wr, wi)
+    blocks = _mirror_blocks(M)
+    mats = (M,) if blocks is None else blocks
+    schur = [_real_schur(B) for B in mats]
+    mods = [np.hypot(wr, wi) for _, _, wr, wi in schur]
+    mod = np.concatenate(mods)
     dist = np.abs(mod - radius)
     if dist.min() < 1e-6:
         inner = mod[mod < radius]
@@ -176,7 +195,52 @@ def spectral_projector(op: OperatorMatrix, radius: float) -> ProjectorReport:
         raise ValueError(
             f"contour crosses an eigenvalue; choose radius in ({lo:.3g}, {hi:.3g})"
         )
-    inside = mod < radius
+    parts = [_riesz_factors(B, T, Z, block_mod < radius)
+             for B, (T, Z, _, _), block_mod in zip(mats, schur, mods)]
+    if blocks is None:
+        (U, V, sep), = parts
+    else:
+        (Ze, We, sep_e), (Zo, Wo, sep_o) = parts
+        m, ke, ko = Zo.shape[0], Ze.shape[1], Zo.shape[1]
+        U = _mirror_unfold(np.hstack([Ze, np.zeros((m + 1, ko))]),
+                           np.hstack([np.zeros((m, ke)), Zo]))
+        # v -> W fold(v): the fold halves every coordinate but the centre
+        We = We.T.copy()
+        We[:m] *= 0.5
+        V = _mirror_unfold(np.hstack([We, np.zeros((m + 1, ko))]),
+                           np.hstack([np.zeros((m, ke)), 0.5 * Wo.T])).T
+        sep = min(sep_e, sep_o)
+    k = U.shape[1]
+    R = np.linalg.qr(U, mode="r")
+    norm = float(np.linalg.norm(R @ V, 2))
+    idem = float(np.linalg.norm(R @ (V @ U - np.eye(k)) @ V, 2) / max(norm, 1e-300))
+    return ProjectorReport(
+        rank=k,
+        idempotency_defect=idem,
+        contour_radius=radius,
+        contour_margin=float(dist.min()),
+        norm=norm,
+        sep=float(sep),
+        projector=U @ V,
+    )
+
+
+def _real_schur(M: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Unordered real Schur form M = Z T Z^T and the eigenvalues' real and
+    imaginary parts (LAPACK dgees)."""
+    no_sort = lambda wr, wi: 0  # dgees takes a selection callback even unsorted
+    lwork = int(lapack.dgees(no_sort, M, lwork=-1)[-2][0])
+    T, _, wr, wi, Z, _, info = lapack.dgees(no_sort, M, lwork=lwork)
+    if info != 0:
+        raise ArithmeticError(f"Schur decomposition failed (dgees info={info})")
+    return T, Z, wr, wi
+
+
+def _riesz_factors(M: np.ndarray, T: np.ndarray, Z: np.ndarray,
+                   inside: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """Z1, W and the sep estimate of the Riesz projector Z1 W of M onto the
+    eigenvalues flagged ``inside``, from the Schur form M = Z T Z^T."""
+    n = M.shape[0]
     k = int(inside.sum())
     T, Z, _, _, _, _, sep, info = lapack.dtrsen(
         inside.astype(np.int32), T, Z, job="B",
@@ -198,17 +262,7 @@ def spectral_projector(op: OperatorMatrix, radius: float) -> ProjectorReport:
         WMZ = (W @ M) @ Z
         Y += _sylvester(T11, T22, WMZ[:, :k] @ (W @ Z2) - WMZ[:, k:])
         W = Z1.T - Y @ Z2.T
-    norm = float(np.linalg.norm(W, 2))
-    idem = float(np.linalg.norm((W @ Z1 - np.eye(k)) @ W, 2) / max(norm, 1e-300))
-    return ProjectorReport(
-        rank=k,
-        idempotency_defect=idem,
-        contour_radius=radius,
-        contour_margin=float(dist.min()),
-        norm=norm,
-        sep=float(sep),
-        projector=Z1 @ W,
-    )
+    return Z1, W, float(sep)
 
 
 def _sylvester(T11: np.ndarray, T22: np.ndarray, C: np.ndarray) -> np.ndarray:
@@ -248,35 +302,49 @@ def perturbation_certificate(
 ) -> dict:
     """Probe norms of K(z) = -(L_eps - L_0) R_{L_0}(z) (A R_{B_eps}(z)) at the
     sample points; PASS iff all norms are < 1 (so I + K(z) is invertible and
-    the resolvent factorization holds on the sample)."""
-    L_eps = assemble(model_eps, grid).entries
+    the resolvent factorization holds on the sample).
+
+    When L_eps - L_0, L_0, A and B_eps are all centrosymmetric
+    (``operators._mirror_blocks``), K(z) is block diagonal in the folded
+    basis: the probe block is folded once, both resolvent solves and both
+    products run on each half-size block, and the full matrices are dropped
+    once folded.  Each shifted matrix is factored on its structure
+    (``operators._shifted_solver``), and a sample whose worse-conditioned
+    factor has rcond < 1e-13 is refused.  A sample within 8 eps |z| of the
+    conjugate of a sample already solved reuses its norm: for real F,
+    K(conj z) F = conj(K(z) F), whose real and imaginary parts have the same
+    norms."""
     L_0 = assemble(model_0, grid).entries
-    A, B_eps = assemble_splitting(model_eps, grid, split)
-    n = grid.n
-    eye = np.eye(n)
-    diff = L_eps - L_0
+    diff = assemble(model_eps, grid).entries
+    diff -= L_0
+    A, B_eps = (op.entries for op in assemble_splitting(model_eps, grid, split))
     F = np.column_stack([f.values for f in probe_family(grid, count=probes, seed=seed)])
+    mats = [diff, L_0, A, B_eps]
+    del diff, L_0, A, B_eps
+    folded = [_mirror_blocks(X) for X in mats]
+    if all(blocks is not None for blocks in folded):
+        mats.clear()
+        parts = list(zip(*folded, _mirror_fold(F)))
+    else:
+        parts = [(*mats, F)]
+    del folded
     rows = []
+    tiny = 8.0 * np.finfo(float).eps
     for z in z_samples:
-        lu_B, rcond_B = _lu_rcond(z * eye - B_eps.entries)
-        lu_L, rcond_L = _lu_rcond(z * eye - L_0)
-        # the worse-conditioned of the two resolvents decides
-        rcond = min(rcond_B, rcond_L)
-        if not np.isfinite(rcond) or rcond < 1e-13:
-            raise ArithmeticError(f"resolvent solve singular at z = {z}")
-        # K(z) F = -(L_eps - L_0) R_{L_0}(z) A R_{B_eps}(z) F, applied right to left
-        X = sla.lu_solve(lu_B, F)
-        KF = -(diff @ sla.lu_solve(lu_L, A.entries @ X))
-        rows.append({"z": [float(np.real(z)), float(np.imag(z))],
-                     "norm": probe_norm(KF, F, grid, w, w)})
+        twin = [r["norm"] for r in rows if abs(complex(*r["z"]).conjugate() - z) <= tiny * abs(z)]
+        if twin:
+            norm = twin[0]
+        else:
+            KF = []
+            for D, L, A, B, Fp in parts:
+                res_B, res_L = _shifted_solver(B, z, -1.0), _shifted_solver(L, z, -1.0)
+                # the worse-conditioned of the two resolvents decides
+                rcond = min(res_B.rcond, res_L.rcond)
+                if not np.isfinite(rcond) or rcond < 1e-13:
+                    raise ArithmeticError(f"resolvent solve singular at z = {z}")
+                # K(z) F = -(L_eps - L_0) R_{L_0}(z) A R_{B_eps}(z) F, applied right to left
+                KF.append(-(D @ res_L.solve(A @ res_B.solve(Fp))))
+            norm = probe_norm(KF[0] if len(KF) == 1 else _mirror_unfold(*KF), F, grid, w, w)
+        rows.append({"z": [float(np.real(z)), float(np.imag(z))], "norm": norm})
     worst = max(r["norm"] for r in rows) if rows else np.nan
     return {"rows": rows, "worst_norm": worst, "pass": bool(rows) and worst < 1.0}
-
-
-def _lu_rcond(a: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], float]:
-    """LU factors of a and LAPACK's gecon estimate of its reciprocal
-    1-norm condition number."""
-    lu = sla.lu_factor(a)
-    gecon = sla.get_lapack_funcs("gecon", (lu[0],))
-    rcond, _ = gecon(lu[0], np.linalg.norm(a, 1))
-    return lu, float(rcond)

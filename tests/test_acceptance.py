@@ -1,6 +1,6 @@
 """The end-to-end acceptance gate: every quantitative claim the package
 makes must hold at the stated tolerances.  The full suite runs once per
-session (about 50 s on 2 vCPUs) and each criterion is asserted separately."""
+session (about 40 s on 2 vCPUs) and each criterion is asserted separately."""
 
 import pytest
 

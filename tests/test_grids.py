@@ -37,6 +37,14 @@ def test_grid_geometry():
     assert 0.0 in g.nodes
 
 
+def test_nodes_exactly_antisymmetric():
+    for L, n in ((2.0, 5), (12.8, 1025), (12.0, 961), (60.0, 2049)):
+        x = make_grid(L, n).nodes
+        assert np.array_equal(x[::-1], -x)
+        assert x[0] == -L and x[-1] == L and x[n // 2] == 0.0
+        assert np.max(np.abs(x - np.linspace(-L, L, n))) <= 4.0 * np.finfo(float).eps * L
+
+
 def test_mass_zero_field():
     assert mass(Field(GRID, np.zeros(GRID.n))) == 0.0
 

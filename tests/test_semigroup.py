@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from fplab import semigroup
 from fplab.grids import Field, WeightSpec, gaussian_density, make_grid, mass, weighted_norm
+from fplab.probes import probe_family
 from fplab.operators import (
     Classical,
     DiscreteClassical,
@@ -20,6 +20,7 @@ from fplab.semigroup import (
     _cosine_sum,
     decay_rate,
     evolve,
+    evolve_block,
     fit_log_decay,
     fourier_steady_oracle,
     steady_state,
@@ -105,7 +106,7 @@ def test_exact_expm_guard_keeps_dense_path_for_flat_datum():
     np.testing.assert_array_equal(out, _dense_evolve(op.entries, f0.values, spec))
 
 
-def test_non_finite_state_reports_its_step(monkeypatch):
+def test_non_finite_state_reports_its_step(force_dense):
     # Classical + 5 I is still a birth-death chain and DiscreteClassical + 5 I
     # is centrosymmetric (stepped on its two half-size blocks); their states
     # grow like e^(5 t) until they overflow
@@ -125,8 +126,7 @@ def test_non_finite_state_reports_its_step(monkeypatch):
     schemes = ("ExactExpm", "BackwardEuler", "CrankNicolson")
     with np.errstate(over="ignore", invalid="ignore"):
         steps = [{s: failing_step(op, s) for s in schemes} for op in ops]
-        monkeypatch.setattr(semigroup, "_birth_death", lambda M: None)
-        monkeypatch.setattr(semigroup, "_mirror_blocks", lambda M: None)
+        force_dense()
         dense = [{s: failing_step(op, s) for s in schemes} for op in ops]
     for fast, ref in zip(steps, dense):
         # growth factors 2 (BE) and 5/3 (CN) per step: the tridiagonal and
@@ -136,6 +136,67 @@ def test_non_finite_state_reports_its_step(monkeypatch):
         assert fast["CrankNicolson"] == ref["CrankNicolson"]
         # e^(0.5 k) passes 1.8e308 near k = 1420 on either path
         assert abs(fast["ExactExpm"] - ref["ExactExpm"]) <= 5
+
+
+def test_evolve_block_matches_column_by_column():
+    # one factorization (or exponential) for the whole block: the bands of
+    # Classical and the mirror blocks of a jump generator
+    for op in (OP_CLASSICAL, assemble(DiscreteClassical(eps=0.4), make_grid(3.2, 129))):
+        F0 = np.abs(np.column_stack([f.values for f in probe_family(op.grid, count=5, seed=9)]))
+        for scheme in ("BackwardEuler", "CrankNicolson", "ExactExpm"):
+            spec = EvolveSpec(t_end=0.5, dt=0.05, scheme=scheme, record_every=5)
+            block = evolve_block(op, F0, spec)
+            for j in range(F0.shape[1]):
+                cols = evolve(op, Field(op.grid, F0[:, j]), spec)
+                assert [t for t, _ in cols] == [t for t, _ in block]
+                err = max(np.max(np.abs(f.values - F[:, j])) for (_, f), (_, F) in zip(cols, block))
+                # the sup-norm guard refuses some of these probes on the
+                # Classical generator, which sends the whole block down the
+                # dense expm; the symmetrized exponential agrees with it to
+                # ~3e-12
+                same_path = not (scheme == "ExactExpm" and op is OP_CLASSICAL)
+                assert err <= (1e-14 if same_path else 1e-11) * np.max(F0), scheme
+
+
+STEADY_CASES = {
+    "classical": (Classical(), make_grid(12.0, 513)),
+    "discrete-classical": (DiscreteClassical(eps=0.4), make_grid(12.0, 481)),
+    "fractional": (Fractional(alpha=1.5), make_grid(25.0, 513)),
+    "discrete-fractional": (DiscreteFractional(eps=0.2, alpha=1.0), make_grid(12.8, 513)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STEADY_CASES))
+def test_steady_state_on_structure_matches_dense(case, force_dense):
+    model, grid = STEADY_CASES[case]
+    op = assemble(model, grid)
+    # Classical is solved on its three bands, the jump families on their
+    # two half-size mirror blocks
+    assert (_birth_death(op.entries) is not None) == (case == "classical")
+    assert _mirror_blocks(op.entries) is not None
+    G = steady_state(op).values
+    force_dense()
+    ref = steady_state(op).values
+    assert np.max(np.abs(G - ref)) <= 1e-13 * np.max(ref)
+
+
+def test_steady_state_reducible_mirror_pair_raises(force_dense):
+    # two closed classes, mirror images of each other, fed by a transient
+    # centre node: one even and one odd null vector
+    n = 9
+    M = np.zeros((n, n))
+    for i in range(3):
+        M[i + 1, i], M[i, i + 1] = 1.0, 2.0
+    M[3, 4] = 1.0
+    M = M + M[::-1, ::-1]
+    M -= np.diag(M.sum(axis=0))
+    op = OperatorMatrix(grid=make_grid(4.0, n), entries=M)
+    assert _birth_death(M) is None and _mirror_blocks(M) is not None
+    with pytest.raises(ArithmeticError, match="rank"):
+        steady_state(op)
+    force_dense()
+    with pytest.raises(ArithmeticError, match="rank"):
+        steady_state(op)
 
 
 def test_gaussian_variance_relaxation_oracle():

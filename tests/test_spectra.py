@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from scipy.linalg import lapack
 
-from fplab import semigroup, spectra
+from fplab import operators, semigroup, spectra
 from fplab.cli import main
 from fplab.grids import WeightSpec, gaussian_density, make_grid, mass
 from fplab.operators import (
@@ -25,7 +28,7 @@ from fplab.spectra import (
     projector_distance,
     spectral_projector,
 )
-from fplab.splitting import ClassicalSplitting
+from fplab.splitting import ClassicalSplitting, FractionalSplitting
 
 
 GRID = make_grid(12.0, 513)
@@ -107,6 +110,25 @@ def test_eigensolve_selection_follows_matrix_structure(monkeypatch):
     _eigenvalues(skewed)
     evolve_all(OperatorMatrix(grid=mirrored[1].grid, entries=skewed))
     assert dense_calls == [("eigvals", 65), ("expm", 65), ("lu_factor", 65), ("lu_factor", 65)]
+    # the steady state, the projector and the certificate of jump generators
+    # factor nothing at full size: LU and Schur forms are of mirror blocks
+    dense_calls.clear()
+    dgees = lapack.dgees
+
+    def dgees_spy(select, M, *args, **kwargs):
+        dense_calls.append(("dgees", M.shape[0]))
+        return dgees(select, M, *args, **kwargs)
+
+    monkeypatch.setattr(lapack, "dgees", dgees_spy)
+    grid = make_grid(1.6, 65)
+    steady_state(mirrored[1])
+    spectral_projector(mirrored[1], radius=0.5)
+    perturbation_certificate(DiscreteFractional(eps=0.2, alpha=1.0),
+                             Fractional(alpha=1.0, constant=1.0), grid,
+                             FractionalSplitting(eta=0.2, Lcut=1.0, R=0.5),
+                             [0.5j, -0.5j], probes=4)
+    assert {name for name, _ in dense_calls} == {"lu_factor", "dgees"}
+    assert max(size for _, size in dense_calls) == 33
 
 
 MIRROR_CASES = {
@@ -143,8 +165,8 @@ def test_mirror_blocks_match_dense(case, monkeypatch):
     specs = [EvolveSpec(t_end=2.0, dt=0.05, scheme=s, record_every=5)
              for s in ("ExactExpm", "BackwardEuler", "CrankNicolson")]
     mirrored = [np.array([f.values for _, f in evolve(op, f0, spec)]) for spec in specs]
-    monkeypatch.setattr(spectra, "_mirror_blocks", lambda M: None)
-    monkeypatch.setattr(semigroup, "_mirror_blocks", lambda M: None)
+    for mod in (operators, spectra, semigroup):
+        monkeypatch.setattr(mod, "_mirror_blocks", lambda M: None)
     dense = eigen_spectrum(op)
     assert abs(rep.gap - dense.gap) <= 1e-12 * abs(dense.gap)
     assert rep.separation_count == dense.separation_count
@@ -155,6 +177,20 @@ def test_mirror_blocks_match_dense(case, monkeypatch):
         if case != "fourier-side":
             wq = op.grid.cell_sizes
             assert np.max(np.abs(new @ wq - f0.values @ wq)) <= 1e-13, spec.scheme
+
+
+def test_fourier_side_generator_bands_match_dense_product():
+    for alpha, n in ((0.6, 65), (1.8, 257)):
+        grid = make_grid(30.0, n)
+        xi, h = grid.nodes, grid.h
+        D = np.zeros((n, n))
+        idx = np.arange(1, n - 1)
+        D[idx, idx + 1] = 1.0 / (2.0 * h)
+        D[idx, idx - 1] = -1.0 / (2.0 * h)
+        D[0, 0], D[0, 1], D[0, 2] = -1.5 / h, 2.0 / h, -0.5 / h
+        D[-1, -1], D[-1, -2], D[-1, -3] = 1.5 / h, -2.0 / h, 0.5 / h
+        dense = -np.diag(np.abs(xi) ** alpha) - np.diag(xi) @ D
+        assert np.array_equal(fourier_side_generator(alpha, 30.0, n).entries, dense)
 
 
 def test_fourier_side_gaps_uniform_in_order():
@@ -253,6 +289,23 @@ def test_projector_matches_fine_contour_quadrature():
     assert rep.sep > 0.0
 
 
+@pytest.mark.parametrize("radius", [0.5, 1.5])
+@pytest.mark.parametrize("case", sorted(MIRROR_CASES))
+def test_projector_mirror_blocks_match_dense(case, radius, force_dense):
+    # radius 1.5 encloses 0 (even block) and -1 (odd block); on the Fourier
+    # side -1.03 is double, with one even and one odd eigenvector
+    op = MIRROR_CASES[case]()
+    rep = spectral_projector(op, radius=radius)
+    force_dense()
+    ref = spectral_projector(op, radius=radius)
+    assert rep.rank == ref.rank >= (1 if radius < 1.0 else 2)
+    assert np.max(np.abs(rep.projector - ref.projector)) <= 1e-12 * ref.norm
+    assert abs(rep.norm - ref.norm) <= 1e-12 * ref.norm
+    assert abs(rep.idempotency_defect - ref.idempotency_defect) <= 1e-12
+    assert abs(rep.contour_margin - ref.contour_margin) <= 1e-9
+    assert rep.sep > 0.0
+
+
 def test_projector_rank_two_with_larger_contour():
     rep = spectral_projector(OP, radius=1.5)
     assert rep.rank == 2
@@ -279,6 +332,47 @@ def test_perturbation_certificate_smooth_family():
     )
     assert rep["pass"]
     assert rep["worst_norm"] < 1.0
+
+
+CERTIFICATE_CASES = {
+    # truncated power law against its limit, as in criterion 10
+    "fractional": (DiscreteFractional(eps=0.2, alpha=1.0), Fractional(alpha=1.0, constant=1.0),
+                   make_grid(12.8, 257), FractionalSplitting(eta=0.2, Lcut=1.0, R=2.0)),
+    # smooth kernel against Classical, whose blocks are solved on their bands
+    "classical": (DiscreteClassical(eps=0.4), Classical(), make_grid(12.0, 481),
+                  ClassicalSplitting(M=10.0, R=4.0)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CERTIFICATE_CASES))
+def test_perturbation_certificate_mirror_blocks_match_dense(case, force_dense):
+    zs = [0.5 * np.exp(1j * 2.0 * np.pi * (k + 0.5) / 8) for k in range(8)]
+    args = CERTIFICATE_CASES[case]
+    rows = [r["norm"] for r in perturbation_certificate(*args, zs, probes=8)["rows"]]
+    # zs[7 - k] is the conjugate of zs[k] to ~3e-16 and reuses its norm,
+    # which a solve at that sample reproduces
+    assert rows == rows[::-1]
+    alone = perturbation_certificate(*args, [zs[7]], probes=8)["rows"][0]["norm"]
+    assert abs(alone - rows[7]) <= 1e-12 * rows[7]
+    force_dense()
+    ref = np.array([r["norm"] for r in perturbation_certificate(*args, zs, probes=8)["rows"]])
+    assert np.max(np.abs(np.array(rows) - ref) / ref) <= 1e-12
+
+
+def test_perturbation_certificate_memory_at_criterion_10_size():
+    # four n x n operators while they are folded, then half-size blocks and
+    # their complex LU factors; the dense path peaked at 15.2 n^2 doubles
+    n = 1025
+    zs = [0.5 * np.exp(1j * 2.0 * np.pi * (k + 0.5) / 8) for k in range(8)]
+    tracemalloc.start()
+    try:
+        perturbation_certificate(DiscreteFractional(eps=0.05, alpha=1.0),
+                                 Fractional(alpha=1.0, constant=1.0), make_grid(12.8, n),
+                                 FractionalSplitting(eta=0.1, Lcut=1.0, R=2.0), zs)
+        peak = tracemalloc.get_traced_memory()[1] / (8.0 * n * n)
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8.0
 
 
 def test_perturbation_certificate_rejects_one_singular_resolvent():

@@ -7,6 +7,7 @@ from fplab.operators import (
     DiscreteClassical,
     DiscreteFractional,
     Fractional,
+    _mirror_blocks,
     assemble,
 )
 from fplab.probes import probe_family
@@ -114,6 +115,17 @@ def test_band_splitting_support_pattern():
     assert np.max(np.abs(A.entries[Z > 2.0])) == 0.0
     both_far = (np.abs(X) >= 4.0) & (np.abs(Y) >= 4.0)
     assert np.max(np.abs(A.entries[both_far])) == 0.0
+
+
+def test_five_part_splitting_is_centrosymmetric_at_criterion_10_size():
+    # on exactly antisymmetric nodes the localized bounded part is exactly
+    # centrosymmetric, so the certificate runs on mirror blocks
+    grid = make_grid(12.8, 1025)
+    A, B = assemble_splitting(DiscreteFractional(eps=0.05, alpha=1.0), grid,
+                              FractionalSplitting(eta=0.1, Lcut=1.0, R=2.0))
+    assert np.array_equal(A.entries, A.entries[::-1, ::-1])
+    assert _mirror_blocks(A.entries) is not None
+    assert _mirror_blocks(B.entries) is not None
 
 
 def test_band_splitting_eps_independent():
