@@ -256,38 +256,30 @@ def cmd_converge(args) -> int:
     return 0
 
 
-# the splitting or kernel scale each check runs when the flag is not given
-_VERIFY_DEFAULTS = {
-    "dissipativity": ("splitting", "classical:10,6"),
-    "regularization": ("splitting", "classical:10,6"),
-    "adjoint": ("splitting", "fractional:0.5,2,4"),
-    "psi": ("eps", 0.05),
-    "dirichlet": ("eps", 0.25),
-    "gradient-bound": ("eps", 0.25),
-}
-
-
-# the checks that read --model and --weight; every other check refuses them
+# the verify flags that not every check reads: the checks that read each one,
+# with the value a check runs when the flag is not given (None: the flag's
+# default); every other check refuses the flag
 _VERIFY_READERS = {
-    "model": ("dissipativity", "adjoint", "regularization", "sobolev-id"),
-    "weight": ("dissipativity", "adjoint"),
+    "model": dict.fromkeys(("dissipativity", "adjoint", "regularization", "sobolev-id")),
+    "weight": dict.fromkeys(("dissipativity", "adjoint")),
+    "a_target": dict.fromkeys(("dissipativity", "adjoint", "psi")),
+    "eps": {"psi": 0.05, "dirichlet": 0.25, "gradient-bound": 0.25},
+    "n_conv": dict.fromkeys(("regularization",)),
+    "splitting": {"dissipativity": "classical:10,6", "adjoint": "fractional:0.5,2,4",
+                  "regularization": "classical:10,6"},
 }
 
 
 def cmd_verify(args) -> int:
     check = args.check
     for key, readers in _VERIFY_READERS.items():
-        if check in readers:
-            if getattr(args, key) is None:
-                setattr(args, key, _PARAMS[key]["default"])
-        elif getattr(args, key) is not None:
-            raise UsageError(f"verify --check {check} does not read --{key}")
-        else:
+        if check not in readers:
+            if getattr(args, key) is not None:
+                raise UsageError(f"verify --check {check} does not read --{key}")
             delattr(args, key)  # so resolved_config.json does not record it
-    if check in _VERIFY_DEFAULTS:
-        key, value = _VERIFY_DEFAULTS[check]
-        if getattr(args, key) in ("", None):
-            setattr(args, key, value)  # so resolved_config.json records it
+        elif getattr(args, key) is None:  # so resolved_config.json records it
+            value = readers[check]
+            setattr(args, key, _PARAMS[key]["default"] if value is None else value)
     k = gaussian_reference_kernel()
     grid = make_grid(args.L, args.n)
     if check == "dissipativity":
@@ -415,7 +407,7 @@ _PARAMS = {
                    help="parameter list for sweeps"),
     "sweep": dict(default="eps", choices=["eps", "alpha"],
                   help="model field that --params sweeps"),
-    "splitting": dict(default="", help="classical:M,R or fractional:ETA,LCUT,R"),
+    "splitting": dict(default=None, help="classical:M,R or fractional:ETA,LCUT,R"),
     "gap_target": dict(type=float, default=-0.5, help="largest gap that passes"),
     "a_target": dict(type=float, default=-0.5,
                      help="rate or bound a the run compares against"),
@@ -488,7 +480,7 @@ def build_parser() -> argparse.ArgumentParser:
                 *grid, "limit", "weight", "params", "oscillatory")
     sp = _subcommand(sub, "verify", cmd_verify, "functional-inequality checks",
                      *grid, "weight", "splitting", "a_target", "seed", "eps", "n_conv")
-    sp.set_defaults(model=None, weight=None)  # None: not given (see cmd_verify)
+    sp.set_defaults(**dict.fromkeys(_VERIFY_READERS))  # None: not given (see cmd_verify)
     sp.add_argument("--check", required=True,
                     choices=["dissipativity", "psi", "dirichlet",
                              "gradient-bound", "adjoint", "regularization",

@@ -15,7 +15,7 @@ import scipy.linalg as sla
 from .fourier import _padded_size, fourier_transform
 from .grids import Field, Grid1D, WeightSpec, probe_norm
 from .kernels import Kernel, khat, power_kernel_symbol_factor, rescale
-from .operators import OperatorMatrix
+from .operators import OperatorMatrix, _power_cell_weights
 from .probes import probe_family
 from .splitting import chi_gradient_bound, chi_scaled
 
@@ -312,8 +312,6 @@ def fractional_sobolev_check(f: Field, alpha: float, delta: float | None = None)
     v = f.values
     # exact per-cell integrals of the kernel in the difference variable keep
     # the quadrature accurate next to the regularization radius
-    from .operators import _power_cell_weights
-
     w = np.zeros(grid.n)
     w[1:] = _power_cell_weights(grid, alpha, 1.0, delta)
     idx = np.abs(np.arange(grid.n)[:, None] - np.arange(grid.n)[None, :])

@@ -3,11 +3,11 @@ power-law kernel |z|^(-1-alpha), and its plateau-truncated variant."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import gamma as _gamma
 
 
 @dataclass(frozen=True)
@@ -170,4 +170,4 @@ def power_kernel_symbol_factor(alpha: float) -> float:
         raise ValueError("alpha must be in (0,2)")
     if abs(alpha - 1.0) < 1e-12:
         return float(np.pi)
-    return float(2.0 * _gamma(2.0 - alpha) * np.cos(np.pi * alpha / 2.0) / (alpha * (1.0 - alpha)))
+    return float(2.0 * math.gamma(2.0 - alpha) * np.cos(np.pi * alpha / 2.0) / (alpha * (1.0 - alpha)))

@@ -8,10 +8,9 @@ from typing import Callable
 
 import numpy as np
 import scipy.linalg as sla
-from scipy.integrate import cumulative_trapezoid
 
 from .grids import Field, Grid1D, WeightSpec, mass, weighted_norm
-from .kernels import khat
+from .kernels import khat, power_kernel_symbol_factor
 from .operators import (
     Classical,
     DiscreteClassical,
@@ -224,6 +223,11 @@ def _inverse_fft_of_cf(grid: Grid1D, cf_on: Callable[[np.ndarray], np.ndarray]) 
     return Field(grid, f.values / total)
 
 
+def _cumulative_trapezoid(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """scipy.integrate.cumulative_trapezoid(y, x, initial=0.0), bit for bit."""
+    return np.concatenate([[0.0], np.cumsum(np.diff(x) * (y[1:] + y[:-1]) / 2.0)])
+
+
 def _cosine_sum(s: np.ndarray, z: np.ndarray, a: np.ndarray) -> np.ndarray:
     """sum_j a_j (cos(s_k z_j) - 1) for every s_k, with s and z uniform grids.
 
@@ -257,8 +261,6 @@ def fourier_steady_oracle(model: ModelSpec, grid: Grid1D) -> Field:
         return _inverse_fft_of_cf(grid, lambda xi: np.exp(-(xi**2) / 2.0))
 
     if isinstance(model, Fractional):
-        from .kernels import power_kernel_symbol_factor
-
         coef = float(model.constant) * power_kernel_symbol_factor(model.alpha)
 
         def cf(xi: np.ndarray) -> np.ndarray:
@@ -273,7 +275,7 @@ def fourier_steady_oracle(model: ModelSpec, grid: Grid1D) -> Field:
             s = np.linspace(1e-12, float(xi.max()) + 1.0, 200001)
             kh = np.asarray(khat(model.kernel, keps * s), dtype=float)
             integrand = (kh - model.kernel.l1_norm) / (keps**2 * s)
-            cum = cumulative_trapezoid(integrand, s, initial=0.0)
+            cum = _cumulative_trapezoid(integrand, s)
             return np.exp(np.interp(xi, s, cum))
 
         return _inverse_fft_of_cf(grid, cf)
@@ -291,7 +293,7 @@ def fourier_steady_oracle(model: ModelSpec, grid: Grid1D) -> Field:
             w[[0, -1]] *= 0.5  # trapezoid weights
             osc = 2.0 * _cosine_sum(s, z, w * z ** (-1.0 - alpha))
             integrand = (plateau + osc) / s
-            cum = cumulative_trapezoid(integrand, s, initial=0.0)
+            cum = _cumulative_trapezoid(integrand, s)
             return np.exp(np.interp(xi, s, cum))
 
         return _inverse_fft_of_cf(grid, cf)

@@ -117,20 +117,35 @@ def test_verify_records_the_defaults_it_runs(tmp_path):
 
 
 def test_verify_refuses_flags_its_check_does_not_read(tmp_path):
-    for check in ("psi", "dirichlet", "gradient-bound"):
-        for flag in (["--model", "classical"], ["--weight", "1,0"]):
+    flags = {"model": ["--model", "classical"], "weight": ["--weight", "1,0"],
+             "a_target": ["--a-target", "-0.5"], "eps": ["--eps", "0.25"],
+             "n_conv": ["--n-conv", "2"], "splitting": ["--splitting", "classical:10,6"]}
+    refused = {
+        "dissipativity": ("eps", "n_conv"),
+        "adjoint": ("eps", "n_conv"),
+        "psi": ("model", "weight", "n_conv", "splitting"),
+        "dirichlet": ("model", "weight", "a_target", "n_conv", "splitting"),
+        "gradient-bound": ("model", "weight", "a_target", "n_conv", "splitting"),
+        "regularization": ("weight", "a_target", "eps"),
+        "sobolev-id": ("weight", "a_target", "eps", "n_conv", "splitting"),
+    }
+    for check, keys in refused.items():
+        for key in keys:
             out = tmp_path / "refused"
-            assert main(["verify", "--check", check, "--n", "129", *flag,
-                         "--outdir", str(out)]) == 2
+            assert main(["verify", "--check", check, "--n", "129", *flags[key],
+                         "--outdir", str(out)]) == 2, (check, key)
             assert not out.exists()
     out = tmp_path / "dirichlet"
     assert main(["verify", "--check", "dirichlet", "--n", "129", "--outdir", str(out)]) == 0
     recorded = json.loads((out / "resolved_config.json").read_text())
-    assert "model" not in recorded and "weight" not in recorded
+    assert not set(refused["dirichlet"]) & set(recorded)
+    assert recorded["eps"] == 0.25
     out = tmp_path / "dissipativity"
     assert main(["verify", "--check", "dissipativity", "--n", "129", "--outdir", str(out)]) == 0
     recorded = json.loads((out / "resolved_config.json").read_text())
-    assert (recorded["model"], recorded["weight"]) == ("classical", "1,0")
+    assert not set(refused["dissipativity"]) & set(recorded)
+    assert (recorded["model"], recorded["weight"], recorded["a_target"],
+            recorded["splitting"]) == ("classical", "1,0", -0.5, "classical:10,6")
 
 
 def test_sde_coupling(tmp_path):

@@ -1,11 +1,16 @@
 """Every name a module of the fplab package imports is used in that module,
-and only ``cli.py`` formats or writes files.
+only ``cli.py`` formats or writes files, and a run loads no more of SciPy
+than ``scipy.linalg`` does.
 
-Stdlib ``ast`` only: a name bound by ``import``/``from ... import`` counts as
-used when it appears as an identifier anywhere in the module or as a string
-in the module's ``__all__`` (re-exports in ``__init__.py``)."""
+The source checks use stdlib ``ast`` only: a name bound by
+``import``/``from ... import`` counts as used when it appears as an
+identifier anywhere in the module or as a string in the module's ``__all__``
+(re-exports in ``__init__.py``)."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "fplab"
@@ -84,3 +89,30 @@ def test_only_cli_writes_files():
                for path in sorted(SRC.glob("*.py")) if path.name != "cli.py"
                for line, what in _file_output(ast.parse(path.read_text()))]
     assert not writers, "file output outside cli.py: " + ", ".join(writers)
+
+
+def _scipy_packages_loaded(code: str) -> set[str]:
+    """The scipy.<name> packages in sys.modules after code runs in a fresh
+    interpreter."""
+    code += ("\nimport sys\n"
+             "print(sorted({'.'.join(m.split('.')[:2]) for m in sys.modules"
+             " if m.startswith('scipy.')}))\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    return set(ast.literal_eval(out.stdout.strip().splitlines()[-1]))
+
+
+def test_run_loads_no_more_scipy_than_linalg(tmp_path):
+    # the CLI end to end, and both Dirichlet-form paths (the FFT one runs on
+    # np.fft, not scipy.signal)
+    run = ("from fplab.cli import main\n"
+           f"assert main(['steady', '--n', '65', '--outdir', {str(tmp_path)!r}]) == 0\n"
+           "from fplab.grids import gaussian_density, make_grid\n"
+           "from fplab.inequalities import dirichlet_form\n"
+           "from fplab.kernels import gaussian_reference_kernel\n"
+           "f = gaussian_density(make_grid(12.0, 257), 1.0, 0.3)\n"
+           "dirichlet_form(f, gaussian_reference_kernel(), 0.5, path='both')\n")
+    floor = _scipy_packages_loaded("import numpy, scipy.linalg")
+    assert "scipy.linalg" in floor
+    assert _scipy_packages_loaded(run) == floor

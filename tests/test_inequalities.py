@@ -1,7 +1,3 @@
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -42,20 +38,6 @@ def test_dirichlet_form_numpy_fft_path_matches_double_sum(n):
         a = dirichlet_form(f, K, 0.25, path="double-sum")
         b = dirichlet_form(f, K, 0.25, path="fourier")
         assert abs(a - b) <= 1e-10 * abs(a)
-
-
-def test_dirichlet_form_does_not_import_scipy_signal():
-    code = ("import sys\n"
-            "from fplab.grids import gaussian_density, make_grid\n"
-            "from fplab.inequalities import dirichlet_form\n"
-            "from fplab.kernels import gaussian_reference_kernel\n"
-            "f = gaussian_density(make_grid(12.0, 257), 1.0, 0.3)\n"
-            "dirichlet_form(f, gaussian_reference_kernel(), 0.5, path='both')\n"
-            "print('scipy.signal' in sys.modules)\n")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, timeout=120, check=True)
-    assert out.stdout.strip() == "False"
 
 
 def test_dirichlet_form_constant_field_vanishes():

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.special import gamma
 
 from fplab.kernels import (
     fourier_ratio_constant,
@@ -89,3 +90,11 @@ def test_power_law_normalization_constants():
         z = np.linspace(1e-8, 2000.0, 4_000_001)
         val = 2.0 * np.trapezoid((1.0 - np.cos(z)) * z ** (-1.0 - alpha), z)
         assert abs(val - power_kernel_symbol_factor(alpha)) / val <= 2e-2
+
+
+def test_symbol_factor_matches_scipy_gamma_formula():
+    for alpha in np.linspace(0.05, 1.95, 191):
+        if abs(alpha - 1.0) < 1e-12:
+            continue
+        ref = 2.0 * gamma(2.0 - alpha) * np.cos(np.pi * alpha / 2.0) / (alpha * (1.0 - alpha))
+        assert abs(power_kernel_symbol_factor(alpha) - ref) <= 1e-15 * abs(ref)

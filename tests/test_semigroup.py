@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from scipy.integrate import cumulative_trapezoid
 
 from fplab.grids import Field, WeightSpec, gaussian_density, make_grid, mass, weighted_norm
+from fplab.kernels import khat
 from fplab.probes import probe_family
 from fplab.operators import (
     Classical,
@@ -18,6 +20,7 @@ from fplab.semigroup import (
     EvolveSpec,
     _birth_death_expm,
     _cosine_sum,
+    _cumulative_trapezoid,
     decay_rate,
     evolve,
     evolve_block,
@@ -253,6 +256,17 @@ def test_cosine_sum_matches_direct_sum():
                                  for blk in np.array_split(s, 8)])
         fast = _cosine_sum(s, z, a)
         assert np.max(np.abs(fast - direct)) <= 1e-10 * np.max(np.abs(direct))
+
+
+def test_cumulative_trapezoid_is_scipys_bit_for_bit():
+    # the DiscreteClassical oracle's integrand at the largest frequency of a
+    # 257-node grid, as fourier_steady_oracle forms it
+    model, grid = DiscreteClassical(eps=0.2), make_grid(12.0, 257)
+    s = np.linspace(1e-12, np.pi / grid.h + 1.0, 200001)
+    kh = np.asarray(khat(model.kernel, model.eps * s), dtype=float)
+    integrand = (kh - model.kernel.l1_norm) / (model.eps**2 * s)
+    assert np.array_equal(_cumulative_trapezoid(integrand, s),
+                          cumulative_trapezoid(integrand, s, initial=0.0))
 
 
 def test_discrete_fractional_oracle_matches_steady_state():
