@@ -241,9 +241,9 @@ def cmd_converge(args) -> int:
     tgt = WeightSpec(p=src.p, q=src.q)
     rows = []
     for p in args.params:
-        m = assemble(dataclasses.replace(base, eps=float(p)), grid)
-        d = operator_distance(m, m0, src, tgt, probes=32,
-                              oscillatory=args.oscillatory)
+        # the operator is freed before the next one is assembled
+        d = operator_distance(assemble(dataclasses.replace(base, eps=float(p)), grid), m0,
+                              src, tgt, probes=32, oscillatory=args.oscillatory)
         rows.append({"eps": float(p), "distance": d})
         print(f"eps={p}: distance={d:.6g}")
     out = {"rows": rows}

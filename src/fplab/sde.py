@@ -9,7 +9,7 @@ statements (coupled contraction) hold to roundoff.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Union
+from typing import Callable, NamedTuple, Union
 
 import numpy as np
 
@@ -68,7 +68,7 @@ class JumpOuSpec:
 @dataclass(frozen=True)
 class PathEnsemble:
     times: np.ndarray = field(repr=False)
-    states: np.ndarray = field(repr=False)  # (n_records, n_paths)
+    states: np.ndarray = field(repr=False)  # (n_records, n_paths) or (n_records, k, n_paths)
     seed: int = 0
 
 
@@ -96,8 +96,24 @@ def stable_standard(rng: np.random.Generator, alpha: float, size: int) -> np.nda
     )
 
 
-def _kernel_jump_table(k: Kernel, n_knots: int = 4096) -> tuple[np.ndarray, np.ndarray]:
-    """Monotone CDF table of |jump| for the normalized symmetric kernel."""
+class _JumpTable(NamedTuple):
+    cdf: np.ndarray     # strictly increasing, from 0 to 1
+    z: np.ndarray       # |jump| at each knot
+    slope: np.ndarray   # dz/dcdf on each interval, as np.interp computes it
+    guide: np.ndarray   # per bucket: the knot below it, or -1 if it holds a knot
+
+
+def _kernel_jump_table(k: Kernel, n_knots: int = 4096) -> _JumpTable:
+    """Monotone CDF table of |jump| for the normalized symmetric kernel, with
+    a guide table (Chen & Asau 1974) over K = 8 * (knots kept) equal buckets
+    of [0, 1).
+
+    A draw u falls in bucket b = min(floor(u K), K - 1).  The knots are
+    bucketed by the same floating-point expression, which is monotone in u, so
+    every knot of a lower bucket is <= u and every knot of a higher one is > u.
+    In a bucket that holds no knot, the interval containing u is therefore the
+    one starting at the last knot below the bucket: ``guide[b]``.  Buckets
+    that hold a knot store -1 and are resolved by a binary search."""
     cut = k.support_radius if np.isfinite(k.support_radius) else k.tail_cut
     z = np.linspace(0.0, cut, n_knots)
     pdf = np.asarray(k(z))
@@ -106,18 +122,35 @@ def _kernel_jump_table(k: Kernel, n_knots: int = 4096) -> tuple[np.ndarray, np.n
     # make strictly monotone for interpolation
     cdf = np.maximum.accumulate(cdf)
     keep = np.concatenate([[True], np.diff(cdf) > 0])
-    return cdf[keep], z[keep]
+    cdf, z = cdf[keep], z[keep]
+    n_buckets = 8 * cdf.size
+    below = np.searchsorted(_bucket(cdf, n_buckets), np.arange(n_buckets + 1))
+    guide = np.where(below[1:] != below[:-1], -1, below[:-1] - 1)
+    return _JumpTable(cdf, z, np.diff(z) / np.diff(cdf), guide)
+
+
+def _bucket(u: np.ndarray, n_buckets: int) -> np.ndarray:
+    return np.minimum((u * n_buckets).astype(np.intp), n_buckets - 1)
 
 
 def sample_kernel_jumps(k: Kernel, rng: np.random.Generator, size: int,
-                        table: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
-    """Symmetric draws from kernel/||kernel||_1 by CDF-table inversion."""
+                        table: _JumpTable | None = None) -> np.ndarray:
+    """Symmetric draws from kernel/||kernel||_1 by CDF-table inversion.
+
+    Each uniform u is placed by the table's guide (O(1) per draw; a binary
+    search only in the buckets that hold a knot) and mapped by
+    slope * (u - cdf[j]) + z[j], np.interp's formula with its slopes, so the
+    draws are bit-identical to np.interp(u, cdf, z)."""
     if table is None:
         table = _kernel_jump_table(k)
-    cdf, z = table
-    mag = np.interp(rng.uniform(0.0, 1.0, size=size), cdf, z)
-    sign = rng.integers(0, 2, size=size) * 2 - 1
-    return sign * mag
+    cdf, z, slope, guide = table
+    u = rng.uniform(0.0, 1.0, size=size)
+    j = guide[_bucket(u, guide.size)]
+    # cdf ends at 1, so no u < 1 reaches the last knot
+    mixed = np.flatnonzero(j < 0)
+    j[mixed] = np.searchsorted(cdf, u[mixed], side="right") - 1
+    mag = slope[j] * (u - cdf[j]) + z[j]
+    return np.where(rng.integers(0, 2, size=size), mag, -mag)
 
 
 # ---------------------------------------------------------------------------
@@ -131,13 +164,22 @@ def simulate(spec: JumpOuSpec, initial_sampler: Callable[[np.random.Generator, i
     CompoundPoisson: exact drift flow between exponential jump times, vectorized
     per record interval.  AlphaStable: exact transition over each record step,
     X' = e^{-dt} X + sigma(dt) S_alpha with sigma(dt) = ((1 - e^{-alpha dt})/alpha)^{1/alpha}.
+
+    ``initial_sampler(rng, n_paths)`` returns the start, of shape (n_paths,) or
+    (k, n_paths).  The noise does not depend on the state, so a (k, n_paths)
+    start runs k ensembles on one noise realization: each window's draws are
+    made once and broadcast over the k rows, and ``states`` is
+    (n_records, k, n_paths).  Row i equals a separate run from row i's start on
+    the same seed and stream, bit for bit.
     """
     rng = _rng(spec.seed, stream)
     n = spec.n_paths
     x = np.asarray(initial_sampler(rng, n), dtype=float)
+    if x.ndim not in (1, 2) or x.shape[-1] != n:
+        raise ValueError(f"initial state must be (n_paths,) or (k, n_paths), got {x.shape}")
     n_rec = int(round(spec.t_end / spec.dt_record))
     times = np.arange(n_rec + 1) * spec.dt_record
-    states = np.empty((n_rec + 1, n))
+    states = np.empty((n_rec + 1, *x.shape))
     states[0] = x
     dt = spec.dt_record
 
@@ -167,21 +209,19 @@ def simulate(spec: JumpOuSpec, initial_sampler: Callable[[np.random.Generator, i
             contrib = -jumps * np.exp(-(dt - times_in))
             x += np.bincount(offsets, weights=contrib, minlength=n)
             states[r] = x
-        if not np.all(np.isfinite(states)):
-            raise FloatingPointError("non-finite state in ensemble")
+    if not np.all(np.isfinite(states)):
+        raise FloatingPointError("non-finite state in ensemble")
     return PathEnsemble(times=times, states=states, seed=spec.seed)
 
 
 def coupled_decay(spec: JumpOuSpec, x0: float, y0: float) -> dict:
     """Synchronous coupling: both paths see the same noise, so the gap
     contracts deterministically, |X_t - Y_t| = e^{-t} |x0 - y0|."""
-    base = simulate(spec, lambda rng, n: np.full(n, x0), stream=7)
-    # identical noise realization: replay with the same stream and seed
-    other = simulate(spec, lambda rng, n: np.full(n, y0), stream=7)
-    gaps = np.abs(base.states - other.states)
-    expected = np.abs(x0 - y0) * np.exp(-base.times)
+    ens = simulate(spec, lambda rng, n: np.stack([np.full(n, x0), np.full(n, y0)]), stream=7)
+    gaps = np.abs(ens.states[:, 0] - ens.states[:, 1])
+    expected = np.abs(x0 - y0) * np.exp(-ens.times)
     err = float(np.max(np.abs(gaps - expected[:, None])))
-    return {"times": base.times, "gaps": gaps[:, 0], "expected": expected,
+    return {"times": ens.times, "gaps": gaps[:, 0], "expected": expected,
             "max_error": err, "pass": bool(err <= 1e-12 * max(1.0, abs(x0 - y0)))}
 
 
@@ -220,20 +260,21 @@ def wasserstein_contraction_check(
     f0 = np.sort(f0_sampler(_rng(spec.seed, 999), spec.n_paths))
 
     # rank-pairing the two initial clouds makes the synchronous coupling an
-    # optimal one, so the pathwise contraction transfers to the W1 bound
+    # optimal one, so the pathwise contraction transfers to the W1 bound; the
+    # two clouds are the rows of one run, so they see the same noise
     t_end = max(t_grid)
     run = JumpOuSpec(noise=spec.noise, t_end=t_end, n_paths=spec.n_paths,
                      seed=spec.seed, dt_record=spec.dt_record)
-    ens_f = simulate(run, lambda r, n: f0, stream=23)
-    ens_g = simulate(run, lambda r, n: eq0, stream=23)  # same noise stream
+    states = simulate(run, lambda r, n: np.stack([f0, eq0]), stream=23).states
+    f_t, g_t = states[:, 0], states[:, 1]
 
-    w0 = empirical_w1(ens_f.states[0], ens_g.states[0])
+    w0 = empirical_w1(f_t[0], g_t[0])
     mc_tol = 4.0 / np.sqrt(spec.n_paths)
     rows = []
     ok = True
     for t in t_grid:
         r = int(round(t / spec.dt_record))
-        wt = empirical_w1(ens_f.states[r], ens_g.states[r])
+        wt = empirical_w1(f_t[r], g_t[r])
         bound = np.exp(-t) * w0 * (1.0 + mc_tol)
         passed = wt <= bound + mc_tol * max(w0, 1.0) * 1e-6
         ok = ok and passed

@@ -3,11 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fplab.kernels import gaussian_reference_kernel, rescale
+import fplab.sde as sde
+from fplab.kernels import gaussian_reference_kernel, rescale, truncated_fractional_kernel
 from fplab.sde import (
     AlphaStable,
     CompoundPoisson,
     JumpOuSpec,
+    _kernel_jump_table,
     coupled_decay,
     empirical_w1,
     sample_kernel_jumps,
@@ -50,6 +52,98 @@ def test_kernel_jump_sampler_moments():
     # normalized kernel has mean 0 and variance 2 * eps^2
     assert abs(np.mean(draws)) <= 0.005
     assert abs(np.var(draws) - 2.0 * 0.2**2) <= 0.005
+
+
+def _interp_jumps(table, rng, size):
+    """The reference sampler: np.interp inversion of the same CDF table, on
+    the same draws."""
+    u = rng.uniform(0.0, 1.0, size=size)
+    return (rng.integers(0, 2, size=size) * 2 - 1) * np.interp(u, table.cdf, table.z)
+
+
+class _FixedDraws:
+    """A stand-in generator that hands out given uniforms and sign bits."""
+
+    def __init__(self, u, bits):
+        self.u, self.bits = u, bits
+
+    def uniform(self, low, high, size):
+        return self.u
+
+    def integers(self, low, high, size):
+        return self.bits
+
+
+@pytest.mark.parametrize("kernel", [K02, truncated_fractional_kernel(1.0, 0.1)],
+                         ids=["gaussian", "truncated-fractional"])
+def test_guide_table_sampler_is_np_interp_bit_for_bit(kernel):
+    table = _kernel_jump_table(kernel)
+    draws = sample_kernel_jumps(kernel, np.random.default_rng(np.random.Philox(key=21)),
+                                1_000_000, table)
+    ref = _interp_jumps(table, np.random.default_rng(np.random.Philox(key=21)), 1_000_000)
+    assert np.array_equal(draws, ref)
+    # both kinds of bucket are exercised: some hold a knot, some do not
+    assert 0 < np.count_nonzero(table.guide < 0) < table.guide.size
+    # edge inputs: 0, every knot below 1 (each sits on a bucket boundary or
+    # inside a bucket) and the largest double below 1
+    u = np.concatenate([[0.0], table.cdf[:-1], [np.nextafter(1.0, 0.0)]])
+    for bit in (0, 1):
+        bits = np.full(u.size, bit)
+        got = sample_kernel_jumps(kernel, _FixedDraws(u, bits), u.size, table)
+        want = (2 * bit - 1) * np.interp(u, table.cdf, table.z)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_compound_simulate_does_not_call_np_interp(monkeypatch):
+    def no_interp(*args, **kwargs):
+        raise AssertionError("np.interp called")
+
+    monkeypatch.setattr(sde.np, "interp", no_interp)
+    ens = simulate(_spec(CompoundPoisson(kernel=K02, rate_scale=25.0), n_paths=500),
+                   lambda r, n: np.zeros(n))
+    assert np.all(np.isfinite(ens.states))
+
+
+def test_coupled_checks_run_one_pass_per_pair(monkeypatch):
+    calls = []
+    real = sde.simulate
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(sde, "simulate", counted)
+    noise = CompoundPoisson(kernel=K02, rate_scale=25.0)
+    wasserstein_contraction_check(_spec(noise, n_paths=500), lambda r, n: np.full(n, 3.0),
+                                  [0.5, 1.0])
+    assert len(calls) == 2  # burn-in, then both clouds in one run
+    del calls[:]
+    coupled_decay(_spec(noise, n_paths=50), 1.0, 0.0)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("noise", [AlphaStable(1.5),
+                                   CompoundPoisson(kernel=K02, rate_scale=25.0)])
+def test_stacked_start_equals_separate_runs(noise):
+    spec = _spec(noise, n_paths=300)
+    starts = np.stack([np.full(300, 3.0), np.linspace(-2.0, 2.0, 300)])
+    both = simulate(spec, lambda r, n: starts, stream=23)
+    assert both.states.shape == (5, 2, 300)
+    for i in range(2):
+        alone = simulate(spec, lambda r, n: starts[i], stream=23)
+        assert np.array_equal(both.states[:, i], alone.states)
+
+
+def test_simulate_rejects_a_start_of_the_wrong_shape():
+    with pytest.raises(ValueError):
+        simulate(_spec(AlphaStable(1.5), n_paths=10), lambda r, n: np.zeros(n + 1))
+
+
+def test_non_finite_stable_state_raises(monkeypatch):
+    monkeypatch.setattr(sde, "stable_standard", lambda rng, alpha, size: np.full(size, np.inf))
+    with pytest.raises(FloatingPointError, match="non-finite"):
+        simulate(_spec(AlphaStable(1.5), n_paths=10), lambda r, n: np.zeros(n))
 
 
 def test_determinism():
