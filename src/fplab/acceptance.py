@@ -7,6 +7,7 @@ numbers behind it; ``run_all`` aggregates them.
 
 from __future__ import annotations
 
+import time
 from functools import lru_cache
 
 import numpy as np
@@ -437,14 +438,21 @@ CRITERIA = [
 
 
 def run_all(progress: bool = False) -> dict:
+    """Every criterion, each with its wall time ``elapsed_s``, and the
+    ``slowest`` one as (name, seconds)."""
     results = []
     for fn in CRITERIA:
+        start = time.perf_counter()
         try:
             res = fn()
         except Exception as exc:
             res = {"name": fn.__name__, "pass": False,
                    "error": {"type": type(exc).__name__, "message": str(exc)}}
+        res["elapsed_s"] = time.perf_counter() - start
         if progress:
-            print(f"{res['name']}: {'PASS' if res['pass'] else 'FAIL'}", flush=True)
+            print(f"{res['name']}: {'PASS' if res['pass'] else 'FAIL'}"
+                  f" ({res['elapsed_s']:.1f} s)", flush=True)
         results.append(res)
-    return {"results": results, "pass": bool(all(r["pass"] for r in results))}
+    slowest = max(results, key=lambda r: r["elapsed_s"])
+    return {"results": results, "pass": bool(all(r["pass"] for r in results)),
+            "slowest": [slowest["name"], slowest["elapsed_s"]]}

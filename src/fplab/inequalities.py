@@ -188,7 +188,7 @@ def dissipativity_check(B: OperatorMatrix, w: WeightSpec, a: float,
     grid = B.grid
     F = np.column_stack([f.values for f in probe_family(grid, count=probes, seed=seed)])
     F = F[:, np.max(np.abs(F), axis=0) >= 1e-14]
-    BF = B.entries @ F
+    BF = B.matmat(F)
     h_w = grid.cell_sizes[:, None]
     m = w.weight_values(grid.nodes)[:, None]
 
@@ -221,15 +221,15 @@ def adjoint_dissipativity_check(B: OperatorMatrix, w: WeightSpec, b: float,
                                 alpha: float, probes: int = 64, seed: int = 0) -> dict:
     """L2 energy estimate for the weighted adjoint (D_m B D_m^-1)^T:
     checks <B* phi, phi>_{L2} <= b ||phi||^2 on probes.  The weight power must
-    satisfy q < alpha/2 so the similarity transform stays bounded."""
+    satisfy q < alpha/2 so the similarity transform stays bounded.  The
+    product is D_m^-1 B^T (D_m F), on the parts of B."""
     if not (w.q < alpha / 2.0):
         raise ValueError("need q < alpha/2 for the adjoint weight transform")
     grid = B.grid
-    m = w.weight_values(grid.nodes)
-    Badj = (m[:, None] * B.entries * (1.0 / m)[None, :]).T
+    m = w.weight_values(grid.nodes)[:, None]
     h_w = grid.cell_sizes[:, None]
     F = np.column_stack([f.values for f in probe_family(grid, count=probes, seed=seed)])
-    nums = np.sum(h_w * (Badj @ F) * F, axis=0)
+    nums = np.sum(h_w * (B.matmat(m * F, transpose=True) / m) * F, axis=0)
     dens = np.sum(h_w * F * F, axis=0)
     worst = float((nums[dens > 0] / dens[dens > 0]).max(initial=-np.inf))
     return {"worst_ratio": worst, "b": b, "pass": bool(worst <= b + 1e-8)}

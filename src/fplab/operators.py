@@ -1,4 +1,4 @@
-"""Dense matrix discretizations of the confined diffusion generators.
+"""Matrix discretizations of the confined diffusion generators.
 
 Four families, all of the form  diffusion + d/dx (x f):
 
@@ -13,11 +13,16 @@ boundary nodes), so the trapezoid mass is conserved exactly.  The drift uses
 an exponential-fitting interface flux that degenerates to the monotone upwind
 flux when no local diffusion is available; all jump off-diagonals are >= 0,
 making every full generator an M-matrix generator (positivity preserving).
+
+Each operator is kept as its O(n) parts (``OperatorParts``: Toeplitz terms,
+a diagonal and two bands), on which probe products run; the dense matrix is
+formed only when a dense solver asks for ``entries``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, NamedTuple, Union
 
 import numpy as np
@@ -95,20 +100,113 @@ ModelSpec = Union[Classical, DiscreteClassical, Fractional, DiscreteFractional]
 # operator matrices
 
 
+def _fft_size(m: int) -> int:
+    """The smallest c 2^a >= m with c in (1, 3, 5): a length numpy's FFT runs
+    fast on, at most 4/3 of m."""
+    return min(c << ((m + c - 1) // c - 1).bit_length() for c in (1, 3, 5))
+
+
 @dataclass(frozen=True)
+class OperatorParts:
+    """An n x n operator as its O(n) parts,
+
+        M = sum_k diag(left[k]) T(cols[k]) diag(right[k]) + diag(diag)
+            + the bands lower (M[i+1, i]) and upper (M[i, i+1]),
+
+    with T(c) the symmetric Toeplitz matrix whose first column is c.  A
+    product with an n x P block costs one zero-padded real FFT pair per
+    Toeplitz term, through the circulant that T(c) sits in (Chan & Ng,
+    SIAM Rev. 38, 1996), plus O(nP) for the rest; no n x n array is made."""
+
+    diag: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
+    cols: np.ndarray  # (k, n), one row per Toeplitz term
+    left: np.ndarray  # (k, n)
+    right: np.ndarray  # (k, n)
+
+    def __sub__(self, other: OperatorParts) -> OperatorParts:
+        return OperatorParts(self.diag - other.diag, self.lower - other.lower,
+                             self.upper - other.upper, np.vstack([self.cols, other.cols]),
+                             np.vstack([self.left, -other.left]),
+                             np.vstack([self.right, other.right]))
+
+    def matmat(self, F: np.ndarray, transpose: bool = False) -> np.ndarray:
+        """M F, or M^T F with ``transpose``, for a real vector or n x P block F."""
+        lower, upper, left, right = ((self.upper, self.lower, self.right, self.left)
+                                     if transpose else
+                                     (self.lower, self.upper, self.left, self.right))
+        out = _band_product(self.diag, lower, upper, F)
+        n = F.shape[0]
+        size = _fft_size(2 * n - 1)
+        shape = (-1,) + (1,) * (F.ndim - 1)
+        for col, a, b in zip(self.cols, left, right):
+            circ = np.zeros(size)
+            circ[:n] = col
+            circ[size - n + 1:] = col[:0:-1]
+            # the circulant is symmetric, so its eigenvalues are real
+            symbol = np.fft.rfft(circ).real.reshape(shape)
+            prod = np.fft.irfft(symbol * np.fft.rfft(b.reshape(shape) * F, size, axis=0),
+                                size, axis=0)
+            out += a.reshape(shape) * prod[:n]
+        return out
+
+
+@dataclass(frozen=True, init=False)
 class OperatorMatrix:
+    """A generator matrix on a grid.
+
+    ``assemble`` and ``assemble_splitting`` keep each operator as its O(n)
+    ``parts`` (``OperatorParts``), and every product with a vector or probe
+    block runs on them (``matmat``).  ``entries``, the dense
+    matrix the dense solvers take, is formed by the in-place construction
+    ``build`` on first access and then kept, together with its health
+    numbers: ``conservation_defect``, the largest weighted column sum, and
+    ``renorm_adjustment``, the relative diagonal renormalization of
+    ``_finalize``.  An operator given by its dense ``entries`` keeps them as
+    its parts."""
+
     grid: Grid1D
-    entries: np.ndarray = field(repr=False)
+    parts: OperatorParts | np.ndarray = field(repr=False)
     label: str = "full"
-    conservation_defect: float = 0.0
-    renorm_adjustment: float = 0.0
     jump_offdiag_min: float = 0.0
 
-    def __post_init__(self) -> None:
-        e = np.asarray(self.entries, dtype=float)
-        if e.shape != (self.grid.n, self.grid.n):
-            raise ValueError("entries shape must match grid")
-        object.__setattr__(self, "entries", e)
+    def __init__(self, grid: Grid1D, entries: np.ndarray | None = None, label: str = "full",
+                 jump_offdiag_min: float = 0.0, *, parts: OperatorParts | None = None,
+                 build: Callable[[], tuple[np.ndarray, float]] | None = None) -> None:
+        if entries is not None:
+            e = np.asarray(entries, dtype=float)
+            if e.shape != (grid.n, grid.n):
+                raise ValueError("entries shape must match grid")
+            parts, build = e, lambda: (e, 0.0)
+        elif parts is None or build is None:
+            raise ValueError("need entries, or parts and build")
+        for name, value in (("grid", grid), ("parts", parts), ("label", label),
+                            ("jump_offdiag_min", jump_offdiag_min), ("_build", build)):
+            object.__setattr__(self, name, value)
+
+    @cached_property
+    def _dense(self) -> tuple[np.ndarray, float, float]:
+        M, renorm = self._build()
+        return M, float(np.abs(self.grid.cell_sizes @ M).max()), renorm
+
+    @property
+    def entries(self) -> np.ndarray:
+        return self._dense[0]
+
+    @property
+    def conservation_defect(self) -> float:
+        return self._dense[1]
+
+    @property
+    def renorm_adjustment(self) -> float:
+        return self._dense[2]
+
+    def matmat(self, F: np.ndarray, transpose: bool = False) -> np.ndarray:
+        """M F, or M^T F with ``transpose``, for a real vector or n x P block F."""
+        if isinstance(self.parts, np.ndarray):
+            return (self.parts.T if transpose else self.parts) @ F
+        return self.parts.matmat(F, transpose)
 
 
 @dataclass(frozen=True)
@@ -220,7 +318,8 @@ def _shifted_solver(M: np.ndarray, a: complex, b: float) -> _Factored:
         gttrf, gttrs, gtcon = sla.get_lapack_funcs(("gttrf", "gttrs", "gtcon"), (d,))
         # an exactly singular factor gives a non-finite solve, as dense LU does
         factors = gttrf(dl, d, du)[:5]
-        return _Factored(lambda v: gttrs(*factors, v)[0], lambda v: _band_product(bd, v),
+        return _Factored(lambda v: gttrs(*factors, v)[0],
+                         lambda v: _band_product(bd.diag, bd.lower, bd.upper, v),
                          float(gtcon(*factors, col.max())[0]))
     blocks = _mirror_blocks(M)
     if blocks is None:
@@ -252,19 +351,21 @@ def _dense_factor(M: np.ndarray, a: complex, b: float) -> _Factored:
     return _Factored(lambda v: sla.lu_solve(lu, v), lambda v: M @ v, float(rcond))
 
 
-def _band_product(bd: _BirthDeath, v: np.ndarray) -> np.ndarray:
-    """M v for the birth-death M of ``bd``, v a vector or an n x k block."""
+def _band_product(diag: np.ndarray, lower: np.ndarray, upper: np.ndarray,
+                  v: np.ndarray) -> np.ndarray:
+    """M v for the tridiagonal M with bands diag, lower (M[i+1, i]) and
+    upper (M[i, i+1]), v a vector or an n x k block."""
     shape = (-1,) + (1,) * (v.ndim - 1)
-    r = bd.diag.reshape(shape) * v
-    r[:-1] += bd.upper.reshape(shape) * v[1:]
-    r[1:] += bd.lower.reshape(shape) * v[:-1]
+    r = diag.reshape(shape) * v
+    r[:-1] += upper.reshape(shape) * v[1:]
+    r[1:] += lower.reshape(shape) * v[:-1]
     return r
 
 
 def apply(m: OperatorMatrix, f: Field) -> Field:
     if f.grid != m.grid:
         raise ValueError("grid mismatch")
-    return Field(f.grid, m.entries @ f.values)
+    return Field(f.grid, m.matmat(f.values))
 
 
 # ---------------------------------------------------------------------------
@@ -281,15 +382,15 @@ def _bernoulli(w: np.ndarray) -> np.ndarray:
     return out
 
 
-def _add_drift_diffusion(M: np.ndarray, grid: Grid1D, diffusion: float) -> np.ndarray:
-    """Add the conservative interface-flux discretization of
-    diffusion * f'' + (x f)' on the trapezoid cells to M in place; returns M.
+def _drift_bands(grid: Grid1D, diffusion: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The bands lower (M[i+1, i]), upper (M[i, i+1]) and diagonal of the
+    conservative interface-flux discretization of diffusion * f'' + (x f)' on
+    the trapezoid cells.
 
     diffusion > 0: exponential-fitting two-point flux (exact Gaussian-profile
     steady state for the Classical model); diffusion = 0: monotone upwind
-    drift flux.  Zero flux through the outer interfaces.  The flux touches
-    only the three central bands, which are built as O(n) vectors."""
-    n, h = grid.n, grid.h
+    drift flux.  Zero flux through the outer interfaces."""
+    h = grid.h
     x = grid.nodes
     wq = grid.cell_sizes
     xm = 0.5 * (x[:-1] + x[1:])
@@ -302,21 +403,26 @@ def _add_drift_diffusion(M: np.ndarray, grid: Grid1D, diffusion: float) -> np.nd
         coef_right = h * np.maximum(xm, 0.0)
     # interface flux Phi_{i+1/2} = (coef_right f_{i+1} - coef_left f_i)/h
     # df_i/dt += Phi_{i+1/2}/wq_i ; df_{i+1}/dt -= Phi_{i+1/2}/wq_{i+1}
-    diag = np.zeros(n)
+    diag = np.zeros(grid.n)
     diag[:-1] += -coef_left / h / wq[:-1]
     diag[1:] += -coef_right / h / wq[1:]
-    i = np.arange(n - 1)
-    M[i, i + 1] += coef_right / h / wq[:-1]
-    M[i + 1, i] += coef_left / h / wq[1:]
-    d = np.arange(n)
+    return coef_left / h / wq[1:], coef_right / h / wq[:-1], diag
+
+
+def _add_bands(M: np.ndarray, lower: np.ndarray, upper: np.ndarray,
+               diag: np.ndarray) -> np.ndarray:
+    """Add the bands lower (M[i+1, i]), upper (M[i, i+1]) and diag to M in
+    place; returns M."""
+    d = np.arange(M.shape[0])
+    M[d[:-1], d[1:]] += upper
+    M[d[1:], d[:-1]] += lower
     M[d, d] += diag
     return M
 
 
 def _jump_block(grid: Grid1D, offset_weights: np.ndarray) -> np.ndarray:
-    """Toeplitz gain matrix from per-offset weights plus the censored killing
-    diagonal that conserves the trapezoid-weighted mass exactly.  The result
-    is the only n x n array made.
+    """Dense Toeplitz gain matrix from per-offset weights plus the censored
+    killing diagonal that conserves the trapezoid-weighted mass exactly.
 
     offset_weights[j] is the integrated kernel mass at grid offset j >= 1."""
     n, h = grid.n, grid.h
@@ -334,24 +440,52 @@ def _jump_block(grid: Grid1D, offset_weights: np.ndarray) -> np.ndarray:
     return K
 
 
-def _finalize(grid: Grid1D, M: np.ndarray, label: str, jump_min: float) -> OperatorMatrix:
-    """Column renormalization in place: zero the weighted column sums exactly
-    and record the relative diagonal adjustment."""
+def _finalize(grid: Grid1D, M: np.ndarray) -> tuple[np.ndarray, float]:
+    """Column renormalization in place: zero the weighted column sums exactly;
+    returns M and the relative diagonal adjustment."""
     wq = grid.cell_sizes
     adj = (wq @ M) / wq
     d = np.arange(grid.n)
     scale = np.abs(M[d, d]).max()
     rel = float(np.abs(adj).max() / scale) if scale > 0 else 0.0
     M[d, d] -= adj
-    final_defect = float(np.abs(wq @ M).max())
-    return OperatorMatrix(
-        grid=grid,
-        entries=M,
-        label=label,
-        conservation_defect=final_defect,
-        renorm_adjustment=rel,
-        jump_offdiag_min=jump_min,
-    )
+    return M, rel
+
+
+def _generator(grid: Grid1D, label: str, diffusion: float, w: np.ndarray | None = None,
+               divisor: float = 1.0) -> OperatorMatrix:
+    """The generator  (jump gain of the offset weights w) / divisor  plus the
+    drift/diffusion flux of ``_drift_bands``, conserving the trapezoid mass.
+
+    Its parts are the gain, one Toeplitz term whose rows 0 and n-1 (the half
+    cells) scale by wq_i/h, the two flux bands, and a diagonal that is minus
+    the exact weighted column sums of the rest, taken in O(n) from one
+    cumulative sum, so the mass is conserved by construction.  The dense
+    matrix is built on first access in place: the gain with its killing
+    diagonal (``_jump_block``), the flux bands, then ``_finalize``."""
+    n, h = grid.n, grid.h
+    wq = grid.cell_sizes
+    lower, upper, flux_diag = _drift_bands(grid, diffusion)
+    diag, cols, rows = flux_diag, np.empty((0, n)), np.empty((0, n))
+    if w is not None:
+        col = np.zeros(n)
+        col[1:] = w[: n - 1]
+        # sum_i wq_i rows_i col_|i-j| by cumulative sums: wq_i rows_i is
+        # h / divisor, but a quarter of that at the two half cells
+        csum = np.cumsum(col)
+        colsum = (csum + csum[::-1] - 0.75 * (col + col[::-1])) * (h / divisor)
+        diag, cols, rows = flux_diag - colsum / wq, col[None, :], (wq / h / divisor)[None, :]
+    parts = OperatorParts(diag, lower, upper, cols, rows, np.ones_like(rows))
+
+    def build() -> tuple[np.ndarray, float]:
+        M = np.zeros((n, n)) if w is None else _jump_block(grid, w)
+        if divisor != 1.0:
+            M /= divisor
+        return _finalize(grid, _add_bands(M, lower, upper, flux_diag))
+
+    jump_min = 0.0 if w is None else float(w.min())
+    return OperatorMatrix(grid, label=label, jump_offdiag_min=jump_min, parts=parts,
+                          build=build)
 
 
 def _power_cell_weights(grid: Grid1D, alpha: float, constant: float,
@@ -406,18 +540,16 @@ def sampled_convolution_weights(model: DiscreteClassical, grid: Grid1D) -> tuple
 
 
 def assemble(model: ModelSpec, grid: Grid1D) -> OperatorMatrix:
-    """Assemble the dense generator matrix for a model on a grid."""
+    """The generator of a model on a grid, as its parts; the dense matrix is
+    formed on first access to ``entries``."""
     h = grid.h
     if isinstance(model, Classical):
-        M = _add_drift_diffusion(np.zeros((grid.n, grid.n)), grid, diffusion=1.0)
-        return _finalize(grid, M, "full:classical", jump_min=0.0)
+        return _generator(grid, "full:classical", diffusion=1.0)
 
     if isinstance(model, DiscreteClassical):
-        w0, w = sampled_convolution_weights(model, grid)
-        M = _jump_block(grid, w)
-        M /= model.eps**2
-        _add_drift_diffusion(M, grid, diffusion=0.0)
-        return _finalize(grid, M, "full:discrete-classical", jump_min=float(w.min()))
+        _, w = sampled_convolution_weights(model, grid)
+        return _generator(grid, "full:discrete-classical", diffusion=0.0, w=w,
+                          divisor=model.eps**2)
 
     if isinstance(model, Fractional):
         delta = 2.0 * h
@@ -427,8 +559,7 @@ def assemble(model: ModelSpec, grid: Grid1D) -> OperatorMatrix:
         # exponential-fitting flux block
         near_diffusion = c * delta ** (2.0 - model.alpha) / (2.0 - model.alpha)
         w = _power_cell_weights(grid, model.alpha, c, delta)
-        M = _add_drift_diffusion(_jump_block(grid, w), grid, diffusion=near_diffusion)
-        return _finalize(grid, M, "full:fractional", jump_min=float(w.min()))
+        return _generator(grid, "full:fractional", diffusion=near_diffusion, w=w)
 
     if isinstance(model, DiscreteFractional):
         if h > model.eps / 2.0 + 1e-12:
@@ -437,8 +568,7 @@ def assemble(model: ModelSpec, grid: Grid1D) -> OperatorMatrix:
             )
         kern = truncated_fractional_kernel(model.alpha, model.eps)
         w = _truncated_cell_weights(grid, kern)
-        M = _add_drift_diffusion(_jump_block(grid, w), grid, diffusion=0.0)
-        return _finalize(grid, M, "full:discrete-fractional", jump_min=float(w.min()))
+        return _generator(grid, "full:discrete-fractional", diffusion=0.0, w=w)
 
     raise TypeError(f"unknown model {model!r}")
 
@@ -465,4 +595,4 @@ def operator_distance(
         raise ValueError("same grid required")
     fields = probe_family(m1.grid, count=probes, seed=seed, oscillatory=oscillatory)
     F = np.column_stack([f.values for f in fields])
-    return probe_norm((m1.entries - m2.entries) @ F, F, m1.grid, source, target)
+    return probe_norm(m1.matmat(F) - m2.matmat(F), F, m1.grid, source, target)

@@ -28,6 +28,7 @@ from .operators import (
     Fractional,
     ModelSpec,
     OperatorMatrix,
+    OperatorParts,
     _power_cell_weights,
     assemble,
     sampled_convolution_weights,
@@ -121,23 +122,30 @@ SplittingSpec = Union[ClassicalSplitting, FractionalSplitting]
 # assembly
 
 
-def _five_part_bounded(grid: Grid1D, alpha: float, constant: float,
-                       split: FractionalSplitting) -> np.ndarray:
-    """Gain matrix of the localized band-restricted power-law jump operator.
+def _five_part_weights(grid: Grid1D, alpha: float, constant: float,
+                       split: FractionalSplitting) -> tuple[np.ndarray, np.ndarray]:
+    """The band-restricted offset weights w and u = 1 - chi_R(x) of the
+    five-part gain T(w) * (1 - u u^T), with T(w) the symmetric Toeplitz matrix.
 
     Uses the pure power-law cell integrals (no plateau, no support cut), so
-    the matrix does not depend on the truncation parameter of the model.
-    The band factor depends only on the offset, so it scales the offset
-    weights before the Toeplitz copy; xi_R = 1 - (1 - chi_R(x))(1 - chi_R(y))
-    is the one further n x n array."""
+    the gain does not depend on the truncation parameter of the model; the
+    band factor depends only on the offset, so it scales the weights."""
     n, h = grid.n, grid.h
     # exact cell integrals of the power-law kernel for every offset; the
     # near-field radius is irrelevant because the band factor vanishes there
     w = np.zeros(n)
     w[1:] = _power_cell_weights(grid, alpha, constant, delta=0.5 * h)
     w *= chi_band(np.arange(n) * h, split.eta, split.Lcut)
+    return w, 1.0 - np.asarray(chi_scaled(grid.nodes, split.R))
+
+
+def _five_part_bounded(grid: Grid1D, alpha: float, constant: float,
+                       split: FractionalSplitting) -> np.ndarray:
+    """Dense gain matrix of the localized band-restricted power-law jump
+    operator; xi_R = 1 - (1 - chi_R(x))(1 - chi_R(y)) is the one further
+    n x n array."""
+    w, u = _five_part_weights(grid, alpha, constant, split)
     K = sla.toeplitz(w)
-    u = 1.0 - np.asarray(chi_scaled(grid.nodes, split.R))
     xi = np.outer(u, u)
     np.subtract(1.0, xi, out=xi)
     K *= xi
@@ -147,25 +155,38 @@ def _five_part_bounded(grid: Grid1D, alpha: float, constant: float,
 def assemble_splitting(
     model: ModelSpec, grid: Grid1D, split: SplittingSpec
 ) -> tuple[OperatorMatrix, OperatorMatrix]:
-    """Split the assembled generator as A + B (entrywise exact).
+    """Split the assembled generator as A + B (entrywise exact), both kept as
+    their parts (``operators.OperatorParts``).
 
-    A is the bounded localized part of the chosen scheme; B is the full
-    generator minus A, subtracted in place from a freshly assembled
-    generator, so the two parts are the only n x n arrays left."""
+    A is the bounded localized part of the chosen scheme: the multiplier
+    row scaling diag(M chi_R) T(k_eps) or diag(M chi_R), or the five-part
+    gain T(w) - diag(u) T(w) diag(u).  B is the generator's parts minus A's.
+    The dense B is the freshly built dense generator minus the dense A, in
+    place, so the two dense parts are the only n x n arrays left."""
     x = grid.nodes
-    h = grid.h
+    n, h = grid.n, grid.h
+    zero = np.zeros(n - 1)
 
     if isinstance(split, ClassicalSplitting):
         if isinstance(model, DiscreteFractional):
             raise ValueError("splitting scheme does not match model family")
         mult = split.M * np.asarray(chi_scaled(x, split.R))
         if isinstance(model, DiscreteClassical):
-            # the dense matrix of f -> k_eps * f, rows scaled by the multiplier
+            # f -> k_eps * f, rows scaled by the multiplier
             w0, w = sampled_convolution_weights(model, grid)
-            A = sla.toeplitz(np.concatenate([[w0], w]))
-            A *= mult[:, None]
+            col = np.concatenate([[w0], w])
+            a_parts = OperatorParts(np.zeros(n), zero, zero, col[None, :], mult[None, :],
+                                    np.ones((1, n)))
+
+            def build_a() -> tuple[np.ndarray, float]:
+                A = sla.toeplitz(col)
+                A *= mult[:, None]
+                return A, 0.0
         else:  # Classical or Fractional limit model: pure multiplier
-            A = np.diag(mult)
+            a_parts = OperatorParts(mult, zero, zero, *(np.empty((0, n)),) * 3)
+
+            def build_a() -> tuple[np.ndarray, float]:
+                return np.diag(mult), 0.0
     elif isinstance(split, FractionalSplitting):
         if isinstance(model, Fractional):
             alpha, constant = model.alpha, float(model.constant)
@@ -181,23 +202,24 @@ def assemble_splitting(
             raise ValueError(
                 f"grid does not resolve the band: need eta >= 2h = {2.0 * h:.6g}"
             )
-        A = _five_part_bounded(grid, alpha, constant, split)
+        w, u = _five_part_weights(grid, alpha, constant, split)
+        ones = np.ones(n)
+        a_parts = OperatorParts(np.zeros(n), zero, zero, np.stack([w, w]), np.stack([ones, -u]),
+                                np.stack([ones, u]))
+
+        def build_a() -> tuple[np.ndarray, float]:
+            return _five_part_bounded(grid, alpha, constant, split), 0.0
     else:
         raise TypeError(f"unknown splitting spec {split!r}")
 
-    B = assemble(model, grid).entries
-    B -= A
-    wq = grid.cell_sizes
-    a_op = OperatorMatrix(
-        grid=grid,
-        entries=A,
-        label=f"part:A:{split.scheme}",
-        conservation_defect=float(np.abs(wq @ A).max()),
-    )
-    b_op = OperatorMatrix(
-        grid=grid,
-        entries=B,
-        label=f"part:B:{split.scheme}",
-        conservation_defect=float(np.abs(wq @ B).max()),
-    )
+    full = assemble(model, grid)
+    a_op = OperatorMatrix(grid, label=f"part:A:{split.scheme}", parts=a_parts, build=build_a)
+
+    def build_b() -> tuple[np.ndarray, float]:
+        B, _ = full._build()
+        B -= a_op.entries
+        return B, 0.0
+
+    b_op = OperatorMatrix(grid, label=f"part:B:{split.scheme}", parts=full.parts - a_parts,
+                          build=build_b)
     return a_op, b_op

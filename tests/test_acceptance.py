@@ -1,6 +1,6 @@
 """The end-to-end acceptance gate: every quantitative claim the package
 makes must hold at the stated tolerances.  The full suite runs once per
-session (about 40 s on 2 vCPUs) and each criterion is asserted separately."""
+session (about 35 s on 2 vCPUs) and each criterion is asserted separately."""
 
 import pytest
 
@@ -54,3 +54,10 @@ def test_run_all_records_exception_type(monkeypatch):
     res = acceptance.run_all()["results"][0]
     assert res["error"] == {"type": "ArithmeticError", "message": "singular"}
     assert not res["pass"]
+
+
+def test_run_all_times_each_criterion(report):
+    times = {r["name"]: r["elapsed_s"] for r in report["results"]}
+    assert all(t > 0.0 for t in times.values())
+    name, seconds = report["slowest"]
+    assert seconds == max(times.values()) and times[name] == seconds

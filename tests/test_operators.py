@@ -1,16 +1,20 @@
+import importlib.util
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
 
 from fplab.grids import Field, WeightSpec, gaussian_density, make_grid, weighted_norm
+from fplab.inequalities import adjoint_dissipativity_check, dissipativity_check
 from fplab.kernels import truncated_fractional_kernel
 from fplab.operators import (
     Classical,
     DiscreteClassical,
     DiscreteFractional,
     Fractional,
+    OperatorMatrix,
     _bernoulli,
     _power_cell_weights,
     _truncated_cell_weights,
@@ -262,12 +266,154 @@ def test_assembly_memory_budget():
     n = 1025
     grid = make_grid(12.0, n)
     for model in FAMILIES:
-        assert _peak_in_doubles(lambda: assemble(model, grid), n) <= 1.5, model.family
+        assert _peak_in_doubles(lambda: assemble(model, grid).entries, n) <= 1.5, model.family
     split = FractionalSplitting(eta=0.1, Lcut=1.0, R=2.0)
     peak = _peak_in_doubles(
-        lambda: assemble_splitting(DiscreteFractional(eps=0.05, alpha=1.0), grid, split), n)
+        lambda: [op.entries for op in assemble_splitting(
+            DiscreteFractional(eps=0.05, alpha=1.0), grid, split)], n)
     assert peak <= 3.5
     peak = _peak_in_doubles(
-        lambda: assemble_splitting(DiscreteClassical(eps=0.4), grid,
-                                   ClassicalSplitting(M=10.0, R=6.0)), n)
+        lambda: [op.entries for op in assemble_splitting(
+            DiscreteClassical(eps=0.4), grid, ClassicalSplitting(M=10.0, R=6.0))], n)
     assert peak <= 3.5
+
+
+# ---------------------------------------------------------------------------
+# products on the parts against the dense matrix
+
+
+def _operator_cases():
+    """Every family and both parts of every splitting scheme, each resolved
+    on all three oracle grids (h <= 0.047)."""
+    dc, df = DiscreteClassical(eps=0.4), DiscreteFractional(eps=0.1, alpha=1.0)
+    five = FractionalSplitting(eta=0.1, Lcut=1.0, R=2.0)
+    mult = ClassicalSplitting(M=10.0, R=2.0)
+    cases = [(m.family, lambda g, m=m: assemble(m, g)) for m in
+             (Classical(), dc, Fractional(alpha=1.5), df)]
+    for label, model, split in (("multiplier-dc", dc, mult),
+                                ("multiplier-fractional", Fractional(alpha=1.0), mult),
+                                ("five-part", df, five)):
+        for part in (0, 1):
+            cases.append((f"{label}:{'AB'[part]}",
+                          lambda g, m=model, s=split, k=part: assemble_splitting(m, g, s)[k]))
+    return cases
+
+
+@pytest.mark.parametrize("L,n", [(6.0, 257), (12.0, 1025), (25.6, 2049)])
+@pytest.mark.parametrize("build", [c[1] for c in _operator_cases()],
+                         ids=[c[0] for c in _operator_cases()])
+def test_structured_products_match_dense(build, L, n):
+    grid = make_grid(L, n)
+    op = build(grid)
+    F = np.column_stack([f.values for f in probe_family(grid, count=24, seed=5,
+                                                        oscillatory=4)])
+    for got, M in ((op.matmat(F), op.entries), (op.matmat(F, transpose=True), op.entries.T)):
+        scale = (np.abs(M) @ np.abs(F)).max(axis=0)
+        assert np.all(np.abs(got - M @ F).max(axis=0) <= 1e-13 * scale)
+    v = F[:, 0]
+    assert np.abs(apply(op, Field(grid, v)).values - op.entries @ v).max() \
+        <= 1e-13 * (np.abs(op.entries) @ np.abs(v)).max()
+
+
+def test_structured_diagonal_conserves_mass():
+    grid = make_grid(12.0, 1025)
+    for model in FAMILIES:
+        op = assemble(model, grid)
+        F = np.column_stack([f.values for f in probe_family(grid, count=8, seed=2)])
+        rates = grid.cell_sizes @ op.matmat(F)
+        assert np.abs(rates).max() <= 1e-12 * np.abs(op.parts.diag).max(), model.family
+        dense = np.diag(op.entries)
+        assert np.abs(op.parts.diag - dense).max() <= 1e-15 * np.abs(dense).max()
+
+
+def test_entries_are_formed_once():
+    op = assemble(DiscreteFractional(eps=0.2, alpha=1.0), GRID)
+    assert "_dense" not in vars(op)
+    assert op.entries is op.entries
+    A, B = assemble_splitting(Classical(), GRID, ClassicalSplitting(M=10.0, R=6.0))
+    assert A.entries is A.entries and B.entries is B.entries
+
+
+def _load_tracer():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_fingerprint_tells_operators_apart():
+    # the benchmark tracer counts repeated calls by the dataclass fields of
+    # their arguments, so the parts must tell operators apart; reading them
+    # must not form the dense matrix
+    fingerprint = _load_tracer()._fingerprint
+    g = make_grid(6.0, 257)
+
+    def key(op):
+        return fingerprint(((op,), {}))
+
+    a, b = (assemble(DiscreteClassical(eps=0.4), g) for _ in range(2))
+    assert key(a) == key(b) != key(assemble(DiscreteClassical(eps=0.5), g))
+    assert "_dense" not in vars(a)
+    a.entries
+    assert key(a) == key(b)
+    df = DiscreteFractional(eps=0.1, alpha=1.0)
+    parts = [assemble_splitting(df, g, FractionalSplitting(eta=0.1, Lcut=1.0, R=r))[0]
+             for r in (2.0, 2.5)]
+    assert key(parts[0]) != key(parts[1])
+
+
+# ---------------------------------------------------------------------------
+# the probe-side paths allocate no n x n array and never form the dense matrix
+
+
+@pytest.fixture
+def no_dense(monkeypatch):
+    def refuse(self):
+        raise AssertionError(f"dense entries formed for {self.label}")
+
+    monkeypatch.setattr(OperatorMatrix, "_dense", property(refuse))
+
+
+def _peak_bytes(run):
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_operator_distance_stays_below_one_dense_array(no_dense):
+    # criterion 5's call
+    g = make_grid(12.0, 1921)
+
+    def run():
+        operator_distance(assemble(DiscreteClassical(eps=0.1), g), assemble(Classical(), g),
+                          WeightSpec(p=2, q=1, s=3), WeightSpec(p=2, q=1), probes=32,
+                          oscillatory=12)
+
+    assert _peak_bytes(run) < 8 * g.n * g.n
+
+
+def test_dissipativity_check_stays_below_one_dense_array(no_dense):
+    # criterion 7's five-part remainder
+    g = make_grid(25.6, 2049)
+
+    def run():
+        _, B = assemble_splitting(DiscreteFractional(eps=0.05, alpha=1.0), g,
+                                  FractionalSplitting(eta=0.5, Lcut=2.0, R=4.0))
+        assert dissipativity_check(B, WeightSpec(p=1, q=0.4), a=-0.2).passed
+
+    assert _peak_bytes(run) < 8 * g.n * g.n
+
+
+def test_adjoint_check_stays_below_one_dense_array(no_dense):
+    g = make_grid(25.6, 1025)
+
+    def run():
+        _, B = assemble_splitting(DiscreteFractional(eps=0.1, alpha=1.0), g,
+                                  FractionalSplitting(eta=0.5, Lcut=2.0, R=4.0))
+        assert adjoint_dissipativity_check(B, WeightSpec(p=2, q=0.4), b=-0.1, alpha=1.0)["pass"]
+
+    assert _peak_bytes(run) < 8 * g.n * g.n

@@ -14,7 +14,8 @@ from fplab.operators import (
     DiscreteFractional,
     Fractional,
     OperatorMatrix,
-    _add_drift_diffusion,
+    _add_bands,
+    _drift_bands,
     _mirror_blocks,
     assemble,
 )
@@ -94,7 +95,8 @@ def test_eigensolve_selection_follows_matrix_structure(monkeypatch):
     # the Fourier-side collocation (negative products, one-sided boundary
     # stencils) are centrosymmetric: each dense call is made on the even
     # (33) and the odd (32) block
-    mirrored = (OperatorMatrix(grid=g, entries=_add_drift_diffusion(np.zeros((65, 65)), g, 0.0)),
+    upwind = _add_bands(np.zeros((65, 65)), *_drift_bands(g, 0.0))
+    mirrored = (OperatorMatrix(grid=g, entries=upwind),
                 assemble(DiscreteClassical(eps=0.4), make_grid(1.6, 65)),
                 fourier_side_generator(1.0, 30.0, 65))
     for op in mirrored:
