@@ -16,13 +16,14 @@ import sys
 import numpy as np
 
 from . import acceptance
+from .fourier import power_spectra
 from .grids import WeightSpec, gaussian_density, make_grid
 from .inequalities import (
     adjoint_dissipativity_check,
-    dirichlet_form,
+    dirichlet_form_block,
     dissipativity_check,
-    fractional_sobolev_check,
-    gradient_convolution_check,
+    fractional_sobolev_block,
+    gradient_convolution_block,
     psi_constant,
     psi_profile,
     regularization_norm,
@@ -36,7 +37,7 @@ from .operators import (
     assemble,
     operator_distance,
 )
-from .probes import probe_family
+from .probes import probe_block
 from .sde import (
     AlphaStable,
     CompoundPoisson,
@@ -310,25 +311,24 @@ def cmd_verify(args) -> int:
                                  "pass": ok})
         return _verdict(ok, f"sup(psi - M chi_R) = {prof.sup:.4f} vs {args.a_target}: ")
     if check == "dirichlet":
-        worst = 0.0
-        for f in probe_family(grid, count=16, seed=args.seed):
-            a = dirichlet_form(f, k, args.eps, path="double-sum")
-            b = dirichlet_form(f, k, args.eps, path="fourier")
-            worst = max(worst, abs(a - b) / max(abs(a), 1e-300))
+        F = probe_block(grid, count=16, seed=args.seed)
+        a = dirichlet_form_block(F, grid, k, args.eps, path="double-sum")
+        b = dirichlet_form_block(F, grid, k, args.eps, path="fourier")
+        worst = float(np.max(np.abs(a - b) / np.maximum(np.abs(a), 1e-300)))
         ok = worst <= 1e-8
         _emit(args, "dirichlet.json", {"worst_relative_gap": worst, "pass": ok})
         return _verdict(ok, f"worst path disagreement {worst:.3e}: ")
     if check == "gradient-bound":
         K = fourier_ratio_constant(k).value
-        fails = 0
-        probes = probe_family(grid, count=64, seed=args.seed)
-        for f in probes:
-            if not gradient_convolution_check(f, k, args.eps, K)["pass"]:
-                fails += 1
+        F = probe_block(grid, count=64, seed=args.seed)
+        rep = gradient_convolution_block(power_spectra(F, grid), k, args.eps, K)
+        fails = int(np.count_nonzero(~rep["pass"]))
+        total = rep["pass"].size
         ok = fails == 0
         _emit(args, "gradient_bound.json",
-              {"K": K, "failures": fails, "total": len(probes), "pass": ok})
-        return _verdict(ok, f"K = {K:.6f}, {fails}/{len(probes)} probe failures: ")
+              {"K": K, "failures": fails, "total": total,
+               "worst_ratio": float(rep["ratio"].max()), "pass": ok})
+        return _verdict(ok, f"K = {K:.6f}, {fails}/{total} probe failures: ")
     if check == "regularization":
         model = parse_model(args.model)
         A, B = assemble_splitting(model, grid, parse_splitting(args.splitting))
@@ -344,12 +344,10 @@ def cmd_verify(args) -> int:
         model = parse_model(args.model)
         if not isinstance(model, (Fractional, DiscreteFractional)):
             raise UsageError("sobolev-id requires a fractional-family model")
-        worst = 0.0
-        ok = True
-        for f in probe_family(grid, count=8, seed=args.seed):
-            rep = fractional_sobolev_check(f, model.alpha)
-            worst = max(worst, rep["rel_error"])
-            ok = ok and rep["pass"]
+        rep = fractional_sobolev_block(probe_block(grid, count=8, seed=args.seed), grid,
+                                       model.alpha)
+        worst = float(rep["rel_error"].max())
+        ok = bool(rep["pass"].all())
         _emit(args, "sobolev_id.json", {"worst_rel_error": worst, "pass": ok})
         return _verdict(ok, f"worst relative error {worst:.3e}: ")
     raise UsageError(f"unknown check {check!r}")

@@ -12,11 +12,11 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as sla
 
-from .fourier import _padded_size, fourier_transform
+from .fourier import PowerSpectra, _padded_size, power_spectra
 from .grids import Field, Grid1D, WeightSpec, probe_norm
 from .kernels import Kernel, khat, power_kernel_symbol_factor, rescale
 from .operators import OperatorMatrix, _power_cell_weights
-from .probes import probe_family
+from .probes import probe_block
 from .splitting import chi_gradient_bound, chi_scaled
 
 
@@ -33,49 +33,76 @@ def dirichlet_form(f: Field, k: Kernel, eps: float, path: str = "both") -> float
     kernel transform, which agrees with the double sum to roundoff;
     path = "both" (default) computes both, checks 1e-8 relative agreement,
     and returns the double-sum value."""
+    return float(dirichlet_form_block(f.values[:, None], f.grid, k, eps, path)[0])
+
+
+def dirichlet_form_block(F: np.ndarray, grid: Grid1D, k: Kernel, eps: float,
+                         path: str = "both") -> np.ndarray:
+    """``dirichlet_form`` of every column of the n x P block F.  The kernel
+    matrix and the kernel transform are formed once per call; with "both",
+    every column's two paths must agree."""
     if k.variant != "SmoothSymmetric":
         raise ValueError("dirichlet_form requires a SmoothSymmetric kernel")
     if eps <= 0:
         raise ValueError("eps must be positive")
-    grid = f.grid
-    h = grid.h
+    if path not in ("double-sum", "fourier", "both"):
+        raise ValueError(f"unknown path {path}")
+    n, h = grid.n, grid.h
     keps = rescale(k, eps)
-    v = f.values
+    # the probes as contiguous rows: a strided dot product sums in another order
+    probes = np.ascontiguousarray(F.T)
 
-    def double_sum() -> float:
-        diff = v[:, None] - v[None, :]
-        Z = grid.nodes[:, None] - grid.nodes[None, :]
-        kv = np.asarray(keps(Z))
-        return float(0.5 / eps**2 * h * h * np.sum(diff * diff * kv))
+    def double_sum() -> np.ndarray:
+        # k_eps(x_i - x_j) a slab of rows at a time, so that the profile's
+        # temporaries stay a fraction of the n x n matrix
+        x = grid.nodes
+        kv = np.empty((n, n))
+        rows = max(1, n // 8)
+        for lo in range(0, n, rows):
+            kv[lo:lo + rows] = keps(np.subtract.outer(x[lo:lo + rows], x))
+        return 0.5 / eps**2 * h * h * _difference_sums(probes, kv)
 
-    def fourier_path() -> float:
+    def fourier_path() -> np.ndarray:
         # same sampled kernel via the FFT convolution theorem:
         # sum_{ij} (f_i - f_j)^2 K_ij = 2 [ sum_i f_i^2 R_i - f . (K f) ],
         # R_i = row sums of the Toeplitz kernel matrix.  The linear
         # convolutions of f and 1 with the 2n-1 kernel samples have length
         # 3n-2 <= npad; entries n-1 .. 2n-2 are the Toeplitz products.
-        n = grid.n
         npad = _padded_size(n)
         kvals = np.asarray(keps(np.arange(-(n - 1), n) * h))
-        Kf, R = np.fft.irfft(np.fft.rfft(np.stack([v, np.ones(n)]), npad)
-                             * np.fft.rfft(kvals, npad), npad)[:, n - 1: 2 * n - 1]
-        quad = 2.0 * (R @ (v * v) - v @ Kf)
-        return float(0.5 / eps**2 * h * h * quad)
+        conv = np.fft.irfft(np.fft.rfft(np.vstack([probes, np.ones(n)]), npad)
+                            * np.fft.rfft(kvals, npad), npad)[:, n - 1: 2 * n - 1]
+        R = conv[-1]
+        quad = 2.0 * np.array([R @ (v * v) - v @ Kf for v, Kf in zip(probes, conv[:-1])])
+        return 0.5 / eps**2 * h * h * quad
 
     if path == "double-sum":
         return double_sum()
     if path == "fourier":
         return fourier_path()
-    if path == "both":
-        a = double_sum()
-        b = fourier_path()
-        scale = max(abs(a), abs(b), 1e-300)
-        if abs(a - b) / scale > 1e-8 and scale > 1e-12:
-            raise ArithmeticError(
-                f"Dirichlet-form paths disagree: {a:.12e} vs {b:.12e}"
-            )
-        return a
-    raise ValueError(f"unknown path {path}")
+    a = double_sum()
+    b = fourier_path()
+    scale = np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-300)
+    bad = (np.abs(a - b) / scale > 1e-8) & (scale > 1e-12)
+    if bad.any():
+        j = int(np.argmax(bad))
+        raise ArithmeticError(
+            f"Dirichlet-form paths disagree on probe {j}: {a[j]:.12e} vs {b[j]:.12e}"
+        )
+    return a
+
+
+def _difference_sums(probes: np.ndarray, kv: np.ndarray) -> np.ndarray:
+    """sum_ij (v_i - v_j)^2 kv_ij for each row v of ``probes``, one probe at
+    a time in a single n x n work array."""
+    work = np.empty_like(kv)
+    out = np.empty(len(probes))
+    for j, v in enumerate(probes):
+        np.subtract.outer(v, v, out=work)
+        work *= work
+        work *= kv
+        out[j] = np.sum(work)
+    return out
 
 
 def dirichlet_form_fourier_oracle(f: Field, k: Kernel, eps: float,
@@ -83,35 +110,45 @@ def dirichlet_form_fourier_oracle(f: Field, k: Kernel, eps: float,
     """Independent continuum-side value
     (1/2pi) integral |fhat|^2 (1 - khat(eps xi)) / eps^2 dxi
     using the continuum kernel transform (quadrature in xi)."""
-    sf = fourier_transform(f)
-    xi = sf.xi_nodes
-    keep = np.abs(xi) <= xi_max
-    xi = xi[keep]
-    vals = np.abs(sf.values[keep]) ** 2
-    kh = np.asarray(khat(k, eps * xi)) / k.l1_norm
-    integrand = vals * (1.0 - kh) / eps**2 * k.l1_norm
-    return _xi_integral(integrand, xi)
+    spectra = power_spectra(f.values[:, None], f.grid)
+    return float(dirichlet_form_fourier_oracle_block(spectra, k, eps, xi_max)[0])
 
 
-def _xi_integral(integrand: np.ndarray, xi: np.ndarray) -> float:
-    """(1/2pi) times the trapezoid integral over xi; the fftfreq-ordered nodes
-    are sorted first, or the wrap-around from +xi_max to -xi_max would count
-    as one more panel."""
-    order = np.argsort(xi)
-    return float(np.trapezoid(integrand[order], xi[order]) / (2.0 * np.pi))
+def dirichlet_form_fourier_oracle_block(spectra: PowerSpectra, k: Kernel, eps: float,
+                                        xi_max: float = 60.0) -> np.ndarray:
+    """``dirichlet_form_fourier_oracle`` of every probe of a block, from its
+    power spectra."""
+    kh = np.asarray(khat(k, eps * spectra.xi_nodes)) / k.l1_norm
+    return spectra.integrate((1.0 - kh) / eps**2 * k.l1_norm, xi_max)
 
 
 def gradient_convolution_check(f: Field, k: Kernel, eps: float, K: float) -> dict:
     """Checks ||d/dx (k_eps * f)||_L2^2 <= K * I_eps(f) (Fourier side both):
     lhs via FFT of the convolution derivative, rhs via the continuum
     Dirichlet-form value."""
-    sf = fourier_transform(f)
-    xi = sf.xi_nodes
-    kh = np.asarray(khat(k, eps * xi))
-    lhs = _xi_integral(np.abs(1j * xi * kh * sf.values) ** 2, xi)
-    rhs_form = dirichlet_form_fourier_oracle(f, k, eps)
-    ok = lhs <= K * rhs_form * (1.0 + 1e-10) + 1e-14
-    return {"lhs": lhs, "rhs": K * rhs_form, "dirichlet": rhs_form, "pass": bool(ok)}
+    return _first_probe(gradient_convolution_block(power_spectra(f.values[:, None], f.grid),
+                                                   k, eps, K))
+
+
+def gradient_convolution_block(spectra: PowerSpectra, k: Kernel, eps: float,
+                               K: float) -> dict:
+    """``gradient_convolution_check`` of every probe of a block, from its
+    power spectra: each entry is an array with one value per probe, and each
+    probe passes or fails on its own.  ``ratio`` is lhs / rhs (0 where
+    rhs = 0)."""
+    xi = spectra.xi_nodes
+    lhs = spectra.integrate((xi * np.asarray(khat(k, eps * xi))) ** 2)
+    form = dirichlet_form_fourier_oracle_block(spectra, k, eps)
+    rhs = K * form
+    return {"lhs": lhs, "rhs": rhs, "dirichlet": form,
+            "ratio": np.divide(lhs, rhs, out=np.zeros_like(lhs), where=rhs > 0),
+            "pass": lhs <= rhs * (1.0 + 1e-10) + 1e-14}
+
+
+def _first_probe(rep: dict) -> dict:
+    """The one-probe report of a block report: its first entry of each array."""
+    return {key: value[0].item() if isinstance(value, np.ndarray) else value
+            for key, value in rep.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +223,7 @@ def dissipativity_check(B: OperatorMatrix, w: WeightSpec, a: float,
     For weight specs with sobolev_order s >= 1 and p = 2, the same functional
     is summed over derivative orders 0..s (the H^s(m) energy)."""
     grid = B.grid
-    F = np.column_stack([f.values for f in probe_family(grid, count=probes, seed=seed)])
+    F = probe_block(grid, count=probes, seed=seed)
     F = F[:, np.max(np.abs(F), axis=0) >= 1e-14]
     BF = B.matmat(F)
     h_w = grid.cell_sizes[:, None]
@@ -228,7 +265,7 @@ def adjoint_dissipativity_check(B: OperatorMatrix, w: WeightSpec, b: float,
     grid = B.grid
     m = w.weight_values(grid.nodes)[:, None]
     h_w = grid.cell_sizes[:, None]
-    F = np.column_stack([f.values for f in probe_family(grid, count=probes, seed=seed)])
+    F = probe_block(grid, count=probes, seed=seed)
     nums = np.sum(h_w * (B.matmat(m * F, transpose=True) / m) * F, axis=0)
     dens = np.sum(h_w * F * F, axis=0)
     worst = float((nums[dens > 0] / dens[dens > 0]).max(initial=-np.inf))
@@ -259,8 +296,9 @@ def regularization_norm(
     Only the image T F of the n x P probe block F is formed, never T itself.
     With E = e^{ds B}, ds = t/n_quad and trapezoid weights w_k, the two-fold
     sum T_2 F = ds sum_k w_k A E^(n_quad-k) A E^k F is evaluated in Horner
-    form: Y <- E Y, Z <- E Z + w_k A Y, T_2 F = ds A Z.  Apart from the dense
-    e^{ds B} and the operators themselves, memory is O(nP)."""
+    form: Y <- E Y, Z <- E Z + w_k A Y, T_2 F = ds A Z.  A is applied on its
+    parts (``matmat``), so its dense matrix is never formed; apart from the
+    dense e^{ds B} and B, memory is O(nP)."""
     if A.grid != B.grid:
         raise ValueError("grid mismatch")
     if n_conv < 1 or n_conv > 2:
@@ -268,23 +306,22 @@ def regularization_norm(
     grid = A.grid
     if grid.n > 2049:
         raise ValueError("regularization_norm requires n <= 2049 (dense expm)")
-    F = np.column_stack([f.values for f in probe_family(grid, count=probes, seed=seed,
-                                                        include_sharp=include_sharp)])
+    F = probe_block(grid, count=probes, seed=seed, include_sharp=include_sharp)
     P = F.shape[1]
     rows = []
     for t in t_grid:
         if n_conv == 1:
-            TF = A.entries @ (sla.expm(t * B.entries) @ F)
+            TF = A.matmat(sla.expm(t * B.entries) @ F)
         else:
             ds = t / n_quad
             E = sla.expm(ds * B.entries)
             # [Y | Z] advance together: one GEMM per quadrature node
-            YZ = np.hstack([F, 0.5 * (A.entries @ F)])
+            YZ = np.hstack([F, 0.5 * A.matmat(F)])
             for k in range(1, n_quad + 1):
                 YZ = E @ YZ
                 wk = 0.5 if k == n_quad else 1.0
-                YZ[:, P:] += wk * (A.entries @ YZ[:, :P])
-            TF = ds * (A.entries @ YZ[:, P:])
+                YZ[:, P:] += wk * A.matmat(YZ[:, :P])
+            TF = ds * A.matmat(YZ[:, P:])
         rows.append({"t": t, "norm": probe_norm(TF, F, grid, source, target)})
     ts = np.array([r["t"] for r in rows])
     ns = np.array([r["norm"] for r in rows])
@@ -305,31 +342,38 @@ def fractional_sobolev_check(f: Field, alpha: float, delta: float | None = None)
     plus the near-field Taylor correction 2 delta^{2-alpha}/(2-alpha) ||u'||^2
     against c0 ||u||^2_{Hdot^{alpha/2}} with c0 = 2 sigma_{alpha/2-symbol}:
     the Fourier-side quadrature of |xi|^alpha |uhat|^2."""
-    grid = f.grid
-    h = grid.h
+    return _first_probe(fractional_sobolev_block(f.values[:, None], f.grid, alpha, delta))
+
+
+def fractional_sobolev_block(F: np.ndarray, grid: Grid1D, alpha: float,
+                             delta: float | None = None) -> dict:
+    """``fractional_sobolev_check`` of every column of the n x P block F: the
+    |i - j| weight matrix and the transforms are formed once per call, and
+    each entry but ``c0`` is an array with one value per probe."""
+    n, h = grid.n, grid.h
     if delta is None:
         delta = 2.0 * h
-    v = f.values
     # exact per-cell integrals of the kernel in the difference variable keep
     # the quadrature accurate next to the regularization radius
-    w = np.zeros(grid.n)
+    w = np.zeros(n)
     w[1:] = _power_cell_weights(grid, alpha, 1.0, delta)
-    idx = np.abs(np.arange(grid.n)[:, None] - np.arange(grid.n)[None, :])
-    kv = w[idx]
-    diff = v[:, None] - v[None, :]
-    double = float(h * np.sum(diff * diff * kv))
-    du = np.gradient(v, h)
-    near = 2.0 * delta ** (2.0 - alpha) / (2.0 - alpha) * float(h * np.sum(du * du))
+    kv = sla.toeplitz(w)  # w[|i - j|]
+    near_factor = 2.0 * delta ** (2.0 - alpha) / (2.0 - alpha)
     # analytic far-tail correction: for y beyond the grid the probe vanishes,
     # leaving u(x)^2 times the kernel mass out of reach of the grid offsets
     x = grid.nodes
     missing = ((grid.L - x + 0.5 * h) ** (-alpha) + (grid.L + x + 0.5 * h) ** (-alpha)) / alpha
-    tail = 2.0 * float(h * np.sum(v * v * missing))
-    lhs = double + near + tail
-    sf = fourier_transform(f)
-    xi = sf.xi_nodes
-    sob = _xi_integral(np.abs(xi) ** alpha * np.abs(sf.values) ** 2, xi)
+    probes = np.ascontiguousarray(F.T)
+    double = h * _difference_sums(probes, kv)
+    lhs = np.empty(len(probes))
+    for j, v in enumerate(probes):
+        du = np.gradient(v, h)
+        near = near_factor * float(h * np.sum(du * du))
+        tail = 2.0 * float(h * np.sum(v * v * missing))
+        lhs[j] = double[j] + near + tail
+    spectra = power_spectra(F, grid)
+    sob = spectra.integrate(np.abs(spectra.xi_nodes) ** alpha)
     c0 = 2.0 * power_kernel_symbol_factor(alpha)
     rhs = c0 * sob
-    rel = abs(lhs - rhs) / max(abs(rhs), 1e-300)
-    return {"lhs": lhs, "rhs": rhs, "rel_error": rel, "c0": c0, "pass": bool(rel <= 0.02)}
+    rel = np.abs(lhs - rhs) / np.maximum(np.abs(rhs), 1e-300)
+    return {"lhs": lhs, "rhs": rhs, "rel_error": rel, "c0": c0, "pass": rel <= 0.02}

@@ -36,7 +36,7 @@ from .kernels import (
     symbol_constant,
     truncated_fractional_kernel,
 )
-from .probes import probe_family
+from .probes import probe_block
 
 
 # ---------------------------------------------------------------------------
@@ -593,6 +593,5 @@ def operator_distance(
     saturates norms between Sobolev spaces of different orders."""
     if m1.grid != m2.grid:
         raise ValueError("same grid required")
-    fields = probe_family(m1.grid, count=probes, seed=seed, oscillatory=oscillatory)
-    F = np.column_stack([f.values for f in fields])
+    F = probe_block(m1.grid, count=probes, seed=seed, oscillatory=oscillatory)
     return probe_norm(m1.matmat(F) - m2.matmat(F), F, m1.grid, source, target)

@@ -67,3 +67,9 @@ def probe_family(grid: Grid1D, count: int = 64, seed: int = 0,
             probes.append(Field(grid, np.cos(om * x) * carrier))
             probes.append(Field(grid, np.sin(om * x) * carrier))
     return probes
+
+
+def probe_block(grid: Grid1D, count: int = 64, seed: int = 0, **options) -> np.ndarray:
+    """The ``probe_family`` (same arguments) as the columns of an n x P
+    block."""
+    return np.column_stack([f.values for f in probe_family(grid, count, seed, **options)])

@@ -23,7 +23,7 @@ from .operators import (
     _shifted_solver,
     assemble,
 )
-from .probes import probe_family
+from .probes import probe_block
 from .splitting import SplittingSpec, assemble_splitting
 
 
@@ -282,7 +282,7 @@ def projector_distance(
     seed: int = 0,
 ) -> float:
     """Probe-based operator-norm proxy of the difference of two projectors."""
-    F = np.column_stack([f.values for f in probe_family(grid, count=probes, seed=seed)])
+    F = probe_block(grid, count=probes, seed=seed)
     return probe_norm((p1.projector - p2.projector) @ F, F, grid, w, w)
 
 
@@ -318,7 +318,7 @@ def perturbation_certificate(
     diff = assemble(model_eps, grid).entries
     diff -= L_0
     A, B_eps = (op.entries for op in assemble_splitting(model_eps, grid, split))
-    F = np.column_stack([f.values for f in probe_family(grid, count=probes, seed=seed)])
+    F = probe_block(grid, count=probes, seed=seed)
     mats = [diff, L_0, A, B_eps]
     del diff, L_0, A, B_eps
     folded = [_mirror_blocks(X) for X in mats]

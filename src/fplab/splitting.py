@@ -162,7 +162,9 @@ def assemble_splitting(
     row scaling diag(M chi_R) T(k_eps) or diag(M chi_R), or the five-part
     gain T(w) - diag(u) T(w) diag(u).  B is the generator's parts minus A's.
     The dense B is the freshly built dense generator minus the dense A, in
-    place, so the two dense parts are the only n x n arrays left."""
+    place, so the two dense parts are the only n x n arrays left; for the
+    pure multiplier only its diagonal is subtracted, and A's dense matrix is
+    not formed."""
     x = grid.nodes
     n, h = grid.n, grid.h
     zero = np.zeros(n - 1)
@@ -217,7 +219,10 @@ def assemble_splitting(
 
     def build_b() -> tuple[np.ndarray, float]:
         B, _ = full._build()
-        B -= a_op.entries
+        if len(a_parts.cols):
+            B -= a_op.entries
+        else:  # the pure multiplier: A = diag(mult) is never formed
+            B[np.diag_indices(n)] -= a_parts.diag
         return B, 0.0
 
     b_op = OperatorMatrix(grid, label=f"part:B:{split.scheme}", parts=full.parts - a_parts,

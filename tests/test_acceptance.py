@@ -2,9 +2,10 @@
 makes must hold at the stated tolerances.  The full suite runs once per
 session (about 35 s on 2 vCPUs) and each criterion is asserted separately."""
 
+import numpy as np
 import pytest
 
-from fplab import acceptance
+from fplab import acceptance, probes
 
 
 @pytest.fixture(scope="session")
@@ -61,3 +62,26 @@ def test_run_all_times_each_criterion(report):
     assert all(t > 0.0 for t in times.values())
     name, seconds = report["slowest"]
     assert seconds == max(times.values()) and times[name] == seconds
+
+
+def test_criterion_6_transforms_its_probe_block_once(monkeypatch):
+    seeds, transformed = [], []
+    family, fft = probes.probe_family, np.fft.fft
+
+    def counted_family(grid, count=64, seed=0, **options):
+        seeds.append(seed)
+        return family(grid, count, seed, **options)
+
+    def counted_fft(a, *args, **kwargs):
+        transformed.append(np.shape(a))
+        return fft(a, *args, **kwargs)
+
+    monkeypatch.setattr(probes, "probe_family", counted_family)
+    monkeypatch.setattr(np.fft, "fft", counted_fft)
+    res = acceptance.criterion_6()
+    assert res["pass"] and res["gradient_total"] == 300
+    # one draw of the probe family and one forward FFT of its 513 x 100
+    # block serve all three eps
+    assert seeds.count(6) == 1
+    assert transformed == [(513, 100)]
+    assert 0.9 < res["worst_ratio"] <= 1.0

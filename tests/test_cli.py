@@ -106,6 +106,15 @@ def test_verify_dirichlet(tmp_path):
     assert rc == 0
 
 
+def test_verify_gradient_bound_reports_worst_ratio(tmp_path):
+    rc = main(["verify", "--check", "gradient-bound", "--L", "12", "--n", "257",
+               "--outdir", str(tmp_path)])
+    assert rc == 0
+    rep = json.loads((tmp_path / "gradient_bound.json").read_text())
+    assert rep["failures"] == 0 and rep["total"] == 64
+    assert 0.0 < rep["worst_ratio"] <= 1.0
+
+
 def test_verify_records_the_defaults_it_runs(tmp_path):
     def resolved(check):
         out = tmp_path / check

@@ -1,9 +1,11 @@
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fplab.fourier import fourier_transform
+from fplab.fourier import fourier_transform, fourier_transform_block, power_spectra
 from fplab.grids import Field, WeightSpec, gaussian_density, make_grid, weighted_norm
+from fplab.probes import probe_block
 
 
 GRID = make_grid(12.0, 513)
@@ -50,3 +52,33 @@ def test_plancherel_matches_weighted_norm(order, width):
     dxi = abs(g.xi_nodes[1] - g.xi_nodes[0])
     spectral = np.sqrt(np.sum(np.abs(g.values) ** 2) * dxi / (2.0 * np.pi))
     assert abs(direct - spectral) <= 1e-8 * max(1.0, direct)
+
+
+@pytest.mark.parametrize("P", [1, 6])
+def test_block_transform_is_per_column_transform(P):
+    F = probe_block(GRID, count=6, seed=3)
+    F[:, 2] = 0.0  # a zero column
+    F = F[:, :P]
+    xi, fhat = fourier_transform_block(F, GRID)
+    spectra = power_spectra(F, GRID)
+    order = np.argsort(xi)
+    assert np.array_equal(spectra.xi_nodes, xi[order])
+    for j in range(P):
+        g = fourier_transform(Field(GRID, F[:, j]))
+        assert np.array_equal(g.xi_nodes, xi)
+        assert np.max(np.abs(fhat[:, j] - g.values)) <= 1e-13 * max(np.max(np.abs(g.values)), 1e-300)
+        power = np.abs(g.values[order]) ** 2
+        assert np.max(np.abs(spectra.power[j] - power)) <= 1e-13 * max(power.max(), 1e-300)
+
+
+def test_power_spectra_integrate_over_sorted_nodes():
+    f = gaussian_density(GRID)
+    spectra = power_spectra(f.values[:, None], GRID)
+    xi = spectra.xi_nodes
+    # (1/2pi) int |fhat|^2 dxi = ||f||^2 for the unit-variance Gaussian
+    expected = 1.0 / (2.0 * np.sqrt(np.pi))
+    assert abs(spectra.integrate(np.ones_like(xi))[0] - expected) <= 1e-8
+    # a window keeps the nodes |xi| <= xi_max and no panel across it
+    keep = np.abs(xi) <= 3.0
+    window = np.trapezoid(spectra.power[0, keep], xi[keep]) / (2.0 * np.pi)
+    assert spectra.integrate(np.ones_like(xi), 3.0)[0] == pytest.approx(window, rel=1e-14)

@@ -1,22 +1,29 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
 
+from fplab.fourier import power_spectra
 from fplab.grids import Field, WeightSpec, gaussian_density, make_grid, weighted_norm
 from fplab.inequalities import (
     adjoint_dissipativity_check,
     dirichlet_form,
+    dirichlet_form_block,
     dirichlet_form_fourier_oracle,
+    dirichlet_form_fourier_oracle_block,
     dissipativity_check,
+    fractional_sobolev_block,
     fractional_sobolev_check,
+    gradient_convolution_block,
     gradient_convolution_check,
     psi_constant,
     psi_profile,
     regularization_norm,
 )
 from fplab.kernels import fourier_ratio_constant, gaussian_reference_kernel, khat
-from fplab.operators import Classical, DiscreteFractional, Fractional
-from fplab.probes import probe_family
+from fplab.operators import Classical, DiscreteFractional, Fractional, OperatorMatrix
+from fplab.probes import probe_block, probe_family
 from fplab.splitting import ClassicalSplitting, FractionalSplitting, assemble_splitting
 
 
@@ -96,6 +103,68 @@ def test_gradient_convolution_single_mode_ratio():
     rep = gradient_convolution_check(Field(GRID, v), K, eps, Kc)
     assert rep["pass"]
     assert abs(rep["lhs"] / rep["rhs"] - predicted) <= 0.05
+
+
+# ---------------------------------------------------------------------------
+# the probe-block checks judge each probe as its one-probe call does
+
+
+def _probes(P, grid=GRID):
+    """The first P probes of a block whose third column is zero."""
+    F = probe_block(grid, count=6, seed=4)
+    F[:, 2] = 0.0
+    return F[:, :P]
+
+
+def _agree(block_values, single_values):
+    block_values, single_values = np.asarray(block_values), np.asarray(single_values)
+    assert np.all(np.abs(block_values - single_values) <= 1e-13 * np.abs(single_values))
+
+
+@pytest.mark.parametrize("P", [1, 6])
+def test_fourier_side_blocks_match_per_probe_checks(P):
+    F = _probes(P)
+    Kc = fourier_ratio_constant(K).value
+    spectra = power_spectra(F, GRID)
+    for eps in (0.5, 0.1):
+        rep = gradient_convolution_block(spectra, K, eps, Kc)
+        singles = [gradient_convolution_check(Field(GRID, v), K, eps, Kc) for v in F.T]
+        for key in ("lhs", "rhs", "dirichlet", "ratio"):
+            _agree(rep[key], [one[key] for one in singles])
+        assert rep["pass"].tolist() == [one["pass"] for one in singles]
+        _agree(dirichlet_form_fourier_oracle_block(spectra, K, eps),
+               [dirichlet_form_fourier_oracle(Field(GRID, v), K, eps) for v in F.T])
+
+
+@pytest.mark.parametrize("P", [1, 6])
+@pytest.mark.parametrize("path", ["double-sum", "fourier", "both"])
+def test_dirichlet_form_block_matches_per_probe(P, path):
+    F = _probes(P)
+    _agree(dirichlet_form_block(F, GRID, K, 0.25, path),
+           [dirichlet_form(Field(GRID, v), K, 0.25, path) for v in F.T])
+
+
+@pytest.mark.parametrize("P", [1, 6])
+def test_fractional_sobolev_block_matches_per_probe(P):
+    grid = make_grid(25.0, 513)
+    F = _probes(P, grid)
+    rep = fractional_sobolev_block(F, grid, 1.5)
+    singles = [fractional_sobolev_check(Field(grid, v), 1.5) for v in F.T]
+    for key in ("lhs", "rhs", "rel_error"):
+        _agree(rep[key], [one[key] for one in singles])
+    assert rep["pass"].tolist() == [one["pass"] for one in singles]
+
+
+def test_dirichlet_form_block_stays_below_three_dense_arrays():
+    g = make_grid(12.0, 1025)
+    F = probe_block(g, count=16, seed=0)
+    tracemalloc.start()
+    try:
+        dirichlet_form_block(F, g, K, 0.25)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 8 * g.n * g.n
 
 
 def test_psi_constant_gaussian_reference():
@@ -184,6 +253,24 @@ def test_regularization_time_zero_is_bounded_part_norm():
                               probes=8)
     assert np.isfinite(rep["rows"][0]["norm"])
     assert rep["rows"][0]["norm"] <= 10.0 + 1e-9  # multiplier bound M
+
+
+def test_regularization_multiplier_part_is_never_dense(monkeypatch):
+    dense = OperatorMatrix._dense.func
+
+    def guarded(self):
+        if self.label.startswith("part:A"):
+            raise AssertionError(f"dense entries formed for {self.label}")
+        return dense(self)
+
+    monkeypatch.setattr(OperatorMatrix, "_dense", property(guarded))
+    grid = make_grid(12.0, 257)
+    A, B = assemble_splitting(Classical(), grid, ClassicalSplitting(M=10.0, R=6.0))
+    for n_conv in (1, 2):
+        rep = regularization_norm(A, B, n_conv=n_conv, t_grid=[1.0, 2.0],
+                                  source=WeightSpec(p=2, q=1),
+                                  target=WeightSpec(p=2, q=1, s=1), probes=8)
+        assert all(np.isfinite(row["norm"]) and row["norm"] > 0.0 for row in rep["rows"])
 
 
 @pytest.mark.parametrize("n_conv", [1, 2])
