@@ -15,8 +15,10 @@ flux when no local diffusion is available; all jump off-diagonals are >= 0,
 making every full generator an M-matrix generator (positivity preserving).
 
 Each operator is kept as its O(n) parts (``OperatorParts``: Toeplitz terms,
-a diagonal and two bands), on which probe products run; the dense matrix is
-formed only when a dense solver asks for ``entries``.
+a diagonal and two bands).  Probe products run on them, and the dense
+solvers take their structure from them: birth-death bands, or the two
+half-size mirror blocks of a centrosymmetric operator.  The dense matrix
+(``dense_from_parts``) is formed only for an operator with neither.
 """
 
 from __future__ import annotations
@@ -132,7 +134,10 @@ class OperatorParts:
                              np.vstack([self.right, other.right]))
 
     def matmat(self, F: np.ndarray, transpose: bool = False) -> np.ndarray:
-        """M F, or M^T F with ``transpose``, for a real vector or n x P block F."""
+        """M F, or M^T F with ``transpose``, for a vector or n x P block F; a
+        complex F by its real and imaginary parts."""
+        if np.iscomplexobj(F):
+            return self.matmat(F.real, transpose) + 1j * self.matmat(F.imag, transpose)
         lower, upper, left, right = ((self.upper, self.lower, self.right, self.left)
                                      if transpose else
                                      (self.lower, self.upper, self.left, self.right))
@@ -157,14 +162,11 @@ class OperatorMatrix:
     """A generator matrix on a grid.
 
     ``assemble`` and ``assemble_splitting`` keep each operator as its O(n)
-    ``parts`` (``OperatorParts``), and every product with a vector or probe
-    block runs on them (``matmat``).  ``entries``, the dense
-    matrix the dense solvers take, is formed by the in-place construction
-    ``build`` on first access and then kept, together with its health
-    numbers: ``conservation_defect``, the largest weighted column sum, and
-    ``renorm_adjustment``, the relative diagonal renormalization of
-    ``_finalize``.  An operator given by its dense ``entries`` keeps them as
-    its parts."""
+    ``parts`` (``OperatorParts``); products with a vector or probe block run
+    on them (``matmat``), and the dense solvers take its ``structure``, formed
+    from them once.  ``entries``, the dense matrix (``dense_from_parts``), is
+    formed on first access and then kept.  An operator given by its dense
+    ``entries`` keeps them as its parts."""
 
     grid: Grid1D
     parts: OperatorParts | np.ndarray = field(repr=False)
@@ -172,41 +174,62 @@ class OperatorMatrix:
     jump_offdiag_min: float = 0.0
 
     def __init__(self, grid: Grid1D, entries: np.ndarray | None = None, label: str = "full",
-                 jump_offdiag_min: float = 0.0, *, parts: OperatorParts | None = None,
-                 build: Callable[[], tuple[np.ndarray, float]] | None = None) -> None:
+                 jump_offdiag_min: float = 0.0, *, parts: OperatorParts | None = None) -> None:
         if entries is not None:
-            e = np.asarray(entries, dtype=float)
-            if e.shape != (grid.n, grid.n):
+            parts = np.asarray(entries, dtype=float)
+            if parts.shape != (grid.n, grid.n):
                 raise ValueError("entries shape must match grid")
-            parts, build = e, lambda: (e, 0.0)
-        elif parts is None or build is None:
-            raise ValueError("need entries, or parts and build")
+        elif parts is None:
+            raise ValueError("need entries or parts")
         for name, value in (("grid", grid), ("parts", parts), ("label", label),
-                            ("jump_offdiag_min", jump_offdiag_min), ("_build", build)):
+                            ("jump_offdiag_min", jump_offdiag_min)):
             object.__setattr__(self, name, value)
 
     @cached_property
-    def _dense(self) -> tuple[np.ndarray, float, float]:
-        M, renorm = self._build()
-        return M, float(np.abs(self.grid.cell_sizes @ M).max()), renorm
-
-    @property
     def entries(self) -> np.ndarray:
-        return self._dense[0]
+        if isinstance(self.parts, np.ndarray):
+            return self.parts
+        return dense_from_parts(self.parts)
+
+    @cached_property
+    def structure(self) -> _BirthDeath | tuple[np.ndarray, np.ndarray] | None:
+        """What the dense solvers take: the bands of a birth-death chain
+        (no Toeplitz term, every lower * upper > 0), else the even and odd
+        mirror blocks (``_mirror_blocks_of_parts``), else None (``entries``).
+        A dense-given operator is scanned for both in O(n^2)."""
+        p = self.parts
+        if isinstance(p, np.ndarray):
+            bands = (np.diag(p, k).copy() for k in (0, -1, 1))
+            bd = _birth_death(*bands) if sla.bandwidth(p) == (1, 1) else None
+            return bd or _mirror_blocks(p)
+        bd = None if len(p.cols) else _birth_death(p.diag, p.lower, p.upper)
+        return bd or _mirror_blocks_of_parts(p)
 
     @property
     def conservation_defect(self) -> float:
-        return self._dense[1]
-
-    @property
-    def renorm_adjustment(self) -> float:
-        return self._dense[2]
+        """The largest weighted column sum, max_j |sum_i wq_i M[i, j]|."""
+        return float(np.abs(self.matmat(self.grid.cell_sizes, transpose=True)).max())
 
     def matmat(self, F: np.ndarray, transpose: bool = False) -> np.ndarray:
-        """M F, or M^T F with ``transpose``, for a real vector or n x P block F."""
+        """M F, or M^T F with ``transpose``, for a vector or n x P block F."""
         if isinstance(self.parts, np.ndarray):
             return (self.parts.T if transpose else self.parts) @ F
         return self.parts.matmat(F, transpose)
+
+
+def dense_from_parts(parts: OperatorParts) -> np.ndarray:
+    """The dense matrix of ``parts``: each Toeplitz term by ``sla.toeplitz``,
+    scaled in place, then the bands and the diagonal; at most one n x n array
+    (the next term) is alive besides the result."""
+    M = None
+    for col, a, b in zip(parts.cols, parts.left, parts.right):
+        T = sla.toeplitz(col)
+        T *= a[:, None]
+        T *= b
+        M = T if M is None else np.add(M, T, out=M)
+        del T
+    n = parts.diag.size
+    return _add_bands(np.zeros((n, n)) if M is None else M, parts.lower, parts.upper, parts.diag)
 
 
 @dataclass(frozen=True)
@@ -228,36 +251,28 @@ class _BirthDeath:
         return np.copysign(np.sqrt(self.lower * self.upper), self.upper)
 
 
-def _birth_death(M: np.ndarray) -> _BirthDeath | None:
-    """The bands of M when M is exactly tridiagonal with every
-    M[i,i+1] M[i+1,i] > 0 (a birth-death chain), else None.
-
-    log d_{i+1} - log d_i = log(M[i,i+1]/M[i+1,i]) / 2 makes D M D^-1
-    symmetric."""
-    if sla.bandwidth(M) != (1, 1):
-        return None
-    lower, upper = np.diag(M, -1), np.diag(M, 1)
+def _birth_death(diag: np.ndarray, lower: np.ndarray,
+                 upper: np.ndarray) -> _BirthDeath | None:
+    """The birth-death chain with these bands if every lower * upper > 0,
+    else None; log d_{i+1} - log d_i = log(upper_i / lower_i) / 2
+    symmetrizes it."""
     if not np.all(lower * upper > 0.0):
         return None
     log_d = np.concatenate([[0.0], np.cumsum(0.5 * np.log(upper / lower))])
-    return _BirthDeath(diag=np.diag(M).copy(), lower=lower.copy(), upper=upper.copy(),
-                       log_d=log_d - log_d.min())
+    return _BirthDeath(diag=diag, lower=lower, upper=upper, log_d=log_d - log_d.min())
 
 
 def _mirror_blocks(M: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """The even and odd blocks of M when M commutes with the grid flip J,
-    M[i, j] = M[n-1-i, n-1-j] up to 8 eps max|M|, and n is odd (as on every
-    ``Grid1D``); else None.
+    """The even and odd blocks of a dense M when M commutes with the grid
+    flip J, M[i, j] = M[n-1-i, n-1-j] up to 8 eps max|M|, and n is odd (as on
+    every ``Grid1D``); else None.  O(n^2).
 
-    The generators of mirror-symmetric models on the exactly antisymmetric
-    nodes of ``Grid1D`` are centrosymmetric to 1 eps max|M| as assembled,
-    and the localized bounded parts of the splittings exactly.  With
-    m = n // 2, the
-    fold v -> (even, odd) of ``_mirror_fold`` is a similarity taking M to
-    diag(M_even, M_odd), of sizes m + 1 and m (Cantoni & Butler, Linear
-    Algebra Appl. 13, 1976), so the spectrum, exponential and resolvent of M
-    come from two half-size dense problems.  The anti-centrosymmetric part
-    dropped is below the backward error of the dense solvers."""
+    With m = n // 2, the fold v -> (even, odd) of ``_mirror_fold`` is a
+    similarity taking M to diag(M_even, M_odd), of sizes m + 1 and m
+    (Cantoni & Butler, Linear Algebra Appl. 13, 1976), so the spectrum,
+    exponential and resolvent of M come from two half-size dense problems.
+    The anti-centrosymmetric part dropped is below the backward error of the
+    dense solvers."""
     n = M.shape[0]
     if n % 2 == 0:
         return None
@@ -270,6 +285,45 @@ def _mirror_blocks(M: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     even = np.block([[tt + tb, M[:m, m : m + 1]],
                      [2.0 * M[m : m + 1, :m], M[m : m + 1, m : m + 1]]])
     return even, tt - tb
+
+
+def _mirror_blocks_of_parts(p: OperatorParts) -> tuple[np.ndarray, np.ndarray] | None:
+    """The blocks of ``_mirror_blocks`` from the parts, with no n x n matrix
+    (n is odd on every ``Grid1D``), when every term's row and column factors,
+    the diagonal and the bands are mirror-symmetric (to 8 eps, with
+    lower[::-1] = upper); else None.  A term diag(a) T(c) diag(b) adds its
+    Toeplitz quarter T(c[:m]) plus its Hankel quarter H[i, j] = c[n-1-i-j],
+    both scaled, to the even block and their difference to the odd block; its
+    centre column and twice its centre row border the even block."""
+    tol = 8.0 * np.finfo(float).eps
+    if any(np.abs(u[::-1] - v).max() > tol * max(np.abs(u).max(), np.abs(v).max())
+           for u, v in [(v, v) for v in (p.diag, *p.left, *p.right)] + [(p.lower, p.upper)]):
+        return None
+    n = p.diag.size
+    m = n // 2
+    even, odd = np.zeros((m + 1, m + 1)), np.zeros((m, m))
+    for c, a, b in zip(p.cols, p.left, p.right):
+        T, H = sla.toeplitz(c[:m]), sla.hankel(c[:m:-1], c[m + 1 : 1 : -1])
+        for X, right in ((T, b[:m]), (H, b[:m:-1])):
+            X *= a[:m, None]
+            X *= right
+        odd += T
+        odd -= H
+        T += H
+        even[:m, :m] += T
+        centre = c[m:0:-1]
+        even[:m, m] += centre * a[:m] * b[m]
+        even[m, :m] += 2.0 * (centre * a[m] * b[:m])
+        even[m, m] += c[0] * a[m] * b[m]
+    d = np.arange(m)
+    for X in (even, odd):
+        X[d, d] += p.diag[:m]
+        X[d[:-1], d[1:]] += p.upper[: m - 1]
+        X[d[1:], d[:-1]] += p.lower[: m - 1]
+    even[m, m] += p.diag[m]
+    even[m - 1, m] += p.upper[m - 1]
+    even[m, m - 1] += 2.0 * p.lower[m - 1]
+    return even, odd
 
 
 def _mirror_fold(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -297,21 +351,24 @@ class _Factored(NamedTuple):
     rcond: float  # reciprocal 1-norm condition estimate; the worse block's
 
 
-def _shifted_solver(M: np.ndarray, a: complex, b: float) -> _Factored:
-    """Factor a I + b M once, for solves with a vector or an n x k block.
+def _shifted_solver(op: OperatorMatrix, a: complex, b: float) -> _Factored:
+    """Factor a I + b M once, for solves with a vector or an n x k block, on
+    the ``structure`` of the operator M.
 
-    A birth-death M (``_birth_death``) is factored on its three bands
-    (LAPACK ?gttrf) and multiplied by a three-band product, both O(n) per
-    column.  A centrosymmetric M (``_mirror_blocks``) is factored as its two
-    shifted half-size blocks, a quarter of the dense work, with an O(n) fold
-    and unfold per solve or product.  Every other M is factored densely.
-    ``rcond`` is LAPACK's estimate (?gtcon, ?gecon) of the reciprocal 1-norm
-    condition number of a I + b M or, on the mirror path, of its
-    worse-conditioned block.  The shift a may be complex."""
-    bd = _birth_death(M)
-    if bd is not None:
-        d = a + b * bd.diag
-        dl, du = (np.asarray(b * band, dtype=d.dtype) for band in (bd.lower, bd.upper))
+    A birth-death M is factored on its three bands (LAPACK ?gttrf) and
+    multiplied by a three-band product, both O(n) per column.  A
+    centrosymmetric M is factored as its two shifted half-size mirror
+    blocks, a quarter of the dense work, with an O(n) fold and unfold per
+    solve or product.  Every other M is factored densely.  ``rcond`` is
+    LAPACK's estimate (?gtcon, ?gecon) of the reciprocal 1-norm condition
+    number of a I + b M or, on the mirror path, of its worse-conditioned
+    block.  The shift a may be complex."""
+    s = op.structure
+    if s is None:
+        return _dense_factor(op.entries, a, b)
+    if isinstance(s, _BirthDeath):
+        d = a + b * s.diag
+        dl, du = (np.asarray(b * band, dtype=d.dtype) for band in (s.lower, s.upper))
         col = np.abs(d)
         col[:-1] += np.abs(dl)
         col[1:] += np.abs(du)
@@ -319,12 +376,9 @@ def _shifted_solver(M: np.ndarray, a: complex, b: float) -> _Factored:
         # an exactly singular factor gives a non-finite solve, as dense LU does
         factors = gttrf(dl, d, du)[:5]
         return _Factored(lambda v: gttrs(*factors, v)[0],
-                         lambda v: _band_product(bd.diag, bd.lower, bd.upper, v),
+                         lambda v: _band_product(s.diag, s.lower, s.upper, v),
                          float(gtcon(*factors, col.max())[0]))
-    blocks = _mirror_blocks(M)
-    if blocks is None:
-        return _dense_factor(M, a, b)
-    even, odd = (_dense_factor(B, a, b) for B in blocks)
+    even, odd = (_dense_factor(B, a, b) for B in s)
 
     def solve(v: np.ndarray) -> np.ndarray:
         e, o = _mirror_fold(v)
@@ -420,38 +474,6 @@ def _add_bands(M: np.ndarray, lower: np.ndarray, upper: np.ndarray,
     return M
 
 
-def _jump_block(grid: Grid1D, offset_weights: np.ndarray) -> np.ndarray:
-    """Dense Toeplitz gain matrix from per-offset weights plus the censored
-    killing diagonal that conserves the trapezoid-weighted mass exactly.
-
-    offset_weights[j] is the integrated kernel mass at grid offset j >= 1."""
-    n, h = grid.n, grid.h
-    wq = grid.cell_sizes
-    col = np.zeros(n)
-    col[1:] = offset_weights[: n - 1]
-    K = sla.toeplitz(col)  # zero diagonal: no self-jump
-    # boundary rows represent half cells: gains into them scale by wq_i/h,
-    # which is exactly 1 on every interior row
-    K[0] *= wq[0] / h
-    K[-1] *= wq[-1] / h
-    kill = (wq @ K) / wq
-    d = np.arange(n)
-    K[d, d] -= kill
-    return K
-
-
-def _finalize(grid: Grid1D, M: np.ndarray) -> tuple[np.ndarray, float]:
-    """Column renormalization in place: zero the weighted column sums exactly;
-    returns M and the relative diagonal adjustment."""
-    wq = grid.cell_sizes
-    adj = (wq @ M) / wq
-    d = np.arange(grid.n)
-    scale = np.abs(M[d, d]).max()
-    rel = float(np.abs(adj).max() / scale) if scale > 0 else 0.0
-    M[d, d] -= adj
-    return M, rel
-
-
 def _generator(grid: Grid1D, label: str, diffusion: float, w: np.ndarray | None = None,
                divisor: float = 1.0) -> OperatorMatrix:
     """The generator  (jump gain of the offset weights w) / divisor  plus the
@@ -460,13 +482,11 @@ def _generator(grid: Grid1D, label: str, diffusion: float, w: np.ndarray | None 
     Its parts are the gain, one Toeplitz term whose rows 0 and n-1 (the half
     cells) scale by wq_i/h, the two flux bands, and a diagonal that is minus
     the exact weighted column sums of the rest, taken in O(n) from one
-    cumulative sum, so the mass is conserved by construction.  The dense
-    matrix is built on first access in place: the gain with its killing
-    diagonal (``_jump_block``), the flux bands, then ``_finalize``."""
+    cumulative sum, so the mass is conserved by construction."""
     n, h = grid.n, grid.h
     wq = grid.cell_sizes
-    lower, upper, flux_diag = _drift_bands(grid, diffusion)
-    diag, cols, rows = flux_diag, np.empty((0, n)), np.empty((0, n))
+    lower, upper, diag = _drift_bands(grid, diffusion)
+    cols, rows = np.empty((0, n)), np.empty((0, n))
     if w is not None:
         col = np.zeros(n)
         col[1:] = w[: n - 1]
@@ -474,18 +494,10 @@ def _generator(grid: Grid1D, label: str, diffusion: float, w: np.ndarray | None 
         # h / divisor, but a quarter of that at the two half cells
         csum = np.cumsum(col)
         colsum = (csum + csum[::-1] - 0.75 * (col + col[::-1])) * (h / divisor)
-        diag, cols, rows = flux_diag - colsum / wq, col[None, :], (wq / h / divisor)[None, :]
+        diag, cols, rows = diag - colsum / wq, col[None, :], (wq / h / divisor)[None, :]
     parts = OperatorParts(diag, lower, upper, cols, rows, np.ones_like(rows))
-
-    def build() -> tuple[np.ndarray, float]:
-        M = np.zeros((n, n)) if w is None else _jump_block(grid, w)
-        if divisor != 1.0:
-            M /= divisor
-        return _finalize(grid, _add_bands(M, lower, upper, flux_diag))
-
     jump_min = 0.0 if w is None else float(w.min())
-    return OperatorMatrix(grid, label=label, jump_offdiag_min=jump_min, parts=parts,
-                          build=build)
+    return OperatorMatrix(grid, label=label, jump_offdiag_min=jump_min, parts=parts)
 
 
 def _power_cell_weights(grid: Grid1D, alpha: float, constant: float,
@@ -540,8 +552,7 @@ def sampled_convolution_weights(model: DiscreteClassical, grid: Grid1D) -> tuple
 
 
 def assemble(model: ModelSpec, grid: Grid1D) -> OperatorMatrix:
-    """The generator of a model on a grid, as its parts; the dense matrix is
-    formed on first access to ``entries``."""
+    """The generator of a model on a grid, as its parts."""
     h = grid.h
     if isinstance(model, Classical):
         return _generator(grid, "full:classical", diffusion=1.0)

@@ -9,7 +9,7 @@ statements (coupled contraction) hold to roundoff.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Union
+from typing import Callable, Iterator, NamedTuple, Union
 
 import numpy as np
 
@@ -172,29 +172,51 @@ def simulate(spec: JumpOuSpec, initial_sampler: Callable[[np.random.Generator, i
     (n_records, k, n_paths).  Row i equals a separate run from row i's start on
     the same seed and stream, bit for bit.
     """
+    n_rec = int(round(spec.t_end / spec.dt_record))
+    for r, x in enumerate(_paths(spec, initial_sampler, stream)):
+        if r == 0:
+            states = np.empty((n_rec + 1, *x.shape))
+        states[r] = x
+    if not np.all(np.isfinite(states)):
+        raise FloatingPointError("non-finite state in ensemble")
+    return PathEnsemble(times=np.arange(n_rec + 1) * spec.dt_record, states=states,
+                        seed=spec.seed)
+
+
+def _final_state(spec: JumpOuSpec, initial_sampler: Callable[[np.random.Generator, int], np.ndarray],
+                 stream: int = 0) -> np.ndarray:
+    """``simulate(...).states[-1]``, bit for bit, keeping no earlier state;
+    not checked for finiteness."""
+    for x in _paths(spec, initial_sampler, stream):
+        pass
+    return x
+
+
+def _paths(spec: JumpOuSpec, initial_sampler: Callable[[np.random.Generator, int], np.ndarray],
+           stream: int) -> Iterator[np.ndarray]:
+    """The start and then the state at the end of each record window of
+    ``simulate``, one new array at a time."""
     rng = _rng(spec.seed, stream)
     n = spec.n_paths
     x = np.asarray(initial_sampler(rng, n), dtype=float)
     if x.ndim not in (1, 2) or x.shape[-1] != n:
         raise ValueError(f"initial state must be (n_paths,) or (k, n_paths), got {x.shape}")
     n_rec = int(round(spec.t_end / spec.dt_record))
-    times = np.arange(n_rec + 1) * spec.dt_record
-    states = np.empty((n_rec + 1, *x.shape))
-    states[0] = x
     dt = spec.dt_record
+    yield x
 
     if isinstance(spec.noise, AlphaStable):
         alpha = spec.noise.alpha
         decay = np.exp(-dt)
         sigma = ((1.0 - np.exp(-alpha * dt)) / alpha) ** (1.0 / alpha)
-        for r in range(1, n_rec + 1):
+        for _ in range(n_rec):
             x = decay * x - sigma * stable_standard(rng, alpha, n)
-            states[r] = x
+            yield x
     else:
         k = spec.noise.kernel
         lam = spec.noise.rate_scale * k.l1_norm
         table = _kernel_jump_table(k)
-        for r in range(1, n_rec + 1):
+        for _ in range(n_rec):
             # number of jumps per path in this record window
             counts = rng.poisson(lam * dt, size=n)
             total = int(counts.sum())
@@ -208,10 +230,7 @@ def simulate(spec: JumpOuSpec, initial_sampler: Callable[[np.random.Generator, i
             # record time under the linear flow
             contrib = -jumps * np.exp(-(dt - times_in))
             x += np.bincount(offsets, weights=contrib, minlength=n)
-            states[r] = x
-    if not np.all(np.isfinite(states)):
-        raise FloatingPointError("non-finite state in ensemble")
-    return PathEnsemble(times=times, states=states, seed=spec.seed)
+            yield x
 
 
 def coupled_decay(spec: JumpOuSpec, x0: float, y0: float) -> dict:
@@ -256,7 +275,7 @@ def wasserstein_contraction_check(
     bound holds pathwise up to the empirical-quantile noise."""
     burn_spec = JumpOuSpec(noise=spec.noise, t_end=burn_in, n_paths=spec.n_paths,
                            seed=spec.seed + 101, dt_record=0.5)
-    eq0 = np.sort(simulate(burn_spec, lambda r, n: r.normal(size=n), stream=11).states[-1])
+    eq0 = np.sort(_final_state(burn_spec, lambda r, n: r.normal(size=n), stream=11))
     f0 = np.sort(f0_sampler(_rng(spec.seed, 999), spec.n_paths))
 
     # rank-pairing the two initial clouds makes the synchronous coupling an

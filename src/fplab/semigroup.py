@@ -18,9 +18,8 @@ from .operators import (
     Fractional,
     ModelSpec,
     OperatorMatrix,
+    OperatorParts,
     _BirthDeath,
-    _birth_death,
-    _mirror_blocks,
     _mirror_fold,
     _mirror_unfold,
     _shifted_solver,
@@ -57,35 +56,33 @@ def evolve_block(op: OperatorMatrix, F0: np.ndarray, spec: EvolveSpec) -> list[t
     return [(t, F)] at recorded times; one factorization (or exponential)
     serves all k columns.
 
-    A birth-death M (``operators._birth_death``: tridiagonal, every
-    M[i,i+1] M[i+1,i] > 0, such as the Classical generator) takes O(n^2)
-    paths.  BackwardEuler and CrankNicolson factor their tridiagonal matrix
+    On a birth-death M (``OperatorMatrix.structure``: tridiagonal, every
+    M[i,i+1] M[i+1,i] > 0, such as the Classical generator) every path is
+    O(n^2).  BackwardEuler and CrankNicolson factor their tridiagonal matrix
     once (LAPACK dgttrf) and step with dgttrs.  ExactExpm diagonalizes the
     symmetrized S = D M D^-1 = Q diag(lam) Q^T once and forms every recorded
     state as D^-1 Q (e^(t lam) * Q^T D f0) in one block product.  That is
     exact in the D-weighted 2-norm, but a state's sup-norm error is about
     eps ||D f0||_2 / d_i, so ExactExpm keeps the dense expm whenever
     eps ||D f0||_2 / (min d ||f0||_inf) > 1e-9 for some column (for instance
-    a flat f0 on the Classical generator at L = 12, where d spans e^72).  Any
-    other centrosymmetric M (``operators._mirror_blocks``: the jump
-    generators and the Fourier-side collocation) is stepped in the folded
-    basis, with LU factors or an expm of each half-size block and an O(n)
-    fold and unfold per step.  Every other M uses dense LU factors or one
-    dense expm(dt M)."""
+    a flat f0 on the Classical generator at L = 12, where d spans e^72).  A
+    centrosymmetric M (the jump generators and the Fourier-side collocation)
+    is stepped in the folded basis, with LU factors or an expm of each
+    half-size mirror block and an O(n) fold and unfold per step.  Every
+    other M uses dense LU factors or one dense expm(dt M)."""
     n = op.grid.n
     if F0.shape[0] != n:
         raise ValueError("grid mismatch")
     if spec.scheme == "ExactExpm" and n > 2049:
         raise ValueError("ExactExpm limited to n <= 2049")
-    M = op.entries
     nsteps = int(round(spec.t_end / spec.dt))
     F = np.array(F0, dtype=float)  # every step returns a new array
     out = [(0.0, F)]
     if spec.t_end == 0 or nsteps == 0:
         return out
     recorded = [k for k in range(1, nsteps + 1) if k % spec.record_every == 0 or k == nsteps]
-    bd = _birth_death(M)
-    if spec.scheme == "ExactExpm" and bd is not None:
+    bd = op.structure
+    if spec.scheme == "ExactExpm" and isinstance(bd, _BirthDeath):
         cols = [_birth_death_expm(bd, op, f, spec.dt * np.array(recorded)) for f in F.T]
         if all(c is not None for c in cols):
             states = np.stack(cols, axis=-1)  # (n, times, k)
@@ -94,7 +91,7 @@ def evolve_block(op: OperatorMatrix, F0: np.ndarray, spec: EvolveSpec) -> list[t
                     raise FloatingPointError(f"non-finite state at step {k}")
                 out.append((k * spec.dt, states[:, j]))
             return out
-    step = _stepper(M, bd, spec)
+    step = _stepper(op, spec)
     for k in range(1, nsteps + 1):
         F = step(F)
         if not np.all(np.isfinite(F)):
@@ -122,13 +119,14 @@ def _birth_death_expm(bd: _BirthDeath, op: OperatorMatrix, f0: np.ndarray,
     coef = np.exp(np.outer(lam, times)) * (Q.T @ g0)[:, None]
     states = (Q @ coef) / d[:, None]
     wq = op.grid.cell_sizes
-    if np.abs(wq @ op.entries).max() <= 1e-12 * np.abs(op.entries).max():
+    scale = max(np.abs(band).max() for band in (bd.diag, bd.lower, bd.upper))
+    if op.conservation_defect <= 1e-12 * scale:
         u = wq / d**2
         states += np.outer(u / (wq @ u), wq @ f0 - wq @ states)
     return states
 
 
-def _stepper(M: np.ndarray, bd: _BirthDeath | None, spec: EvolveSpec) -> Callable[[np.ndarray], np.ndarray]:
+def _stepper(op: OperatorMatrix, spec: EvolveSpec) -> Callable[[np.ndarray], np.ndarray]:
     """One time step V -> V_next of ``spec.scheme`` for dF/dt = M F, V a
     vector or an n x k block.
 
@@ -139,9 +137,9 @@ def _stepper(M: np.ndarray, bd: _BirthDeath | None, spec: EvolveSpec) -> Callabl
     expm."""
     dt = spec.dt
     if spec.scheme == "ExactExpm":
-        blocks = _mirror_blocks(M) if bd is None else None
-        if blocks is None:
-            E = sla.expm(dt * M)
+        blocks = op.structure
+        if not isinstance(blocks, tuple):
+            E = sla.expm(dt * op.entries)
             return lambda v: E @ v
         even, odd = (sla.expm(dt * B) for B in blocks)
 
@@ -151,15 +149,20 @@ def _stepper(M: np.ndarray, bd: _BirthDeath | None, spec: EvolveSpec) -> Callabl
 
         return mirror_step
     theta = 1.0 if spec.scheme == "BackwardEuler" else 0.5
-    fac = _shifted_solver(M, 1.0, -theta * dt)
+    fac = _shifted_solver(op, 1.0, -theta * dt)
     if theta == 1.0:
         return fac.solve
     return lambda v: fac.solve(v + fac.matvec(0.5 * dt * v))
 
 
 def operator_scale(op: OperatorMatrix) -> float:
-    """Induced-L1-style scale: max absolute column sum."""
-    return float(np.abs(op.entries).sum(axis=0).max())
+    """Induced-L1-style scale: max absolute column sum.  On the parts it is
+    the column sums of |parts|: exact for a generator (no two terms of an
+    entry differ in sign), else an upper bound."""
+    if isinstance(op.parts, np.ndarray):
+        return float(np.abs(op.parts).sum(axis=0).max())
+    magnitude = OperatorParts(*map(np.abs, vars(op.parts).values()))
+    return float(magnitude.matmat(np.ones(op.grid.n), transpose=True).max())
 
 
 def steady_state(op: OperatorMatrix) -> Field:
@@ -170,9 +173,8 @@ def steady_state(op: OperatorMatrix) -> Field:
     or dense).  Errors when the numerical null space is not one-dimensional
     (a second, deflated iteration also converging to eigenvalue ~0)."""
     n = op.grid.n
-    M = op.entries
     shift = 1e-8
-    fac = _shifted_solver(M, -shift, 1.0)
+    fac = _shifted_solver(op, -shift, 1.0)
     scale = operator_scale(op)
 
     def iterate(v0: np.ndarray, deflate: np.ndarray | None) -> tuple[np.ndarray, float]:
@@ -198,7 +200,7 @@ def steady_state(op: OperatorMatrix) -> Field:
     if total == 0:
         raise ArithmeticError("null vector has zero mass")
     g = Field(op.grid, g.values / total)
-    res = weighted_norm(Field(op.grid, M @ g.values), WeightSpec(p=1))
+    res = weighted_norm(Field(op.grid, op.matmat(g.values)), WeightSpec(p=1))
     if res > 1e-10 * scale:
         raise ArithmeticError(f"steady-state residual too large: {res:.3e}")
     return g

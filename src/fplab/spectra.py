@@ -16,8 +16,10 @@ from .grids import Grid1D, WeightSpec, make_grid, probe_norm
 from .operators import (
     ModelSpec,
     OperatorMatrix,
-    _birth_death,
+    _BirthDeath,
+    _dense_factor,
     _mirror_blocks,
+    _mirror_blocks_of_parts,
     _mirror_fold,
     _mirror_unfold,
     _shifted_solver,
@@ -36,25 +38,24 @@ class SpectrumReport:
     separation_count: int = 0  # eigenvalues with Re > separation_a
 
 
-def _eigenvalues(M: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a real square matrix, unordered, as a complex array.
+def _eigenvalues(op: OperatorMatrix) -> np.ndarray:
+    """Eigenvalues of a generator, unordered, as a complex array.
 
-    A birth-death M (tridiagonal with every M[i,i+1] M[i+1,i] > 0: the
-    reversible chains, such as the Classical generator) is similar by a real
-    diagonal matrix to a symmetric tridiagonal one (``operators._birth_death``,
-    shared with ``semigroup.evolve``), so its spectrum is real and comes from
-    the symmetric tridiagonal solver in O(n^2).  A centrosymmetric M (every
-    other generator of a mirror-symmetric model, ``operators._mirror_blocks``)
-    is similar to diag(M_even, M_odd), so its spectrum is that of the two
-    half-size blocks, at a quarter of the dense work.  Every other M takes
-    the dense non-symmetric solver."""
-    bd = _birth_death(M)
-    if bd is not None:
-        return sla.eigvalsh_tridiagonal(bd.diag, bd.offdiag).astype(complex)
-    blocks = _mirror_blocks(M)
-    if blocks is not None:
-        return np.concatenate([sla.eigvals(B) for B in blocks])
-    return sla.eigvals(M)
+    A birth-death generator (``OperatorMatrix.structure``: tridiagonal with
+    every M[i,i+1] M[i+1,i] > 0, the reversible chains, such as the
+    Classical generator) is similar by a real diagonal matrix to a symmetric
+    tridiagonal one, so its spectrum is real and comes from the symmetric
+    tridiagonal solver in O(n^2).  A centrosymmetric one (every other
+    generator of a mirror-symmetric model) is similar to
+    diag(M_even, M_odd), so its spectrum is that of the two half-size mirror
+    blocks, at a quarter of the dense work.  Every other operator takes the
+    dense non-symmetric solver."""
+    s = op.structure
+    if isinstance(s, _BirthDeath):
+        return sla.eigvalsh_tridiagonal(s.diag, s.offdiag).astype(complex)
+    if s is not None:
+        return np.concatenate([sla.eigvals(B) for B in s])
+    return sla.eigvals(op.entries)
 
 
 def eigen_spectrum(op: OperatorMatrix, k_leading: int = 8, separation_a: float = -0.5) -> SpectrumReport:
@@ -64,7 +65,7 @@ def eigen_spectrum(op: OperatorMatrix, k_leading: int = 8, separation_a: float =
 
     Errors if the eigenvalue of minimal modulus is not simple (two
     eigenvalues within 1e-8 of each other near 0)."""
-    ev = _eigenvalues(op.entries)
+    ev = _eigenvalues(op)
     order = np.argsort(-ev.real)
     ev = ev[order]
     mod = np.abs(ev)
@@ -165,24 +166,25 @@ def spectral_projector(op: OperatorMatrix, radius: float) -> ProjectorReport:
     with |lambda| < radius lead, T = [[T11, T12], [0, T22]], Z = [Z1 Z2], and
     estimates sep(T11, T22).  With Y solving T11 Y - Y T22 = -T12 (dtrsyl)
     and refined once from the residual W M Z, P = Z1 W and
-    W = Z1^T - Y Z2^T.
+    W = Z1^T - Y Z2^T; Z1 is refined once from the residual Z2^T M Z1 in
+    the same way, and W rescaled so that W Z1 = I.
 
-    A centrosymmetric M (``operators._mirror_blocks``) is similar to
-    diag(M_even, M_odd) by the fold, so P is the unfolded block-diagonal
-    projector: the Schur steps run on each half-size block, and P = U V with
-    U (n x k) the unfolded Z1 of each block and V (k x n) the W of each block
-    composed with the fold.  ``sep`` is then the smaller of the two blocks'
+    A centrosymmetric M (``OperatorMatrix.structure``, or a birth-death
+    chain with mirror-symmetric parts) is similar to diag(M_even, M_odd) by
+    the fold, so P is the unfolded block-diagonal projector: the Schur steps
+    run on each half-size block, and P = U V with U (n x k) the unfolded Z1
+    of each block and V (k x n) the W of each block composed with the fold.  ``sep`` is then the smaller of the two blocks'
     estimates: an even and an odd eigenvalue never couple in P, so their
     separation does not enter it.  With U = QR, ||P||_2 = ||R V||_2 and
-    ||P^2 - P||_2 = ||R (V U - I) V||_2; on the dense path U = Z1 has
-    orthonormal columns.  The rank (k), norm and idempotency defect cost
-    O(n k^2) beyond the O(n^2 k) products.
+    ||P^2 - P||_2 = ||R (V U - I) V||_2.  The rank (k), norm and
+    idempotency defect cost O(n k^2) beyond the O(n^2 k) products.
 
     Errors if an eigenvalue lies within 1e-6 of the contour, suggesting a
     safe radius."""
-    M = op.entries
-    blocks = _mirror_blocks(M)
-    mats = (M,) if blocks is None else blocks
+    blocks, p = op.structure, op.parts
+    if isinstance(blocks, _BirthDeath):  # the bands give no Schur form; fold the chain
+        blocks = _mirror_blocks(p) if isinstance(p, np.ndarray) else _mirror_blocks_of_parts(p)
+    mats = (op.entries,) if blocks is None else blocks
     schur = [_real_schur(B) for B in mats]
     mods = [np.hypot(wr, wi) for _, _, wr, wi in schur]
     mod = np.concatenate(mods)
@@ -262,6 +264,11 @@ def _riesz_factors(M: np.ndarray, T: np.ndarray, Z: np.ndarray,
         WMZ = (W @ M) @ Z
         Y += _sylvester(T11, T22, WMZ[:, :k] @ (W @ Z2) - WMZ[:, k:])
         W = Z1.T - Y @ Z2.T
+        # the right invariant subspace has the same eps ||M|| error: its
+        # first order is removed by Z1 + Z2 X with T22 X - X T11 = -Z2^T M Z1,
+        # and W is rescaled to (W Z1)^-1 W so that W Z1 = I again
+        Z1 = Z1 + Z2 @ _sylvester(T22, T11, -(Z2.T @ (M @ Z1)))
+        W = np.linalg.solve(W @ Z1, W)
     return Z1, W, float(sep)
 
 
@@ -305,29 +312,25 @@ def perturbation_certificate(
     the resolvent factorization holds on the sample).
 
     When L_eps - L_0, L_0, A and B_eps are all centrosymmetric
-    (``operators._mirror_blocks``), K(z) is block diagonal in the folded
-    basis: the probe block is folded once, both resolvent solves and both
-    products run on each half-size block, and the full matrices are dropped
-    once folded.  Each shifted matrix is factored on its structure
-    (``operators._shifted_solver``), and a sample whose worse-conditioned
-    factor has rcond < 1e-13 is refused.  A sample within 8 eps |z| of the
-    conjugate of a sample already solved reuses its norm: for real F,
-    K(conj z) F = conj(K(z) F), whose real and imaginary parts have the same
-    norms."""
-    L_0 = assemble(model_0, grid).entries
-    diff = assemble(model_eps, grid).entries
-    diff -= L_0
-    A, B_eps = (op.entries for op in assemble_splitting(model_eps, grid, split))
+    (``OperatorMatrix.structure``, from their parts), K(z) is block diagonal
+    in the folded basis: the probe block is folded once, and both resolvent
+    solves and both products run on each half-size mirror block.  Otherwise
+    each shifted operator is factored on its own structure
+    (``operators._shifted_solver``) and the products run on the parts.  A
+    sample whose worse-conditioned factor has rcond < 1e-13 is refused.  A
+    sample within 8 eps |z| of the conjugate of a sample already solved
+    reuses its norm: for real F, K(conj z) F = conj(K(z) F), whose real and
+    imaginary parts have the same norms."""
+    L_eps, L_0 = assemble(model_eps, grid), assemble(model_0, grid)
+    ops = [OperatorMatrix(grid, label="difference", parts=L_eps.parts - L_0.parts), L_0,
+           *assemble_splitting(model_eps, grid, split)]
     F = probe_block(grid, count=probes, seed=seed)
-    mats = [diff, L_0, A, B_eps]
-    del diff, L_0, A, B_eps
-    folded = [_mirror_blocks(X) for X in mats]
-    if all(blocks is not None for blocks in folded):
-        mats.clear()
-        parts = list(zip(*folded, _mirror_fold(F)))
+    if all(isinstance(op.structure, tuple) for op in ops):
+        groups = list(zip(*(op.structure for op in ops), _mirror_fold(F)))
+        factor, product = _dense_factor, np.matmul
     else:
-        parts = [(*mats, F)]
-    del folded
+        groups = [(*ops, F)]
+        factor, product = _shifted_solver, OperatorMatrix.matmat
     rows = []
     tiny = 8.0 * np.finfo(float).eps
     for z in z_samples:
@@ -336,14 +339,14 @@ def perturbation_certificate(
             norm = twin[0]
         else:
             KF = []
-            for D, L, A, B, Fp in parts:
-                res_B, res_L = _shifted_solver(B, z, -1.0), _shifted_solver(L, z, -1.0)
+            for D, L, A, B, Fp in groups:
+                res_B, res_L = factor(B, z, -1.0), factor(L, z, -1.0)
                 # the worse-conditioned of the two resolvents decides
                 rcond = min(res_B.rcond, res_L.rcond)
                 if not np.isfinite(rcond) or rcond < 1e-13:
                     raise ArithmeticError(f"resolvent solve singular at z = {z}")
                 # K(z) F = -(L_eps - L_0) R_{L_0}(z) A R_{B_eps}(z) F, applied right to left
-                KF.append(-(D @ res_L.solve(A @ res_B.solve(Fp))))
+                KF.append(-product(D, res_L.solve(product(A, res_B.solve(Fp)))))
             norm = probe_norm(KF[0] if len(KF) == 1 else _mirror_unfold(*KF), F, grid, w, w)
         rows.append({"z": [float(np.real(z)), float(np.imag(z))], "norm": norm})
     worst = max(r["norm"] for r in rows) if rows else np.nan

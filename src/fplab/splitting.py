@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-import scipy.linalg as sla
 
 from .grids import Grid1D
 from .operators import (
@@ -139,19 +138,6 @@ def _five_part_weights(grid: Grid1D, alpha: float, constant: float,
     return w, 1.0 - np.asarray(chi_scaled(grid.nodes, split.R))
 
 
-def _five_part_bounded(grid: Grid1D, alpha: float, constant: float,
-                       split: FractionalSplitting) -> np.ndarray:
-    """Dense gain matrix of the localized band-restricted power-law jump
-    operator; xi_R = 1 - (1 - chi_R(x))(1 - chi_R(y)) is the one further
-    n x n array."""
-    w, u = _five_part_weights(grid, alpha, constant, split)
-    K = sla.toeplitz(w)
-    xi = np.outer(u, u)
-    np.subtract(1.0, xi, out=xi)
-    K *= xi
-    return K
-
-
 def assemble_splitting(
     model: ModelSpec, grid: Grid1D, split: SplittingSpec
 ) -> tuple[OperatorMatrix, OperatorMatrix]:
@@ -160,11 +146,7 @@ def assemble_splitting(
 
     A is the bounded localized part of the chosen scheme: the multiplier
     row scaling diag(M chi_R) T(k_eps) or diag(M chi_R), or the five-part
-    gain T(w) - diag(u) T(w) diag(u).  B is the generator's parts minus A's.
-    The dense B is the freshly built dense generator minus the dense A, in
-    place, so the two dense parts are the only n x n arrays left; for the
-    pure multiplier only its diagonal is subtracted, and A's dense matrix is
-    not formed."""
+    gain T(w) - diag(u) T(w) diag(u).  B is the generator's parts minus A's."""
     x = grid.nodes
     n, h = grid.n, grid.h
     zero = np.zeros(n - 1)
@@ -176,19 +158,10 @@ def assemble_splitting(
         if isinstance(model, DiscreteClassical):
             # f -> k_eps * f, rows scaled by the multiplier
             w0, w = sampled_convolution_weights(model, grid)
-            col = np.concatenate([[w0], w])
-            a_parts = OperatorParts(np.zeros(n), zero, zero, col[None, :], mult[None, :],
-                                    np.ones((1, n)))
-
-            def build_a() -> tuple[np.ndarray, float]:
-                A = sla.toeplitz(col)
-                A *= mult[:, None]
-                return A, 0.0
+            a_parts = OperatorParts(np.zeros(n), zero, zero, np.concatenate([[w0], w])[None, :],
+                                    mult[None, :], np.ones((1, n)))
         else:  # Classical or Fractional limit model: pure multiplier
             a_parts = OperatorParts(mult, zero, zero, *(np.empty((0, n)),) * 3)
-
-            def build_a() -> tuple[np.ndarray, float]:
-                return np.diag(mult), 0.0
     elif isinstance(split, FractionalSplitting):
         if isinstance(model, Fractional):
             alpha, constant = model.alpha, float(model.constant)
@@ -208,23 +181,9 @@ def assemble_splitting(
         ones = np.ones(n)
         a_parts = OperatorParts(np.zeros(n), zero, zero, np.stack([w, w]), np.stack([ones, -u]),
                                 np.stack([ones, u]))
-
-        def build_a() -> tuple[np.ndarray, float]:
-            return _five_part_bounded(grid, alpha, constant, split), 0.0
     else:
         raise TypeError(f"unknown splitting spec {split!r}")
 
     full = assemble(model, grid)
-    a_op = OperatorMatrix(grid, label=f"part:A:{split.scheme}", parts=a_parts, build=build_a)
-
-    def build_b() -> tuple[np.ndarray, float]:
-        B, _ = full._build()
-        if len(a_parts.cols):
-            B -= a_op.entries
-        else:  # the pure multiplier: A = diag(mult) is never formed
-            B[np.diag_indices(n)] -= a_parts.diag
-        return B, 0.0
-
-    b_op = OperatorMatrix(grid, label=f"part:B:{split.scheme}", parts=full.parts - a_parts,
-                          build=build_b)
-    return a_op, b_op
+    return (OperatorMatrix(grid, label=f"part:A:{split.scheme}", parts=a_parts),
+            OperatorMatrix(grid, label=f"part:B:{split.scheme}", parts=full.parts - a_parts))

@@ -256,14 +256,14 @@ def test_regularization_time_zero_is_bounded_part_norm():
 
 
 def test_regularization_multiplier_part_is_never_dense(monkeypatch):
-    dense = OperatorMatrix._dense.func
+    dense = OperatorMatrix.entries.func
 
     def guarded(self):
         if self.label.startswith("part:A"):
             raise AssertionError(f"dense entries formed for {self.label}")
         return dense(self)
 
-    monkeypatch.setattr(OperatorMatrix, "_dense", property(guarded))
+    monkeypatch.setattr(OperatorMatrix, "entries", property(guarded))
     grid = make_grid(12.0, 257)
     A, B = assemble_splitting(Classical(), grid, ClassicalSplitting(M=10.0, R=6.0))
     for n_conv in (1, 2):

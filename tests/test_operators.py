@@ -15,7 +15,11 @@ from fplab.operators import (
     DiscreteFractional,
     Fractional,
     OperatorMatrix,
+    OperatorParts,
+    _BirthDeath,
     _bernoulli,
+    _mirror_blocks,
+    _mirror_blocks_of_parts,
     _power_cell_weights,
     _truncated_cell_weights,
     apply,
@@ -24,11 +28,11 @@ from fplab.operators import (
     sampled_convolution_weights,
 )
 from fplab.probes import probe_family
-from fplab.semigroup import fourier_steady_oracle
+from fplab.semigroup import EvolveSpec, decay_rate, evolve, fourier_steady_oracle, steady_state
+from fplab.spectra import eigen_spectrum
 from fplab.splitting import (
     ClassicalSplitting,
     FractionalSplitting,
-    _five_part_bounded,
     assemble_splitting,
     chi_band,
     xi_pair,
@@ -191,8 +195,8 @@ def _dense_jump_block(grid, offset_weights):
 
 
 def _dense_assemble(model, grid):
-    """The generator, its conservation defect and diagonal renormalization,
-    built with full n x n temporaries for every term."""
+    """The generator built with full n x n temporaries for every term and its
+    diagonal renormalized so that the weighted column sums vanish."""
     h = grid.h
     if isinstance(model, Classical):
         M = _dense_drift_diffusion_block(grid, 1.0)
@@ -208,10 +212,7 @@ def _dense_assemble(model, grid):
         w = _truncated_cell_weights(grid, truncated_fractional_kernel(model.alpha, model.eps))
         M = _dense_jump_block(grid, w) + _dense_drift_diffusion_block(grid, 0.0)
     wq = grid.cell_sizes
-    adj = (wq @ M) / wq
-    rel = float(np.abs(adj).max() / np.abs(np.diag(M)).max())
-    M = M - np.diag(adj)
-    return M, float(np.abs(wq @ M).max()), rel
+    return M - np.diag((wq @ M) / wq)
 
 
 FAMILIES = [Classical(), DiscreteClassical(eps=0.4), Fractional(alpha=1.5),
@@ -224,10 +225,13 @@ def test_banded_assembly_matches_dense_construction(model, L, n):
     grid = make_grid(L, n)
     assert grid.h <= 0.4 / 8.0  # resolves DiscreteClassical(eps=0.4)
     op = assemble(model, grid)
-    M, defect, rel = _dense_assemble(model, grid)
-    assert np.array_equal(op.entries, M)
-    assert op.conservation_defect == defect
-    assert op.renorm_adjustment == rel
+    M = _dense_assemble(model, grid)
+    scale = np.abs(M).max()
+    # one rounding of the largest entry (the diagonal) at most
+    assert np.abs(op.entries - M).max() <= np.finfo(float).eps * scale
+    # the diagonal of the parts is minus the exact weighted column sums
+    assert op.conservation_defect <= 1e-13 * scale
+    assert np.abs(grid.cell_sizes @ op.entries).max() <= 1e-13 * scale
 
 
 @pytest.mark.parametrize("model,L", [(Fractional(alpha=1.0, constant=1.0), 25.6),
@@ -242,10 +246,8 @@ def test_five_part_gain_matches_dense_construction(model, L):
     dense = sla.toeplitz(w)
     dense *= chi_band(x[:, None] - x[None, :], split.eta, split.Lcut)
     dense *= xi_pair(x[:, None], x[None, :], split.R)
-    K = _five_part_bounded(grid, model.alpha, 1.0, split)
-    assert np.max(np.abs(K - dense)) <= 1e-13 * np.max(np.abs(dense))
     A, B = assemble_splitting(model, grid, split)
-    assert np.array_equal(A.entries, K)
+    assert np.max(np.abs(A.entries - dense)) <= 1e-13 * np.max(np.abs(dense))
     full = assemble(model, grid).entries
     assert np.max(np.abs(A.entries + B.entries - full)) <= 1e-15 * np.max(np.abs(full))
 
@@ -328,7 +330,7 @@ def test_structured_diagonal_conserves_mass():
 
 def test_entries_are_formed_once():
     op = assemble(DiscreteFractional(eps=0.2, alpha=1.0), GRID)
-    assert "_dense" not in vars(op)
+    assert "entries" not in vars(op)
     assert op.entries is op.entries
     A, B = assemble_splitting(Classical(), GRID, ClassicalSplitting(M=10.0, R=6.0))
     assert A.entries is A.entries and B.entries is B.entries
@@ -354,7 +356,7 @@ def test_tracer_fingerprint_tells_operators_apart():
 
     a, b = (assemble(DiscreteClassical(eps=0.4), g) for _ in range(2))
     assert key(a) == key(b) != key(assemble(DiscreteClassical(eps=0.5), g))
-    assert "_dense" not in vars(a)
+    assert "entries" not in vars(a)
     a.entries
     assert key(a) == key(b)
     df = DiscreteFractional(eps=0.1, alpha=1.0)
@@ -372,7 +374,7 @@ def no_dense(monkeypatch):
     def refuse(self):
         raise AssertionError(f"dense entries formed for {self.label}")
 
-    monkeypatch.setattr(OperatorMatrix, "_dense", property(refuse))
+    monkeypatch.setattr(OperatorMatrix, "entries", property(refuse))
 
 
 def _peak_bytes(run):
@@ -417,3 +419,98 @@ def test_adjoint_check_stays_below_one_dense_array(no_dense):
         assert adjoint_dissipativity_check(B, WeightSpec(p=2, q=0.4), b=-0.1, alpha=1.0)["pass"]
 
     assert _peak_bytes(run) < 8 * g.n * g.n
+
+
+# ---------------------------------------------------------------------------
+# the solvers' structure, formed from the parts
+
+
+def _structure_cases():
+    """``_operator_cases`` plus L_eps - L_0 of criterion 10."""
+    eps_0 = (DiscreteFractional(eps=0.1, alpha=1.0), Fractional(alpha=1.0, constant=1.0))
+    return _operator_cases() + [
+        ("difference", lambda g: OperatorMatrix(
+            g, parts=assemble(eps_0[0], g).parts - assemble(eps_0[1], g).parts))]
+
+
+@pytest.mark.parametrize("L,n", [(6.0, 257), (12.8, 1025)])
+@pytest.mark.parametrize("build", [c[1] for c in _structure_cases()],
+                         ids=[c[0] for c in _structure_cases()])
+def test_mirror_blocks_from_parts_match_folded_dense(build, L, n):
+    op = build(make_grid(L, n))
+    M = op.entries
+    blocks = _mirror_blocks_of_parts(op.parts)
+    folded = _mirror_blocks(M)
+    assert blocks is not None and folded is not None
+    for got, want in zip(blocks, folded):
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 4.0 * np.finfo(float).eps * np.abs(M).max()
+    # the birth-death bands win over the blocks: Classical, and B of its
+    # pure multiplier splitting
+    if isinstance(op.structure, _BirthDeath):
+        assert not len(op.parts.cols)
+        assert np.array_equal(op.structure.diag, np.diag(M))
+    else:
+        assert op.structure is not None
+        assert all(np.array_equal(a, b) for a, b in zip(op.structure, blocks))
+
+
+def test_parts_that_are_not_mirror_symmetric_fall_back():
+    grid = make_grid(6.0, 257)
+    op = assemble(DiscreteFractional(eps=0.2, alpha=1.0), grid)
+    p = op.parts
+    assert isinstance(op.structure, tuple)
+    skew = p.left.copy()
+    skew[0, 0] *= 1.0 + 1e-12
+    tilted = np.linspace(0.5, 1.5, grid.n)
+    bumped = p.lower.copy()
+    bumped[0] *= 1.0 + 1e-12
+    for parts in (OperatorParts(p.diag, p.lower, p.upper, p.cols, skew, p.right),
+                  OperatorParts(p.diag, p.lower, p.upper, p.cols, p.left, tilted[None, :]),
+                  OperatorParts(tilted * p.diag, p.lower, p.upper, p.cols, p.left, p.right),
+                  OperatorParts(p.diag, bumped, p.upper, p.cols, p.left, p.right)):
+        other = OperatorMatrix(grid, parts=parts)
+        assert _mirror_blocks_of_parts(parts) is None
+        assert other.structure is None
+        assert _mirror_blocks(other.entries) is None
+        # the dense path answers for it
+        assert eigen_spectrum(other).eigenvalues.size == 8
+    # no Toeplitz term and a zero band product: neither bands nor a chain
+    classical = assemble(Classical(), grid).parts
+    empty = np.empty((0, grid.n))
+    upwind = OperatorParts(classical.diag, np.zeros(grid.n - 1), classical.upper,
+                           empty, empty, empty)
+    assert OperatorMatrix(grid, parts=upwind).structure is None
+
+
+@pytest.mark.parametrize("model,L", [(Classical(), 12.0), (DiscreteClassical(eps=0.4), 12.0),
+                                     (Fractional(alpha=1.5), 60.0),
+                                     (DiscreteFractional(eps=0.1, alpha=1.0), 12.8)],
+                         ids=lambda v: getattr(v, "family", ""))
+def test_refine_pipeline_forms_no_dense_generator(model, L, no_dense):
+    # the benchmark's refine point at n = 1025: steady state, spectrum,
+    # ExactExpm decay and BackwardEuler steps, all on the structure
+    grid = make_grid(L, 1025)
+    op = assemble(model, grid)
+    tracemalloc.start()
+    try:
+        G = steady_state(op)
+        rep = eigen_spectrum(op, k_leading=4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the mirror blocks are half of one n x n array and their LU factors
+    # the other half; a dense generator would add a whole one
+    assert peak < 1.5 * 8 * grid.n * grid.n
+    assert np.all(G.values[1:-1] > 0.0) and rep.gap < 0.0
+    w = WeightSpec(p=1, q=1 if model.family.endswith("classical") else 0)
+    dec = decay_rate(op, gaussian_density(grid, 1.0, 1.0), w,
+                     EvolveSpec(t_end=4.0, dt=0.05, scheme="ExactExpm"), equilibrium=G)
+    assert abs(rep.gap - dec.fitted_rate) <= 0.1
+    f0 = gaussian_density(grid, 0.5, 1.0)
+    traj = evolve(op, f0, EvolveSpec(t_end=0.5, dt=0.01, scheme="BackwardEuler",
+                                     record_every=10))
+    wq = grid.cell_sizes
+    assert max(abs(wq @ (f.values - f0.values)) for _, f in traj) <= 1e-12
+    assert min(float(f.values.min()) for _, f in traj) >= -1e-12
+    assert op.conservation_defect <= 1e-13 * np.abs(op.parts.diag).max()

@@ -9,6 +9,7 @@ from fplab.sde import (
     AlphaStable,
     CompoundPoisson,
     JumpOuSpec,
+    _final_state,
     _kernel_jump_table,
     coupled_decay,
     empirical_w1,
@@ -106,14 +107,16 @@ def test_compound_simulate_does_not_call_np_interp(monkeypatch):
 
 
 def test_coupled_checks_run_one_pass_per_pair(monkeypatch):
+    # a pass is one run of the window loop, kept whole (``simulate``) or
+    # down to its last state (the burn-in)
     calls = []
-    real = sde.simulate
+    real = sde._paths
 
     def counted(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(sde, "simulate", counted)
+    monkeypatch.setattr(sde, "_paths", counted)
     noise = CompoundPoisson(kernel=K02, rate_scale=25.0)
     wasserstein_contraction_check(_spec(noise, n_paths=500), lambda r, n: np.full(n, 3.0),
                                   [0.5, 1.0])
@@ -133,6 +136,20 @@ def test_stacked_start_equals_separate_runs(noise):
     for i in range(2):
         alone = simulate(spec, lambda r, n: starts[i], stream=23)
         assert np.array_equal(both.states[:, i], alone.states)
+
+
+@pytest.mark.parametrize("noise", [AlphaStable(1.5),
+                                   CompoundPoisson(kernel=K02, rate_scale=25.0)])
+def test_burn_in_state_is_the_last_simulated_state(noise):
+    # the burn-in of the contraction check keeps only the last state
+    spec = JumpOuSpec(noise=noise, t_end=20.0, n_paths=400, seed=106, dt_record=0.5)
+    start = lambda r, n: r.normal(size=n)
+    last = _final_state(spec, start, stream=11)
+    assert np.array_equal(last, simulate(spec, start, stream=11).states[-1])
+    # no window: the start itself
+    spec = JumpOuSpec(noise=noise, t_end=0.0, n_paths=400, seed=106, dt_record=0.5)
+    assert np.array_equal(_final_state(spec, start, stream=11),
+                          simulate(spec, start, stream=11).states[-1])
 
 
 def test_simulate_rejects_a_start_of_the_wrong_shape():

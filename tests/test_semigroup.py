@@ -12,7 +12,7 @@ from fplab.operators import (
     DiscreteFractional,
     Fractional,
     OperatorMatrix,
-    _birth_death,
+    _BirthDeath,
     _mirror_blocks,
     assemble,
 )
@@ -103,7 +103,7 @@ def test_exact_expm_guard_keeps_dense_path_for_flat_datum():
     grid = make_grid(12.0, 257)
     op = assemble(Classical(), grid)
     f0 = Field(grid, np.ones(grid.n))
-    assert _birth_death_expm(_birth_death(op.entries), op, f0.values, np.array([0.05])) is None
+    assert _birth_death_expm(op.structure, op, f0.values, np.array([0.05])) is None
     spec = EvolveSpec(t_end=0.5, dt=0.05, scheme="ExactExpm", record_every=2)
     out = np.array([f.values for _, f in evolve(op, f0, spec)])
     np.testing.assert_array_equal(out, _dense_evolve(op.entries, f0.values, spec))
@@ -118,7 +118,7 @@ def test_non_finite_state_reports_its_step(force_dense):
                         (DiscreteClassical(eps=0.4), make_grid(3.2, 129))):
         ops.append(OperatorMatrix(grid=grid, entries=assemble(model, grid).entries
                                   + 5.0 * np.eye(grid.n)))
-    assert _birth_death(ops[1].entries) is None and _mirror_blocks(ops[1].entries) is not None
+    assert isinstance(ops[0].structure, _BirthDeath) and isinstance(ops[1].structure, tuple)
 
     def failing_step(op, scheme):
         f0 = gaussian_density(op.grid, 0.5)
@@ -175,7 +175,7 @@ def test_steady_state_on_structure_matches_dense(case, force_dense):
     op = assemble(model, grid)
     # Classical is solved on its three bands, the jump families on their
     # two half-size mirror blocks
-    assert (_birth_death(op.entries) is not None) == (case == "classical")
+    assert isinstance(op.structure, _BirthDeath) == (case == "classical")
     assert _mirror_blocks(op.entries) is not None
     G = steady_state(op).values
     force_dense()
@@ -194,7 +194,7 @@ def test_steady_state_reducible_mirror_pair_raises(force_dense):
     M = M + M[::-1, ::-1]
     M -= np.diag(M.sum(axis=0))
     op = OperatorMatrix(grid=make_grid(4.0, n), entries=M)
-    assert _birth_death(M) is None and _mirror_blocks(M) is not None
+    assert isinstance(op.structure, tuple) and _mirror_blocks(M) is not None
     with pytest.raises(ArithmeticError, match="rank"):
         steady_state(op)
     force_dense()

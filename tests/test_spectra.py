@@ -5,7 +5,6 @@ import pytest
 import scipy.linalg as sla
 from scipy.linalg import lapack
 
-from fplab import operators, semigroup, spectra
 from fplab.cli import main
 from fplab.grids import WeightSpec, gaussian_density, make_grid, mass
 from fplab.operators import (
@@ -60,7 +59,7 @@ def test_eigen_spectrum_reversible_tridiagonal_matches_dense():
     np.testing.assert_allclose(rep.eigenvalues[:4], dense[:4].real, rtol=1e-8, atol=1e-10)
     assert rep.separation_count == int(np.sum(dense.real > rep.separation_a))
     # the dense solver reports spurious imaginary parts up to ~8 here
-    assert np.all(_eigenvalues(OP.entries).imag == 0.0)
+    assert np.all(_eigenvalues(OP).imag == 0.0)
 
 
 def test_eigensolve_selection_follows_matrix_structure(monkeypatch):
@@ -88,7 +87,7 @@ def test_eigensolve_selection_follows_matrix_structure(monkeypatch):
 
     # reversible chain: symmetric tridiagonal eigensolve, tridiagonal LU and
     # the symmetrized exponential, no dense call
-    _eigenvalues(OP.entries)
+    _eigenvalues(OP)
     evolve_all(assemble(Classical(), g))
     assert dense_calls == []
     # upwind drift (zero off-diagonal products), a full jump generator and
@@ -100,7 +99,7 @@ def test_eigensolve_selection_follows_matrix_structure(monkeypatch):
                 assemble(DiscreteClassical(eps=0.4), make_grid(1.6, 65)),
                 fourier_side_generator(1.0, 30.0, 65))
     for op in mirrored:
-        _eigenvalues(op.entries)
+        _eigenvalues(op)
         evolve_all(op)
     assert dense_calls == [(name, size) for name in ("eigvals", "expm", "lu_factor", "lu_factor")
                            for size in (33, 32)] * 3
@@ -109,8 +108,9 @@ def test_eigensolve_selection_follows_matrix_structure(monkeypatch):
     dense_calls.clear()
     skewed = mirrored[1].entries.copy()
     skewed[0, 1] += 1e-12 * np.abs(skewed).max()
+    skewed = OperatorMatrix(grid=mirrored[1].grid, entries=skewed)
     _eigenvalues(skewed)
-    evolve_all(OperatorMatrix(grid=mirrored[1].grid, entries=skewed))
+    evolve_all(skewed)
     assert dense_calls == [("eigvals", 65), ("expm", 65), ("lu_factor", 65), ("lu_factor", 65)]
     # the steady state, the projector and the certificate of jump generators
     # factor nothing at full size: LU and Schur forms are of mirror blocks
@@ -143,7 +143,7 @@ MIRROR_CASES = {
 
 
 @pytest.mark.parametrize("case", sorted(MIRROR_CASES))
-def test_mirror_blocks_match_dense(case, monkeypatch):
+def test_mirror_blocks_match_dense(case, force_dense):
     op = MIRROR_CASES[case]()
     M = op.entries
     assert _mirror_blocks(M) is not None
@@ -158,7 +158,7 @@ def test_mirror_blocks_match_dense(case, monkeypatch):
     kappa = 1.0 / np.abs(np.sum(vl[:, lead].conj() * vr[:, lead], axis=0))
     tol = (1e-10 * np.maximum(np.abs(w[lead]), 1.0)
            + 8.0 * np.finfo(float).eps * np.linalg.norm(M, 2) * kappa)
-    ev = _eigenvalues(M)
+    ev = _eigenvalues(op)
     assert ev.size == M.shape[0]
     assert np.all(np.abs(ev[None, :] - w[lead, None]).min(axis=1) <= tol)
     rep = eigen_spectrum(op)
@@ -167,8 +167,7 @@ def test_mirror_blocks_match_dense(case, monkeypatch):
     specs = [EvolveSpec(t_end=2.0, dt=0.05, scheme=s, record_every=5)
              for s in ("ExactExpm", "BackwardEuler", "CrankNicolson")]
     mirrored = [np.array([f.values for _, f in evolve(op, f0, spec)]) for spec in specs]
-    for mod in (operators, spectra, semigroup):
-        monkeypatch.setattr(mod, "_mirror_blocks", lambda M: None)
+    force_dense()
     dense = eigen_spectrum(op)
     assert abs(rep.gap - dense.gap) <= 1e-12 * abs(dense.gap)
     assert rep.separation_count == dense.separation_count
@@ -286,7 +285,7 @@ def test_projector_matches_fine_contour_quadrature():
     assert abs(np.trace(P) - rep.rank) <= 1e-10
     assert abs(rep.norm - np.linalg.norm(P, 2)) <= 1e-10 * rep.norm
     assert rep.idempotency_defect <= 1e-12
-    margin = np.min(np.abs(np.abs(_eigenvalues(M)) - radius))
+    margin = np.min(np.abs(np.abs(_eigenvalues(op)) - radius))
     assert abs(rep.contour_margin - margin) <= 1e-8
     assert rep.sep > 0.0
 
