@@ -13,9 +13,9 @@ import numpy as np
 import scipy.linalg as sla
 
 from .fourier import PowerSpectra, _padded_size, power_spectra
-from .grids import Field, Grid1D, WeightSpec, probe_norm
+from .grids import Field, Grid1D, WeightSpec, derivative, probe_norm
 from .kernels import Kernel, khat, power_kernel_symbol_factor, rescale
-from .operators import OperatorMatrix, _power_cell_weights
+from .operators import OperatorMatrix, _exponential, _power_cell_weights
 from .probes import probe_block
 from .splitting import chi_gradient_bound, chi_scaled
 
@@ -221,7 +221,8 @@ def dissipativity_check(B: OperatorMatrix, w: WeightSpec, a: float,
     on seeded probes, with Phi(f) = |f|^p / p (p = 1: Phi' = sign).
 
     For weight specs with sobolev_order s >= 1 and p = 2, the same functional
-    is summed over derivative orders 0..s (the H^s(m) energy)."""
+    is summed over derivative orders 0..s (the H^s(m) energy), each
+    derivative taken as in ``weighted_norm`` (``grids.derivative``)."""
     grid = B.grid
     F = probe_block(grid, count=probes, seed=seed)
     F = F[:, np.max(np.abs(F), axis=0) >= 1e-14]
@@ -239,8 +240,8 @@ def dissipativity_check(B: OperatorMatrix, w: WeightSpec, a: float,
     nums, dens = energy_pair(F, BF)
     if w.p == 2:
         for _ in range(w.s):
-            F = np.gradient(F, grid.h, axis=0)
-            BF = np.gradient(BF, grid.h, axis=0)
+            F = derivative(F, grid.h)
+            BF = derivative(BF, grid.h)
             num, den = energy_pair(F, BF)
             nums, dens = nums + num, dens + den
     ratios = nums[dens > 0] / dens[dens > 0]
@@ -297,8 +298,9 @@ def regularization_norm(
     With E = e^{ds B}, ds = t/n_quad and trapezoid weights w_k, the two-fold
     sum T_2 F = ds sum_k w_k A E^(n_quad-k) A E^k F is evaluated in Horner
     form: Y <- E Y, Z <- E Z + w_k A Y, T_2 F = ds A Z.  A is applied on its
-    parts (``matmat``), so its dense matrix is never formed; apart from the
-    dense e^{ds B} and B, memory is O(nP)."""
+    parts (``matmat``) and E on the mirror blocks of B
+    (``operators._exponential``), so neither dense matrix is formed; apart
+    from the exponentials of the two half-size blocks, memory is O(nP)."""
     if A.grid != B.grid:
         raise ValueError("grid mismatch")
     if n_conv < 1 or n_conv > 2:
@@ -311,14 +313,14 @@ def regularization_norm(
     rows = []
     for t in t_grid:
         if n_conv == 1:
-            TF = A.matmat(sla.expm(t * B.entries) @ F)
+            TF = A.matmat(_exponential(B, t)(F))
         else:
             ds = t / n_quad
-            E = sla.expm(ds * B.entries)
-            # [Y | Z] advance together: one GEMM per quadrature node
+            E = _exponential(B, ds)
+            # [Y | Z] advance together: one product per quadrature node
             YZ = np.hstack([F, 0.5 * A.matmat(F)])
             for k in range(1, n_quad + 1):
-                YZ = E @ YZ
+                YZ = E(YZ)
                 wk = 0.5 if k == n_quad else 1.0
                 YZ[:, P:] += wk * A.matmat(YZ[:, :P])
             TF = ds * A.matmat(YZ[:, P:])

@@ -157,51 +157,28 @@ class OperatorParts:
         return out
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class OperatorMatrix:
-    """A generator matrix on a grid.
-
-    ``assemble`` and ``assemble_splitting`` keep each operator as its O(n)
-    ``parts`` (``OperatorParts``); products with a vector or probe block run
-    on them (``matmat``), and the dense solvers take its ``structure``, formed
-    from them once.  ``entries``, the dense matrix (``dense_from_parts``), is
-    formed on first access and then kept.  An operator given by its dense
-    ``entries`` keeps them as its parts."""
+    """A generator matrix on a grid, kept as its O(n) ``parts``
+    (``OperatorParts``).  Products with a vector or probe block run on them
+    (``matmat``), and the dense solvers take its ``structure``, formed from
+    them once.  ``entries``, the dense matrix (``dense_from_parts``), is
+    formed on first access and then kept."""
 
     grid: Grid1D
-    parts: OperatorParts | np.ndarray = field(repr=False)
+    parts: OperatorParts = field(repr=False)
     label: str = "full"
-    jump_offdiag_min: float = 0.0
-
-    def __init__(self, grid: Grid1D, entries: np.ndarray | None = None, label: str = "full",
-                 jump_offdiag_min: float = 0.0, *, parts: OperatorParts | None = None) -> None:
-        if entries is not None:
-            parts = np.asarray(entries, dtype=float)
-            if parts.shape != (grid.n, grid.n):
-                raise ValueError("entries shape must match grid")
-        elif parts is None:
-            raise ValueError("need entries or parts")
-        for name, value in (("grid", grid), ("parts", parts), ("label", label),
-                            ("jump_offdiag_min", jump_offdiag_min)):
-            object.__setattr__(self, name, value)
 
     @cached_property
     def entries(self) -> np.ndarray:
-        if isinstance(self.parts, np.ndarray):
-            return self.parts
         return dense_from_parts(self.parts)
 
     @cached_property
     def structure(self) -> _BirthDeath | tuple[np.ndarray, np.ndarray] | None:
         """What the dense solvers take: the bands of a birth-death chain
         (no Toeplitz term, every lower * upper > 0), else the even and odd
-        mirror blocks (``_mirror_blocks_of_parts``), else None (``entries``).
-        A dense-given operator is scanned for both in O(n^2)."""
+        mirror blocks (``_mirror_blocks_of_parts``), else None (``entries``)."""
         p = self.parts
-        if isinstance(p, np.ndarray):
-            bands = (np.diag(p, k).copy() for k in (0, -1, 1))
-            bd = _birth_death(*bands) if sla.bandwidth(p) == (1, 1) else None
-            return bd or _mirror_blocks(p)
         bd = None if len(p.cols) else _birth_death(p.diag, p.lower, p.upper)
         return bd or _mirror_blocks_of_parts(p)
 
@@ -212,8 +189,6 @@ class OperatorMatrix:
 
     def matmat(self, F: np.ndarray, transpose: bool = False) -> np.ndarray:
         """M F, or M^T F with ``transpose``, for a vector or n x P block F."""
-        if isinstance(self.parts, np.ndarray):
-            return (self.parts.T if transpose else self.parts) @ F
         return self.parts.matmat(F, transpose)
 
 
@@ -229,7 +204,12 @@ def dense_from_parts(parts: OperatorParts) -> np.ndarray:
         M = T if M is None else np.add(M, T, out=M)
         del T
     n = parts.diag.size
-    return _add_bands(np.zeros((n, n)) if M is None else M, parts.lower, parts.upper, parts.diag)
+    M = np.zeros((n, n)) if M is None else M
+    d = np.arange(n)
+    M[d[:-1], d[1:]] += parts.upper
+    M[d[1:], d[:-1]] += parts.lower
+    M[d, d] += parts.diag
+    return M
 
 
 @dataclass(frozen=True)
@@ -262,39 +242,20 @@ def _birth_death(diag: np.ndarray, lower: np.ndarray,
     return _BirthDeath(diag=diag, lower=lower, upper=upper, log_d=log_d - log_d.min())
 
 
-def _mirror_blocks(M: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """The even and odd blocks of a dense M when M commutes with the grid
-    flip J, M[i, j] = M[n-1-i, n-1-j] up to 8 eps max|M|, and n is odd (as on
-    every ``Grid1D``); else None.  O(n^2).
-
-    With m = n // 2, the fold v -> (even, odd) of ``_mirror_fold`` is a
-    similarity taking M to diag(M_even, M_odd), of sizes m + 1 and m
-    (Cantoni & Butler, Linear Algebra Appl. 13, 1976), so the spectrum,
-    exponential and resolvent of M come from two half-size dense problems.
-    The anti-centrosymmetric part dropped is below the backward error of the
-    dense solvers."""
-    n = M.shape[0]
-    if n % 2 == 0:
-        return None
-    m = n // 2
-    skew = M[: m + 1] - M[::-1, ::-1][: m + 1]
-    np.abs(skew, out=skew)
-    if skew.max() > 8.0 * np.finfo(float).eps * max(M.max(), -M.min()):
-        return None
-    tt, tb = M[:m, :m], M[:m, ::-1][:, :m]
-    even = np.block([[tt + tb, M[:m, m : m + 1]],
-                     [2.0 * M[m : m + 1, :m], M[m : m + 1, m : m + 1]]])
-    return even, tt - tb
-
-
 def _mirror_blocks_of_parts(p: OperatorParts) -> tuple[np.ndarray, np.ndarray] | None:
-    """The blocks of ``_mirror_blocks`` from the parts, with no n x n matrix
-    (n is odd on every ``Grid1D``), when every term's row and column factors,
-    the diagonal and the bands are mirror-symmetric (to 8 eps, with
-    lower[::-1] = upper); else None.  A term diag(a) T(c) diag(b) adds its
-    Toeplitz quarter T(c[:m]) plus its Hankel quarter H[i, j] = c[n-1-i-j],
-    both scaled, to the even block and their difference to the odd block; its
-    centre column and twice its centre row border the even block."""
+    """The even and odd mirror blocks of the operator, from its parts with
+    no n x n matrix, when every term's row and column factors, the diagonal
+    and the bands are mirror-symmetric (to 8 eps, with lower[::-1] = upper),
+    so that M commutes with the grid flip; else None.
+
+    With m = n // 2 (n is odd on every ``Grid1D``), the fold v -> (even, odd)
+    of ``_mirror_fold`` is a similarity taking M to diag(M_even, M_odd), of
+    sizes m + 1 and m (Cantoni & Butler, Linear Algebra Appl. 13, 1976), so
+    the spectrum, exponential and resolvent of M come from two half-size
+    dense problems.  A term diag(a) T(c) diag(b) adds its Toeplitz quarter
+    T(c[:m]) plus its Hankel quarter H[i, j] = c[n-1-i-j], both scaled, to
+    the even block and their difference to the odd block; its centre column
+    and twice its centre row border the even block."""
     tol = 8.0 * np.finfo(float).eps
     if any(np.abs(u[::-1] - v).max() > tol * max(np.abs(u).max(), np.abs(v).max())
            for u, v in [(v, v) for v in (p.diag, *p.left, *p.right)] + [(p.lower, p.upper)]):
@@ -405,6 +366,31 @@ def _dense_factor(M: np.ndarray, a: complex, b: float) -> _Factored:
     return _Factored(lambda v: sla.lu_solve(lu, v), lambda v: M @ v, float(rcond))
 
 
+def _mirror_pair(op: OperatorMatrix) -> tuple[np.ndarray, np.ndarray] | None:
+    """The mirror blocks of ``structure``; a birth-death chain, whose bands
+    give no Schur form or exponential, is folded from its parts.  None when
+    the parts are not mirror-symmetric."""
+    s = op.structure
+    return _mirror_blocks_of_parts(op.parts) if isinstance(s, _BirthDeath) else s
+
+
+def _exponential(op: OperatorMatrix, t: float) -> Callable[[np.ndarray], np.ndarray]:
+    """v -> e^(t M) v for a vector or an n x k block v: the expm of each
+    mirror block (``_mirror_pair``) with one fold and unfold per product, or
+    one dense expm when M has no mirror blocks."""
+    blocks = _mirror_pair(op)
+    if blocks is None:
+        E = sla.expm(t * op.entries)
+        return lambda v: E @ v
+    even, odd = (sla.expm(t * B) for B in blocks)
+
+    def product(v: np.ndarray) -> np.ndarray:
+        a, b = _mirror_fold(v)
+        return _mirror_unfold(even @ a, odd @ b)
+
+    return product
+
+
 def _band_product(diag: np.ndarray, lower: np.ndarray, upper: np.ndarray,
                   v: np.ndarray) -> np.ndarray:
     """M v for the tridiagonal M with bands diag, lower (M[i+1, i]) and
@@ -463,17 +449,6 @@ def _drift_bands(grid: Grid1D, diffusion: float) -> tuple[np.ndarray, np.ndarray
     return coef_left / h / wq[1:], coef_right / h / wq[:-1], diag
 
 
-def _add_bands(M: np.ndarray, lower: np.ndarray, upper: np.ndarray,
-               diag: np.ndarray) -> np.ndarray:
-    """Add the bands lower (M[i+1, i]), upper (M[i, i+1]) and diag to M in
-    place; returns M."""
-    d = np.arange(M.shape[0])
-    M[d[:-1], d[1:]] += upper
-    M[d[1:], d[:-1]] += lower
-    M[d, d] += diag
-    return M
-
-
 def _generator(grid: Grid1D, label: str, diffusion: float, w: np.ndarray | None = None,
                divisor: float = 1.0) -> OperatorMatrix:
     """The generator  (jump gain of the offset weights w) / divisor  plus the
@@ -496,8 +471,7 @@ def _generator(grid: Grid1D, label: str, diffusion: float, w: np.ndarray | None 
         colsum = (csum + csum[::-1] - 0.75 * (col + col[::-1])) * (h / divisor)
         diag, cols, rows = diag - colsum / wq, col[None, :], (wq / h / divisor)[None, :]
     parts = OperatorParts(diag, lower, upper, cols, rows, np.ones_like(rows))
-    jump_min = 0.0 if w is None else float(w.min())
-    return OperatorMatrix(grid, label=label, jump_offdiag_min=jump_min, parts=parts)
+    return OperatorMatrix(grid, parts, label)
 
 
 def _power_cell_weights(grid: Grid1D, alpha: float, constant: float,

@@ -20,8 +20,7 @@ from .operators import (
     OperatorMatrix,
     OperatorParts,
     _BirthDeath,
-    _mirror_fold,
-    _mirror_unfold,
+    _exponential,
     _shifted_solver,
 )
 
@@ -63,7 +62,8 @@ def evolve_block(op: OperatorMatrix, F0: np.ndarray, spec: EvolveSpec) -> list[t
     symmetrized S = D M D^-1 = Q diag(lam) Q^T once and forms every recorded
     state as D^-1 Q (e^(t lam) * Q^T D f0) in one block product.  That is
     exact in the D-weighted 2-norm, but a state's sup-norm error is about
-    eps ||D f0||_2 / d_i, so ExactExpm keeps the dense expm whenever
+    eps ||D f0||_2 / d_i, so ExactExpm steps with the expm of the folded
+    parts (``operators._exponential``) whenever
     eps ||D f0||_2 / (min d ||f0||_inf) > 1e-9 for some column (for instance
     a flat f0 on the Classical generator at L = 12, where d spans e^72).  A
     centrosymmetric M (the jump generators and the Fourier-side collocation)
@@ -131,23 +131,12 @@ def _stepper(op: OperatorMatrix, spec: EvolveSpec) -> Callable[[np.ndarray], np.
     vector or an n x k block.
 
     The implicit schemes factor I - theta dt M once on the structure of M
-    (``operators._shifted_solver``).  ExactExpm takes the exponential of each
-    mirror block, or the dense one: a birth-death M gets here only when the
-    guard of ``_birth_death_expm`` refused it, and then keeps the dense
-    expm."""
+    (``operators._shifted_solver``).  ExactExpm multiplies by e^(dt M) on
+    the mirror blocks (``operators._exponential``); a birth-death M gets
+    here only when the guard of ``_birth_death_expm`` refused it."""
     dt = spec.dt
     if spec.scheme == "ExactExpm":
-        blocks = op.structure
-        if not isinstance(blocks, tuple):
-            E = sla.expm(dt * op.entries)
-            return lambda v: E @ v
-        even, odd = (sla.expm(dt * B) for B in blocks)
-
-        def mirror_step(v: np.ndarray) -> np.ndarray:
-            a, b = _mirror_fold(v)
-            return _mirror_unfold(even @ a, odd @ b)
-
-        return mirror_step
+        return _exponential(op, dt)
     theta = 1.0 if spec.scheme == "BackwardEuler" else 0.5
     fac = _shifted_solver(op, 1.0, -theta * dt)
     if theta == 1.0:
@@ -156,11 +145,9 @@ def _stepper(op: OperatorMatrix, spec: EvolveSpec) -> Callable[[np.ndarray], np.
 
 
 def operator_scale(op: OperatorMatrix) -> float:
-    """Induced-L1-style scale: max absolute column sum.  On the parts it is
-    the column sums of |parts|: exact for a generator (no two terms of an
-    entry differ in sign), else an upper bound."""
-    if isinstance(op.parts, np.ndarray):
-        return float(np.abs(op.parts).sum(axis=0).max())
+    """Induced-L1-style scale: max absolute column sum, taken as the column
+    sums of |parts|: exact for a generator (no two terms of an entry differ
+    in sign), else an upper bound."""
     magnitude = OperatorParts(*map(np.abs, vars(op.parts).values()))
     return float(magnitude.matmat(np.ones(op.grid.n), transpose=True).max())
 

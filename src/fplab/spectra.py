@@ -16,11 +16,9 @@ from .grids import Grid1D, WeightSpec, make_grid, probe_norm
 from .operators import (
     ModelSpec,
     OperatorMatrix,
+    OperatorParts,
     _BirthDeath,
-    _dense_factor,
-    _mirror_blocks,
-    _mirror_blocks_of_parts,
-    _mirror_fold,
+    _mirror_pair,
     _mirror_unfold,
     _shifted_solver,
     assemble,
@@ -102,17 +100,23 @@ def fourier_side_generator(alpha: float, xi_max: float = 30.0, n_xi: int = 2049)
     xi = grid.nodes
     h = grid.h
     n = grid.n
-    # -diag(|xi|^alpha) - diag(xi) D, written band by band: row i of
-    # diag(xi) D is xi_i times row i of the difference matrix D
-    M = np.zeros((n, n))
-    d = np.arange(n)
-    M[d, d] = -np.abs(xi) ** alpha
-    i = d[1:-1]
-    M[i, i + 1] -= xi[i] * (1.0 / (2.0 * h))
-    M[i, i - 1] -= xi[i] * (-1.0 / (2.0 * h))
-    M[0, :3] -= xi[0] * np.array([-1.5 / h, 2.0 / h, -0.5 / h])
-    M[-1, -3:] -= xi[-1] * np.array([0.5 / h, -2.0 / h, 1.5 / h])
-    return OperatorMatrix(grid=grid, entries=M, label=f"fourier-side:alpha={alpha}")
+    # -diag(|xi|^alpha) - diag(xi) D as parts: row i of diag(xi) D is xi_i
+    # times row i of the difference matrix D, whose centred stencil gives
+    # the bands and whose one-sided rows 0 and n-1 add to the diagonal, the
+    # bands and, through one Toeplitz term with column e_2 and a row factor
+    # nonzero only on those two rows, M[0, 2] and M[n-1, n-3]
+    diag = -np.abs(xi) ** alpha
+    diag[0] -= xi[0] * (-1.5 / h)
+    diag[-1] -= xi[-1] * (1.5 / h)
+    upper = -(xi[:-1] * (1.0 / (2.0 * h)))
+    upper[0] = -(xi[0] * (2.0 / h))
+    lower = -(xi[1:] * (-1.0 / (2.0 * h)))
+    lower[-1] = -(xi[-1] * (-2.0 / h))
+    col, rows = np.zeros((1, n)), np.zeros((1, n))
+    col[0, 2] = 1.0
+    rows[0, 0], rows[0, -1] = -(xi[0] * (-0.5 / h)), -(xi[-1] * (0.5 / h))
+    parts = OperatorParts(diag, lower, upper, col, rows, np.ones((1, n)))
+    return OperatorMatrix(grid, parts, f"fourier-side:alpha={alpha}")
 
 
 # ---------------------------------------------------------------------------
@@ -169,9 +173,9 @@ def spectral_projector(op: OperatorMatrix, radius: float) -> ProjectorReport:
     W = Z1^T - Y Z2^T; Z1 is refined once from the residual Z2^T M Z1 in
     the same way, and W rescaled so that W Z1 = I.
 
-    A centrosymmetric M (``OperatorMatrix.structure``, or a birth-death
-    chain with mirror-symmetric parts) is similar to diag(M_even, M_odd) by
-    the fold, so P is the unfolded block-diagonal projector: the Schur steps
+    A centrosymmetric M (``operators._mirror_pair``: the mirror blocks of
+    its structure, or of a birth-death chain's parts) is similar to
+    diag(M_even, M_odd) by the fold, so P is the unfolded block-diagonal projector: the Schur steps
     run on each half-size block, and P = U V with U (n x k) the unfolded Z1
     of each block and V (k x n) the W of each block composed with the fold.  ``sep`` is then the smaller of the two blocks'
     estimates: an even and an odd eigenvalue never couple in P, so their
@@ -181,9 +185,7 @@ def spectral_projector(op: OperatorMatrix, radius: float) -> ProjectorReport:
 
     Errors if an eigenvalue lies within 1e-6 of the contour, suggesting a
     safe radius."""
-    blocks, p = op.structure, op.parts
-    if isinstance(blocks, _BirthDeath):  # the bands give no Schur form; fold the chain
-        blocks = _mirror_blocks(p) if isinstance(p, np.ndarray) else _mirror_blocks_of_parts(p)
+    blocks = _mirror_pair(op)
     mats = (op.entries,) if blocks is None else blocks
     schur = [_real_schur(B) for B in mats]
     mods = [np.hypot(wr, wi) for _, _, wr, wi in schur]
@@ -311,26 +313,17 @@ def perturbation_certificate(
     sample points; PASS iff all norms are < 1 (so I + K(z) is invertible and
     the resolvent factorization holds on the sample).
 
-    When L_eps - L_0, L_0, A and B_eps are all centrosymmetric
-    (``OperatorMatrix.structure``, from their parts), K(z) is block diagonal
-    in the folded basis: the probe block is folded once, and both resolvent
-    solves and both products run on each half-size mirror block.  Otherwise
-    each shifted operator is factored on its own structure
-    (``operators._shifted_solver``) and the products run on the parts.  A
-    sample whose worse-conditioned factor has rcond < 1e-13 is refused.  A
-    sample within 8 eps |z| of the conjugate of a sample already solved
-    reuses its norm: for real F, K(conj z) F = conj(K(z) F), whose real and
-    imaginary parts have the same norms."""
+    At each sample z I - L_0 and z I - B_eps are factored on their own
+    structure (``operators._shifted_solver``), and the products with
+    L_eps - L_0 and A run on the parts.  A sample whose worse-conditioned
+    factor has rcond < 1e-13 is refused.  A sample within 8 eps |z| of the
+    conjugate of a sample already solved reuses its norm: for real F,
+    K(conj z) F = conj(K(z) F), whose real and imaginary parts have the
+    same norms."""
     L_eps, L_0 = assemble(model_eps, grid), assemble(model_0, grid)
-    ops = [OperatorMatrix(grid, label="difference", parts=L_eps.parts - L_0.parts), L_0,
-           *assemble_splitting(model_eps, grid, split)]
+    D = L_eps.parts - L_0.parts
+    A, B = assemble_splitting(model_eps, grid, split)
     F = probe_block(grid, count=probes, seed=seed)
-    if all(isinstance(op.structure, tuple) for op in ops):
-        groups = list(zip(*(op.structure for op in ops), _mirror_fold(F)))
-        factor, product = _dense_factor, np.matmul
-    else:
-        groups = [(*ops, F)]
-        factor, product = _shifted_solver, OperatorMatrix.matmat
     rows = []
     tiny = 8.0 * np.finfo(float).eps
     for z in z_samples:
@@ -338,16 +331,14 @@ def perturbation_certificate(
         if twin:
             norm = twin[0]
         else:
-            KF = []
-            for D, L, A, B, Fp in groups:
-                res_B, res_L = factor(B, z, -1.0), factor(L, z, -1.0)
-                # the worse-conditioned of the two resolvents decides
-                rcond = min(res_B.rcond, res_L.rcond)
-                if not np.isfinite(rcond) or rcond < 1e-13:
-                    raise ArithmeticError(f"resolvent solve singular at z = {z}")
-                # K(z) F = -(L_eps - L_0) R_{L_0}(z) A R_{B_eps}(z) F, applied right to left
-                KF.append(-product(D, res_L.solve(product(A, res_B.solve(Fp)))))
-            norm = probe_norm(KF[0] if len(KF) == 1 else _mirror_unfold(*KF), F, grid, w, w)
+            res_B, res_L = _shifted_solver(B, z, -1.0), _shifted_solver(L_0, z, -1.0)
+            # the worse-conditioned of the two resolvents decides
+            rcond = min(res_B.rcond, res_L.rcond)
+            if not np.isfinite(rcond) or rcond < 1e-13:
+                raise ArithmeticError(f"resolvent solve singular at z = {z}")
+            # K(z) F = -(L_eps - L_0) R_{L_0}(z) A R_{B_eps}(z) F, applied right to left
+            KF = -D.matmat(res_L.solve(A.matmat(res_B.solve(F))))
+            norm = probe_norm(KF, F, grid, w, w)
         rows.append({"z": [float(np.real(z)), float(np.imag(z))], "norm": norm})
     worst = max(r["norm"] for r in rows) if rows else np.nan
     return {"rows": rows, "worst_norm": worst, "pass": bool(rows) and worst < 1.0}

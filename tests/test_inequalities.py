@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg as sla
 
 from fplab.fourier import power_spectra
-from fplab.grids import Field, WeightSpec, gaussian_density, make_grid, weighted_norm
+from fplab.grids import Field, WeightSpec, derivative, gaussian_density, make_grid, weighted_norm
 from fplab.inequalities import (
     adjoint_dissipativity_check,
     dirichlet_form,
@@ -22,7 +22,13 @@ from fplab.inequalities import (
     regularization_norm,
 )
 from fplab.kernels import fourier_ratio_constant, gaussian_reference_kernel, khat
-from fplab.operators import Classical, DiscreteFractional, Fractional, OperatorMatrix
+from fplab.operators import (
+    Classical,
+    DiscreteFractional,
+    Fractional,
+    OperatorMatrix,
+    OperatorParts,
+)
 from fplab.probes import probe_block, probe_family
 from fplab.splitting import ClassicalSplitting, FractionalSplitting, assemble_splitting
 
@@ -204,6 +210,31 @@ def test_dissipativity_classical_splitting(p):
     assert dissipativity_check(B, WeightSpec(p=p, q=1.0), a=-0.25, probes=32).passed
 
 
+def test_dissipativity_sobolev_energy_uses_the_norm_derivative():
+    # B f = x f on [-2, 2], where the probes are O(1) at the two ends: the
+    # H^s(m) energy differentiates as weighted_norm does, second order one
+    # sided at the end nodes
+    grid = make_grid(2.0, 257)
+    x = grid.nodes
+    empty = np.empty((0, grid.n))
+    B = OperatorMatrix(grid, parts=OperatorParts(x.copy(), np.zeros(grid.n - 1),
+                                                 np.zeros(grid.n - 1), empty, empty, empty))
+    w = WeightSpec(p=2, q=1.0, s=2)
+    rep = dissipativity_check(B, w, a=2.0, probes=16)
+    F = probe_block(grid, count=16, seed=0)
+    F = F[:, np.max(np.abs(F), axis=0) >= 1e-14]
+    BF = x[:, None] * F
+    m2 = (grid.cell_sizes * w.weight_values(x) ** 2)[:, None]
+    nums, dens = np.zeros(F.shape[1]), np.zeros(F.shape[1])
+    for _ in range(w.s + 1):
+        nums += np.sum(m2 * BF * F, axis=0)
+        dens += np.sum(m2 * F * F, axis=0)
+        F, BF = derivative(F, grid.h), derivative(BF, grid.h)
+    ref = nums / dens
+    assert rep.n_probes == ref.size
+    assert np.abs(rep.ratios - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
 def test_dissipativity_worst_ratio_below_psi_sup():
     C = psi_constant(K, q=1.0, p=1)
     prof = psi_profile(GRID, eps=0.0, M=10.0, R=6.0, p=1, q=1.0, C_bound=C)
@@ -256,14 +287,11 @@ def test_regularization_time_zero_is_bounded_part_norm():
 
 
 def test_regularization_multiplier_part_is_never_dense(monkeypatch):
-    dense = OperatorMatrix.entries.func
+    # A runs on its parts and e^{ds B} on the folded parts of the chain B
+    def refuse(self):
+        raise AssertionError(f"dense entries formed for {self.label}")
 
-    def guarded(self):
-        if self.label.startswith("part:A"):
-            raise AssertionError(f"dense entries formed for {self.label}")
-        return dense(self)
-
-    monkeypatch.setattr(OperatorMatrix, "entries", property(guarded))
+    monkeypatch.setattr(OperatorMatrix, "entries", property(refuse))
     grid = make_grid(12.0, 257)
     A, B = assemble_splitting(Classical(), grid, ClassicalSplitting(M=10.0, R=6.0))
     for n_conv in (1, 2):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
+from dense_oracle import mirror_blocks
 from fplab.grids import Field, WeightSpec, gaussian_density, make_grid, weighted_norm
 from fplab.inequalities import adjoint_dissipativity_check, dissipativity_check
 from fplab.kernels import truncated_fractional_kernel
@@ -18,7 +19,6 @@ from fplab.operators import (
     OperatorParts,
     _BirthDeath,
     _bernoulli,
-    _mirror_blocks,
     _mirror_blocks_of_parts,
     _power_cell_weights,
     _truncated_cell_weights,
@@ -80,8 +80,9 @@ def test_even_symmetry(model, grid):
 
 @pytest.mark.parametrize("model,grid", MODELS, ids=lambda m: getattr(m, "family", ""))
 def test_jump_offdiagonals_nonnegative(model, grid):
-    op = assemble(model, grid)
-    assert op.jump_offdiag_min >= -1e-14
+    # the jump gain's Toeplitz column and its row and column factors
+    p = assemble(model, grid).parts
+    assert np.all(p.cols >= 0.0) and np.all(p.left >= 0.0) and np.all(p.right >= 0.0)
 
 
 def test_classical_annihilates_gaussian():
@@ -440,7 +441,7 @@ def test_mirror_blocks_from_parts_match_folded_dense(build, L, n):
     op = build(make_grid(L, n))
     M = op.entries
     blocks = _mirror_blocks_of_parts(op.parts)
-    folded = _mirror_blocks(M)
+    folded = mirror_blocks(M)
     assert blocks is not None and folded is not None
     for got, want in zip(blocks, folded):
         assert got.shape == want.shape
@@ -472,7 +473,7 @@ def test_parts_that_are_not_mirror_symmetric_fall_back():
         other = OperatorMatrix(grid, parts=parts)
         assert _mirror_blocks_of_parts(parts) is None
         assert other.structure is None
-        assert _mirror_blocks(other.entries) is None
+        assert mirror_blocks(other.entries) is None
         # the dense path answers for it
         assert eigen_spectrum(other).eigenvalues.size == 8
     # no Toeplitz term and a zero band product: neither bands nor a chain

@@ -1,8 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
 from scipy.integrate import cumulative_trapezoid
 
+from dense_oracle import mirror_blocks
 from fplab.grids import Field, WeightSpec, gaussian_density, make_grid, mass, weighted_norm
 from fplab.kernels import khat
 from fplab.probes import probe_family
@@ -12,8 +15,8 @@ from fplab.operators import (
     DiscreteFractional,
     Fractional,
     OperatorMatrix,
+    OperatorParts,
     _BirthDeath,
-    _mirror_blocks,
     assemble,
 )
 from fplab.semigroup import (
@@ -100,13 +103,16 @@ def test_birth_death_paths_match_dense(n):
 def test_exact_expm_guard_keeps_dense_path_for_flat_datum():
     # d ~ G^(-1/2) spans e^72 at L = 12: for a flat datum the symmetrized
     # exponential would lose ~1e-2 in the sup norm, so the guard refuses it
-    grid = make_grid(12.0, 257)
-    op = assemble(Classical(), grid)
-    f0 = Field(grid, np.ones(grid.n))
-    assert _birth_death_expm(op.structure, op, f0.values, np.array([0.05])) is None
+    # and the chain is stepped with the expm of its folded parts
     spec = EvolveSpec(t_end=0.5, dt=0.05, scheme="ExactExpm", record_every=2)
-    out = np.array([f.values for _, f in evolve(op, f0, spec)])
-    np.testing.assert_array_equal(out, _dense_evolve(op.entries, f0.values, spec))
+    for n in (257, 1025):
+        grid = make_grid(12.0, n)
+        op = assemble(Classical(), grid)
+        f0 = Field(grid, np.ones(grid.n))
+        assert _birth_death_expm(op.structure, op, f0.values, np.array([0.05])) is None
+        out = np.array([f.values for _, f in evolve(op, f0, spec)])
+        ref = _dense_evolve(op.entries, f0.values, spec)
+        assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref)), n
 
 
 def test_non_finite_state_reports_its_step(force_dense):
@@ -116,8 +122,8 @@ def test_non_finite_state_reports_its_step(force_dense):
     ops = []
     for model, grid in ((Classical(), make_grid(12.0, 129)),
                         (DiscreteClassical(eps=0.4), make_grid(3.2, 129))):
-        ops.append(OperatorMatrix(grid=grid, entries=assemble(model, grid).entries
-                                  + 5.0 * np.eye(grid.n)))
+        parts = assemble(model, grid).parts
+        ops.append(OperatorMatrix(grid, replace(parts, diag=parts.diag + 5.0)))
     assert isinstance(ops[0].structure, _BirthDeath) and isinstance(ops[1].structure, tuple)
 
     def failing_step(op, scheme):
@@ -155,8 +161,8 @@ def test_evolve_block_matches_column_by_column():
                 err = max(np.max(np.abs(f.values - F[:, j])) for (_, f), (_, F) in zip(cols, block))
                 # the sup-norm guard refuses some of these probes on the
                 # Classical generator, which sends the whole block down the
-                # dense expm; the symmetrized exponential agrees with it to
-                # ~3e-12
+                # expm of the folded parts; the symmetrized exponential
+                # agrees with it to ~3e-12
                 same_path = not (scheme == "ExactExpm" and op is OP_CLASSICAL)
                 assert err <= (1e-14 if same_path else 1e-11) * np.max(F0), scheme
 
@@ -176,7 +182,7 @@ def test_steady_state_on_structure_matches_dense(case, force_dense):
     # Classical is solved on its three bands, the jump families on their
     # two half-size mirror blocks
     assert isinstance(op.structure, _BirthDeath) == (case == "classical")
-    assert _mirror_blocks(op.entries) is not None
+    assert mirror_blocks(op.entries) is not None
     G = steady_state(op).values
     force_dense()
     ref = steady_state(op).values
@@ -193,8 +199,11 @@ def test_steady_state_reducible_mirror_pair_raises(force_dense):
     M[3, 4] = 1.0
     M = M + M[::-1, ::-1]
     M -= np.diag(M.sum(axis=0))
-    op = OperatorMatrix(grid=make_grid(4.0, n), entries=M)
-    assert isinstance(op.structure, tuple) and _mirror_blocks(M) is not None
+    empty = np.empty((0, n))
+    op = OperatorMatrix(make_grid(4.0, n), OperatorParts(np.diag(M).copy(), np.diag(M, -1).copy(),
+                                                         np.diag(M, 1).copy(), empty, empty, empty))
+    assert np.array_equal(op.entries, M)
+    assert isinstance(op.structure, tuple) and mirror_blocks(M) is not None
     with pytest.raises(ArithmeticError, match="rank"):
         steady_state(op)
     force_dense()

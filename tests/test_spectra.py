@@ -1,10 +1,12 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
 from scipy.linalg import lapack
 
+from dense_oracle import mirror_blocks
 from fplab.cli import main
 from fplab.grids import WeightSpec, gaussian_density, make_grid, mass
 from fplab.operators import (
@@ -13,9 +15,8 @@ from fplab.operators import (
     DiscreteFractional,
     Fractional,
     OperatorMatrix,
-    _add_bands,
+    OperatorParts,
     _drift_bands,
-    _mirror_blocks,
     assemble,
 )
 from fplab.semigroup import EvolveSpec, evolve, steady_state
@@ -94,8 +95,10 @@ def test_eigensolve_selection_follows_matrix_structure(monkeypatch):
     # the Fourier-side collocation (negative products, one-sided boundary
     # stencils) are centrosymmetric: each dense call is made on the even
     # (33) and the odd (32) block
-    upwind = _add_bands(np.zeros((65, 65)), *_drift_bands(g, 0.0))
-    mirrored = (OperatorMatrix(grid=g, entries=upwind),
+    lower, upper, diag = _drift_bands(g, 0.0)
+    empty = np.empty((0, 65))
+    upwind = OperatorParts(diag, lower, upper, empty, empty, empty)
+    mirrored = (OperatorMatrix(g, upwind),
                 assemble(DiscreteClassical(eps=0.4), make_grid(1.6, 65)),
                 fourier_side_generator(1.0, 30.0, 65))
     for op in mirrored:
@@ -106,9 +109,10 @@ def test_eigensolve_selection_follows_matrix_structure(monkeypatch):
     # a jump generator pushed off centrosymmetry beyond the 8 eps guard
     # stays dense
     dense_calls.clear()
-    skewed = mirrored[1].entries.copy()
-    skewed[0, 1] += 1e-12 * np.abs(skewed).max()
-    skewed = OperatorMatrix(grid=mirrored[1].grid, entries=skewed)
+    parts = mirrored[1].parts
+    upper = parts.upper.copy()
+    upper[0] += 1e-12 * np.abs(mirrored[1].entries).max()
+    skewed = OperatorMatrix(mirrored[1].grid, replace(parts, upper=upper))
     _eigenvalues(skewed)
     evolve_all(skewed)
     assert dense_calls == [("eigvals", 65), ("expm", 65), ("lu_factor", 65), ("lu_factor", 65)]
@@ -146,7 +150,7 @@ MIRROR_CASES = {
 def test_mirror_blocks_match_dense(case, force_dense):
     op = MIRROR_CASES[case]()
     M = op.entries
-    assert _mirror_blocks(M) is not None
+    assert mirror_blocks(M) is not None
     w, vl, vr = sla.eig(M, left=True, right=True)
     lead = np.argsort(-w.real)[:8]
     # each of the leading dense eigenvalues has a mirrored one within 1e-10
@@ -192,6 +196,19 @@ def test_fourier_side_generator_bands_match_dense_product():
         D[-1, -1], D[-1, -2], D[-1, -3] = 1.5 / h, -2.0 / h, 0.5 / h
         dense = -np.diag(np.abs(xi) ** alpha) - np.diag(xi) @ D
         assert np.array_equal(fourier_side_generator(alpha, 30.0, n).entries, dense)
+
+
+def test_fourier_side_spectrum_forms_no_dense_matrix():
+    # the collocation is its parts, so the eigensolve holds only the two
+    # half-size mirror blocks and LAPACK's copies of them
+    n = 1025
+    tracemalloc.start()
+    try:
+        eigen_spectrum(fourier_side_generator(1.0, 30.0, n))
+        peak = tracemalloc.get_traced_memory()[1] / (8.0 * n * n)
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5
 
 
 def test_fourier_side_gaps_uniform_in_order():
@@ -388,10 +405,10 @@ def test_perturbation_certificate_rejects_one_singular_resolvent():
 
 
 def test_degenerate_zero_eigenvalue_detection():
-    from fplab.operators import OperatorMatrix
-
     g = make_grid(2.0, 5)
     # two eigenvalues of equal minimal modulus near zero
-    bad = OperatorMatrix(grid=g, entries=np.diag([0.0, -1e-12, -1.0, -2.0, -3.0]))
+    empty = np.empty((0, 5))
+    bad = OperatorMatrix(g, OperatorParts(np.array([0.0, -1e-12, -1.0, -2.0, -3.0]), np.zeros(4),
+                                          np.zeros(4), empty, empty, empty))
     with pytest.raises(ArithmeticError):
         eigen_spectrum(bad)

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
+from dense_oracle import mirror_blocks
 from fplab.grids import Field, WeightSpec, make_grid, weighted_norm
 from fplab.operators import (
     Classical,
     DiscreteClassical,
     DiscreteFractional,
     Fractional,
-    _mirror_blocks,
     assemble,
 )
 from fplab.probes import probe_family
@@ -124,8 +124,8 @@ def test_five_part_splitting_is_centrosymmetric_at_criterion_10_size():
     A, B = assemble_splitting(DiscreteFractional(eps=0.05, alpha=1.0), grid,
                               FractionalSplitting(eta=0.1, Lcut=1.0, R=2.0))
     assert np.array_equal(A.entries, A.entries[::-1, ::-1])
-    assert _mirror_blocks(A.entries) is not None
-    assert _mirror_blocks(B.entries) is not None
+    assert mirror_blocks(A.entries) is not None
+    assert mirror_blocks(B.entries) is not None
 
 
 def test_band_splitting_eps_independent():
