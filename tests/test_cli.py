@@ -164,6 +164,14 @@ def test_sde_coupling(tmp_path):
     assert rc == 0
 
 
+def test_sde_wasserstein_refuses_off_grid_times(tmp_path):
+    # t = 0.5 is not a whole number of 0.3 record steps
+    rc = main(["sde", "--noise", "stable:1.5", "--check", "wasserstein",
+               "--n-paths", "100", "--t-end", "1.0", "--dt", "0.3",
+               "--outdir", str(tmp_path)])
+    assert rc == 2
+
+
 def test_wrong_model_family_for_check(tmp_path):
     rc = main(["verify", "--check", "sobolev-id", "--model", "classical",
                "--outdir", str(tmp_path)])

@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fplab.sde as sde
+import window_oracle
 from fplab.kernels import gaussian_reference_kernel, rescale, truncated_fractional_kernel
 from fplab.sde import (
     AlphaStable,
@@ -63,16 +66,17 @@ def _interp_jumps(table, rng, size):
 
 
 class _FixedDraws:
-    """A stand-in generator that hands out given uniforms and sign bits."""
+    """A stand-in generator that hands out given uniforms and sign bits, each
+    call a new array, as a generator does (the sampler works in place)."""
 
     def __init__(self, u, bits):
         self.u, self.bits = u, bits
 
     def uniform(self, low, high, size):
-        return self.u
+        return self.u.copy()
 
     def integers(self, low, high, size):
-        return self.bits
+        return self.bits.copy()
 
 
 @pytest.mark.parametrize("kernel", [K02, truncated_fractional_kernel(1.0, 0.1)],
@@ -107,8 +111,8 @@ def test_compound_simulate_does_not_call_np_interp(monkeypatch):
 
 
 def test_coupled_checks_run_one_pass_per_pair(monkeypatch):
-    # a pass is one run of the window loop, kept whole (``simulate``) or
-    # down to its last state (the burn-in)
+    # a pass is one run of the window loop, kept whole (``simulate``), down
+    # to its last state (the burn-in) or streamed (the check's run)
     calls = []
     real = sde._paths
 
@@ -150,6 +154,35 @@ def test_burn_in_state_is_the_last_simulated_state(noise):
     spec = JumpOuSpec(noise=noise, t_end=0.0, n_paths=400, seed=106, dt_record=0.5)
     assert np.array_equal(_final_state(spec, start, stream=11),
                           simulate(spec, start, stream=11).states[-1])
+
+
+@pytest.mark.parametrize("noise", [AlphaStable(1.5), AlphaStable(0.6), AlphaStable(1.0),
+                                   CompoundPoisson(kernel=K02, rate_scale=25.0),
+                                   CompoundPoisson(kernel=truncated_fractional_kernel(1.0, 0.1))],
+                         ids=["stable-1.5", "stable-0.6", "stable-1", "compound-gaussian",
+                              "compound-truncated-fractional"])
+@pytest.mark.parametrize("stacked", [False, True], ids=["one", "stacked"])
+def test_in_place_windows_equal_the_plain_formulas(noise, stacked):
+    spec = _spec(noise, n_paths=2000)
+    if stacked:
+        start = lambda r, n: np.stack([np.full(n, 3.0), r.normal(size=n)])
+    else:
+        start = lambda r, n: r.normal(size=n)
+    want = window_oracle.states(spec, start, stream=23)
+    got = simulate(spec, start, stream=23).states
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+    assert np.array_equal(_final_state(spec, start, stream=23), want[-1])
+
+
+def test_simulate_leaves_the_start_array_alone():
+    # the windows update a copy, not the array the sampler hands out
+    start = np.linspace(-2.0, 2.0, 300)
+    kept = start.copy()
+    simulate(_spec(CompoundPoisson(kernel=K02, rate_scale=25.0), n_paths=300),
+             lambda r, n: start)
+    assert np.array_equal(start, kept)
 
 
 def test_simulate_rejects_a_start_of_the_wrong_shape():
@@ -253,3 +286,67 @@ def test_wasserstein_equilibrium_start():
     eq = simulate(burn, lambda r, n: r.normal(size=n), stream=11).states[-1]
     rep = wasserstein_contraction_check(spec, lambda r, n: eq.copy(), [0.5, 1.0])
     assert rep["w1_initial"] <= rep["mc_tol"]
+
+
+def _check_from_simulate(spec, f0_sampler, t_grid, burn_in=20.0):
+    """The contraction check's W1 values, from whole ``simulate`` ensembles."""
+    burn = JumpOuSpec(noise=spec.noise, t_end=burn_in, n_paths=spec.n_paths,
+                      seed=spec.seed + 101, dt_record=0.5)
+    eq0 = np.sort(simulate(burn, lambda r, n: r.normal(size=n), stream=11).states[-1])
+    f0 = np.sort(f0_sampler(sde._rng(spec.seed, 999), spec.n_paths))
+    run = JumpOuSpec(noise=spec.noise, t_end=max(t_grid), n_paths=spec.n_paths,
+                     seed=spec.seed, dt_record=spec.dt_record)
+    states = simulate(run, lambda r, n: np.stack([f0, eq0]), stream=23).states
+    rows = [empirical_w1(*states[int(round(t / spec.dt_record))]) for t in t_grid]
+    return empirical_w1(*states[0]), rows
+
+
+@pytest.mark.parametrize("noise", [AlphaStable(1.5),
+                                   CompoundPoisson(kernel=K02, rate_scale=25.0)])
+@pytest.mark.parametrize("dt, t_grid", [(0.5, [0.5, 1.0, 2.0]), (0.25, [1.5, 0.5])])
+def test_streamed_check_equals_w1_of_the_simulated_ensemble(noise, dt, t_grid):
+    spec = JumpOuSpec(noise=noise, t_end=2.0, n_paths=2000, seed=3, dt_record=dt)
+    start = lambda r, n: np.full(n, 3.0)
+    rep = wasserstein_contraction_check(spec, start, t_grid)
+    w0, rows = _check_from_simulate(spec, start, t_grid)
+    assert rep["w1_initial"] == w0
+    assert [row["t"] for row in rep["rows"]] == t_grid
+    assert [row["w1"] for row in rep["rows"]] == rows
+
+
+def test_streamed_check_raises_at_a_non_finite_window(monkeypatch):
+    # a finite equilibrium start, so only the run's first window is non-finite
+    monkeypatch.setattr(sde, "_final_state", lambda spec, sampler, stream=0: np.zeros(spec.n_paths))
+    monkeypatch.setattr(sde, "stable_standard", lambda rng, alpha, size: np.full(size, np.inf))
+    with pytest.raises(FloatingPointError, match="non-finite"):
+        wasserstein_contraction_check(_spec(AlphaStable(1.5), n_paths=10),
+                                      lambda r, n: np.full(n, 3.0), [0.5, 1.0])
+
+
+@pytest.mark.parametrize("dt, t_grid", [(0.3, [0.5]), (0.3, [0.6, 2.0]), (0.5, [2.5]),
+                                        (0.5, [-0.5, 1.0])],
+                         ids=["off-grid", "off-grid-last", "past-t-end", "negative"])
+def test_check_refuses_times_off_the_record_grid(dt, t_grid, monkeypatch):
+    def no_run(*args, **kwargs):
+        raise AssertionError("ran a window")
+
+    monkeypatch.setattr(sde, "_paths", no_run)
+    spec = JumpOuSpec(noise=AlphaStable(1.5), t_end=2.0, n_paths=10, dt_record=dt)
+    with pytest.raises(ValueError, match="record times"):
+        wasserstein_contraction_check(spec, lambda r, n: np.full(n, 3.0), t_grid)
+
+
+def test_compound_check_holds_a_few_windows_of_memory():
+    # the unit is one window's jump array: 8 bytes times the expected jump
+    # count n_paths * rate * dt_record (2 MB here); the check holds the start,
+    # one (2, n_paths) state and a few of these buffers at once
+    noise = CompoundPoisson(kernel=K02, rate_scale=25.0)
+    spec = JumpOuSpec(noise=noise, t_end=2.0, n_paths=20_000, seed=3, dt_record=0.5)
+    window = 8.0 * spec.n_paths * noise.rate_scale * K02.l1_norm * spec.dt_record
+    tracemalloc.start()
+    try:
+        wasserstein_contraction_check(spec, lambda r, n: np.full(n, 3.0), [0.5, 1.0, 2.0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5.0 * window, peak / window
