@@ -312,8 +312,7 @@ def cmd_verify(args) -> int:
         return _verdict(ok, f"sup(psi - M chi_R) = {prof.sup:.4f} vs {args.a_target}: ")
     if check == "dirichlet":
         F = probe_block(grid, count=16, seed=args.seed)
-        a = dirichlet_form_block(F, grid, k, args.eps, path="double-sum")
-        b = dirichlet_form_block(F, grid, k, args.eps, path="fourier")
+        a, b = dirichlet_form_block(F, grid, k, args.eps)
         worst = float(np.max(np.abs(a - b) / np.maximum(np.abs(a), 1e-300)))
         ok = worst <= 1e-8
         _emit(args, "dirichlet.json", {"worst_relative_gap": worst, "pass": ok})
@@ -355,8 +354,10 @@ def cmd_verify(args) -> int:
 
 def cmd_sde(args) -> int:
     noise = parse_noise(args.noise)
+    if args.dt < 0.01:
+        raise UsageError(f"sde needs --dt >= 0.01, got {args.dt}")
     spec = JumpOuSpec(noise=noise, t_end=args.t_end, n_paths=args.n_paths,
-                      seed=args.seed, dt_record=max(args.dt, 0.01))
+                      seed=args.seed, dt_record=args.dt)
     if args.check == "coupling":
         rep = coupled_decay(spec, 1.0, 0.0)
         _emit(args, "coupling.json",
@@ -412,7 +413,7 @@ _PARAMS = {
     "seed": dict(type=int, default=0, help="probe and sampling seed"),
     "n_paths": dict(type=int, default=100000, help="Monte Carlo paths"),
     "t_end": dict(type=float, default=4.0, help="final time"),
-    "dt": dict(type=float, default=0.05, help="time step (sde: recording step)"),
+    "dt": dict(type=float, default=0.05, help="time step (sde: recording step, >= 0.01)"),
     "scheme": dict(default="ExactExpm",
                    choices=["BackwardEuler", "CrankNicolson", "ExactExpm"],
                    help="time stepper"),

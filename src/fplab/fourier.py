@@ -1,4 +1,5 @@
-"""FFT with continuum normalization: fhat(xi) = int f(x) e^{-i x xi} dx."""
+"""FFT of probe blocks with continuum normalization:
+fhat(xi) = int f(x) e^{-i x xi} dx."""
 
 from __future__ import annotations
 
@@ -6,48 +7,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grids import Field, Grid1D
-
-
-@dataclass(frozen=True)
-class SpectralField:
-    """Continuum-normalized Fourier data on an fftfreq-ordered xi grid."""
-
-    xi_nodes: np.ndarray = field(repr=False)
-    values: np.ndarray = field(repr=False)
-
-    def __post_init__(self) -> None:
-        xi = np.asarray(self.xi_nodes, dtype=float)
-        v = np.asarray(self.values, dtype=complex)
-        if xi.shape != v.shape:
-            raise ValueError("xi_nodes and values must have equal length")
-        object.__setattr__(self, "xi_nodes", xi)
-        object.__setattr__(self, "values", v)
-
-
-def _padded_size(n: int) -> int:
-    # generous zero padding: at least 4x for clean linear convolutions downstream
-    target = 4 * n
-    size = 1
-    while size < target:
-        size *= 2
-    return size
-
-
-def fourier_transform(f: Field) -> SpectralField:
-    """Forward transform with x_min phase shift.  Every sample, the two end
-    samples included, carries the weight h (a rectangle rule, not the
-    trapezoid rule's h/2 at the ends)."""
-    xi, fhat = fourier_transform_block(f.values[:, None], f.grid)
-    return SpectralField(xi_nodes=xi, values=fhat[:, 0])
+from .grids import Grid1D
 
 
 def fourier_transform_block(F: np.ndarray, grid: Grid1D) -> tuple[np.ndarray, np.ndarray]:
-    """``fourier_transform`` of every column of a real n x P block F: the
-    fftfreq-ordered xi nodes and the npad x P transforms, from one FFT along
-    axis 0 and one phase vector."""
+    """Forward transform of every column of a real n x P block F, with the
+    x_min phase shift: the fftfreq-ordered xi nodes and the npad x P
+    transforms, from one FFT along axis 0 and one phase vector.  Every
+    sample, the two end samples included, carries the weight h (a rectangle
+    rule, not the trapezoid rule's h/2 at the ends)."""
     h = grid.h
-    npad = _padded_size(grid.n)
+    # generous zero padding: the smallest power of 2 >= 4n
+    npad = 1 << (4 * grid.n - 1).bit_length()
     xi = 2.0 * np.pi * np.fft.fftfreq(npad, d=h)
     # samples F[j] live at x = x_min + j h
     fhat = np.fft.fft(F, npad, axis=0)

@@ -10,12 +10,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
 
-from .fourier import PowerSpectra, _padded_size, power_spectra
-from .grids import Field, Grid1D, WeightSpec, derivative, probe_norm
+from .fourier import PowerSpectra, power_spectra
+from .grids import Grid1D, WeightSpec, derivative, probe_norm
 from .kernels import Kernel, khat, power_kernel_symbol_factor, rescale
-from .operators import OperatorMatrix, _exponential, _power_cell_weights
+from .operators import OperatorMatrix, OperatorParts, _exponential, _power_cell_weights
 from .probes import probe_block
 from .splitting import chi_gradient_bound, chi_scaled
 
@@ -24,118 +23,75 @@ from .splitting import chi_gradient_bound, chi_scaled
 # Dirichlet form of the rescaled smooth-kernel jump operator
 
 
-def dirichlet_form(f: Field, k: Kernel, eps: float, path: str = "both") -> float:
+def dirichlet_form_block(F: np.ndarray, grid: Grid1D, k: Kernel,
+                         eps: float) -> tuple[np.ndarray, np.ndarray]:
     """The nonnegative quadratic form
-    (1/(2 eps^2)) integral integral (f(x) - f(y))^2 k_eps(x - y) dx dy.
-
-    path = "double-sum" evaluates the O(n^2) quadrature directly;
-    path = "fourier" uses the discrete convolution theorem with the *sampled*
-    kernel transform, which agrees with the double sum to roundoff;
-    path = "both" (default) computes both, checks 1e-8 relative agreement,
-    and returns the double-sum value."""
-    return float(dirichlet_form_block(f.values[:, None], f.grid, k, eps, path)[0])
-
-
-def dirichlet_form_block(F: np.ndarray, grid: Grid1D, k: Kernel, eps: float,
-                         path: str = "both") -> np.ndarray:
-    """``dirichlet_form`` of every column of the n x P block F.  The kernel
-    matrix and the kernel transform are formed once per call; with "both",
-    every column's two paths must agree."""
+    (1/(2 eps^2)) integral integral (f(x) - f(y))^2 k_eps(x - y) dx dy
+    of every column f of the n x P block F, by two paths that agree to
+    roundoff: the O(n^2) double sum over the sampled kernel matrix (the
+    reference) and the same sum as a Toeplitz identity
+    (``_toeplitz_difference_sums``).  Returns (double_sum, fast), one value
+    per column each."""
     if k.variant != "SmoothSymmetric":
-        raise ValueError("dirichlet_form requires a SmoothSymmetric kernel")
+        raise ValueError("dirichlet_form_block requires a SmoothSymmetric kernel")
     if eps <= 0:
         raise ValueError("eps must be positive")
-    if path not in ("double-sum", "fourier", "both"):
-        raise ValueError(f"unknown path {path}")
     n, h = grid.n, grid.h
     keps = rescale(k, eps)
-    # the probes as contiguous rows: a strided dot product sums in another order
-    probes = np.ascontiguousarray(F.T)
-
-    def double_sum() -> np.ndarray:
-        # k_eps(x_i - x_j) a slab of rows at a time, so that the profile's
-        # temporaries stay a fraction of the n x n matrix
-        x = grid.nodes
-        kv = np.empty((n, n))
-        rows = max(1, n // 8)
-        for lo in range(0, n, rows):
-            kv[lo:lo + rows] = keps(np.subtract.outer(x[lo:lo + rows], x))
-        return 0.5 / eps**2 * h * h * _difference_sums(probes, kv)
-
-    def fourier_path() -> np.ndarray:
-        # same sampled kernel via the FFT convolution theorem:
-        # sum_{ij} (f_i - f_j)^2 K_ij = 2 [ sum_i f_i^2 R_i - f . (K f) ],
-        # R_i = row sums of the Toeplitz kernel matrix.  The linear
-        # convolutions of f and 1 with the 2n-1 kernel samples have length
-        # 3n-2 <= npad; entries n-1 .. 2n-2 are the Toeplitz products.
-        npad = _padded_size(n)
-        kvals = np.asarray(keps(np.arange(-(n - 1), n) * h))
-        conv = np.fft.irfft(np.fft.rfft(np.vstack([probes, np.ones(n)]), npad)
-                            * np.fft.rfft(kvals, npad), npad)[:, n - 1: 2 * n - 1]
-        R = conv[-1]
-        quad = 2.0 * np.array([R @ (v * v) - v @ Kf for v, Kf in zip(probes, conv[:-1])])
-        return 0.5 / eps**2 * h * h * quad
-
-    if path == "double-sum":
-        return double_sum()
-    if path == "fourier":
-        return fourier_path()
-    a = double_sum()
-    b = fourier_path()
-    scale = np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-300)
-    bad = (np.abs(a - b) / scale > 1e-8) & (scale > 1e-12)
-    if bad.any():
-        j = int(np.argmax(bad))
-        raise ArithmeticError(
-            f"Dirichlet-form paths disagree on probe {j}: {a[j]:.12e} vs {b[j]:.12e}"
-        )
-    return a
-
-
-def _difference_sums(probes: np.ndarray, kv: np.ndarray) -> np.ndarray:
-    """sum_ij (v_i - v_j)^2 kv_ij for each row v of ``probes``, one probe at
-    a time in a single n x n work array."""
+    # k_eps(x_i - x_j) a slab of rows at a time, so that the profile's
+    # temporaries stay a fraction of the n x n matrix
+    x = grid.nodes
+    kv = np.empty((n, n))
+    rows = max(1, n // 8)
+    for lo in range(0, n, rows):
+        kv[lo:lo + rows] = keps(np.subtract.outer(x[lo:lo + rows], x))
+    # sum_ij (v_i - v_j)^2 kv_ij one probe at a time in one n x n work array
     work = np.empty_like(kv)
-    out = np.empty(len(probes))
-    for j, v in enumerate(probes):
+    double = np.empty(F.shape[1])
+    for j, v in enumerate(F.T):
         np.subtract.outer(v, v, out=work)
         work *= work
         work *= kv
-        out[j] = np.sum(work)
-    return out
+        double[j] = np.sum(work)
+    del kv, work
+    fast = _toeplitz_difference_sums(F, np.asarray(keps(np.arange(n) * h)))
+    scale = 0.5 / eps**2 * h * h
+    return scale * double, scale * fast
 
 
-def dirichlet_form_fourier_oracle(f: Field, k: Kernel, eps: float,
-                                  xi_max: float = 60.0) -> float:
-    """Independent continuum-side value
-    (1/2pi) integral |fhat|^2 (1 - khat(eps xi)) / eps^2 dxi
-    using the continuum kernel transform (quadrature in xi)."""
-    spectra = power_spectra(f.values[:, None], f.grid)
-    return float(dirichlet_form_fourier_oracle_block(spectra, k, eps, xi_max)[0])
+def _toeplitz_difference_sums(F: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """sum_ij (v_i - v_j)^2 c_|i-j| for every column v of the n x P block F,
+    as 2 [sum_i v_i^2 R_i - v . T(c) v] with R = T(c) 1: one product of the
+    symmetric Toeplitz T(c) with [F | 1] on its parts
+    (``OperatorParts.matmat``), then each column's two sums as 1-D dot
+    products, so that a column's value does not depend on its block."""
+    n = len(c)
+    zero, ones = np.zeros(n - 1), np.ones(n)
+    T = OperatorParts(np.zeros(n), zero, zero, c[None, :], ones[None, :], ones[None, :])
+    # rows of T [F | 1]: a strided dot product sums in another order
+    TF = np.ascontiguousarray(T.matmat(np.column_stack([F, ones])).T)
+    R = TF[-1]
+    return 2.0 * np.array([R @ (v * v) - v @ Tv
+                           for v, Tv in zip(np.ascontiguousarray(F.T), TF)])
 
 
 def dirichlet_form_fourier_oracle_block(spectra: PowerSpectra, k: Kernel, eps: float,
                                         xi_max: float = 60.0) -> np.ndarray:
-    """``dirichlet_form_fourier_oracle`` of every probe of a block, from its
-    power spectra."""
+    """Independent continuum-side value of the Dirichlet form of every probe
+    of a block, from its power spectra:
+    (1/2pi) integral |fhat|^2 (1 - khat(eps xi)) / eps^2 dxi
+    with the continuum kernel transform (quadrature in xi)."""
     kh = np.asarray(khat(k, eps * spectra.xi_nodes)) / k.l1_norm
     return spectra.integrate((1.0 - kh) / eps**2 * k.l1_norm, xi_max)
 
 
-def gradient_convolution_check(f: Field, k: Kernel, eps: float, K: float) -> dict:
-    """Checks ||d/dx (k_eps * f)||_L2^2 <= K * I_eps(f) (Fourier side both):
-    lhs via FFT of the convolution derivative, rhs via the continuum
-    Dirichlet-form value."""
-    return _first_probe(gradient_convolution_block(power_spectra(f.values[:, None], f.grid),
-                                                   k, eps, K))
-
-
 def gradient_convolution_block(spectra: PowerSpectra, k: Kernel, eps: float,
                                K: float) -> dict:
-    """``gradient_convolution_check`` of every probe of a block, from its
-    power spectra: each entry is an array with one value per probe, and each
-    probe passes or fails on its own.  ``ratio`` is lhs / rhs (0 where
-    rhs = 0)."""
+    """Checks ||d/dx (k_eps * f)||_L2^2 <= K * I_eps(f) for every probe of a
+    block, from its power spectra (Fourier side both): lhs the xi^2-weighted
+    power of the convolution, rhs from the continuum Dirichlet-form value.
+    Each entry is an array with one value per probe, and each probe passes
+    or fails on its own.  ``ratio`` is lhs / rhs (0 where rhs = 0)."""
     xi = spectra.xi_nodes
     lhs = spectra.integrate((xi * np.asarray(khat(k, eps * xi))) ** 2)
     form = dirichlet_form_fourier_oracle_block(spectra, k, eps)
@@ -143,12 +99,6 @@ def gradient_convolution_block(spectra: PowerSpectra, k: Kernel, eps: float,
     return {"lhs": lhs, "rhs": rhs, "dirichlet": form,
             "ratio": np.divide(lhs, rhs, out=np.zeros_like(lhs), where=rhs > 0),
             "pass": lhs <= rhs * (1.0 + 1e-10) + 1e-14}
-
-
-def _first_probe(rep: dict) -> dict:
-    """The one-probe report of a block report: its first entry of each array."""
-    return {key: value[0].item() if isinstance(value, np.ndarray) else value
-            for key, value in rep.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -338,20 +288,17 @@ def regularization_norm(
 # fractional Sobolev identity
 
 
-def fractional_sobolev_check(f: Field, alpha: float, delta: float | None = None) -> dict:
-    """Compares the regularized power-law double sum
+def fractional_sobolev_block(F: np.ndarray, grid: Grid1D, alpha: float,
+                             delta: float | None = None) -> dict:
+    """Compares, for every column u of the n x P block F, the regularized
+    power-law double sum
     integral integral (u(x) - u(y))^2 |x-y|^{-1-alpha} (|x-y| >= delta)
     plus the near-field Taylor correction 2 delta^{2-alpha}/(2-alpha) ||u'||^2
     against c0 ||u||^2_{Hdot^{alpha/2}} with c0 = 2 sigma_{alpha/2-symbol}:
-    the Fourier-side quadrature of |xi|^alpha |uhat|^2."""
-    return _first_probe(fractional_sobolev_block(f.values[:, None], f.grid, alpha, delta))
-
-
-def fractional_sobolev_block(F: np.ndarray, grid: Grid1D, alpha: float,
-                             delta: float | None = None) -> dict:
-    """``fractional_sobolev_check`` of every column of the n x P block F: the
-    |i - j| weight matrix and the transforms are formed once per call, and
-    each entry but ``c0`` is an array with one value per probe."""
+    the Fourier-side quadrature of |xi|^alpha |uhat|^2.  The double sum is a
+    Toeplitz identity in the |i - j| cell weights
+    (``_toeplitz_difference_sums``); each entry but ``c0`` is an array with
+    one value per probe."""
     n, h = grid.n, grid.h
     if delta is None:
         delta = 2.0 * h
@@ -359,14 +306,13 @@ def fractional_sobolev_block(F: np.ndarray, grid: Grid1D, alpha: float,
     # the quadrature accurate next to the regularization radius
     w = np.zeros(n)
     w[1:] = _power_cell_weights(grid, alpha, 1.0, delta)
-    kv = sla.toeplitz(w)  # w[|i - j|]
     near_factor = 2.0 * delta ** (2.0 - alpha) / (2.0 - alpha)
     # analytic far-tail correction: for y beyond the grid the probe vanishes,
     # leaving u(x)^2 times the kernel mass out of reach of the grid offsets
     x = grid.nodes
     missing = ((grid.L - x + 0.5 * h) ** (-alpha) + (grid.L + x + 0.5 * h) ** (-alpha)) / alpha
     probes = np.ascontiguousarray(F.T)
-    double = h * _difference_sums(probes, kv)
+    double = h * _toeplitz_difference_sums(F, w)
     lhs = np.empty(len(probes))
     for j, v in enumerate(probes):
         du = np.gradient(v, h)

@@ -1,6 +1,10 @@
-"""Dense references for the structured solvers, formed from an n x n matrix."""
+"""Dense references for the structured solvers and the Toeplitz difference
+sums, formed from an n x n matrix."""
 
 import numpy as np
+import scipy.linalg as sla
+
+from fplab.operators import _power_cell_weights
 
 
 def mirror_blocks(M: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
@@ -21,3 +25,24 @@ def mirror_blocks(M: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     even = np.block([[tt + tb, M[:m, m : m + 1]],
                      [2.0 * M[m : m + 1, :m], M[m : m + 1, m : m + 1]]])
     return even, tt - tb
+
+
+def sobolev_lhs(F: np.ndarray, grid, alpha: float) -> np.ndarray:
+    """The lhs of ``inequalities.fractional_sobolev_block`` (delta = 2h) for
+    every column of F, its double sum over the dense |i - j| weight matrix
+    sla.toeplitz(w): sum_ij (v_i - v_j)^2 w_|i-j| one probe at a time.
+    O(n^2) memory."""
+    n, h = grid.n, grid.h
+    delta = 2.0 * h
+    w = np.zeros(n)
+    w[1:] = _power_cell_weights(grid, alpha, 1.0, delta)
+    kv = sla.toeplitz(w)
+    near_factor = 2.0 * delta ** (2.0 - alpha) / (2.0 - alpha)
+    x = grid.nodes
+    missing = ((grid.L - x + 0.5 * h) ** (-alpha) + (grid.L + x + 0.5 * h) ** (-alpha)) / alpha
+    lhs = []
+    for v in F.T:
+        double = h * np.sum(np.subtract.outer(v, v) ** 2 * kv)
+        du = np.gradient(v, h)
+        lhs.append(double + near_factor * h * np.sum(du * du) + 2.0 * h * np.sum(v * v * missing))
+    return np.array(lhs)

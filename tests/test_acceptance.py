@@ -85,3 +85,5 @@ def test_criterion_6_transforms_its_probe_block_once(monkeypatch):
     assert seeds.count(6) == 1
     assert transformed == [(513, 100)]
     assert 0.9 < res["worst_ratio"] <= 1.0
+    # the Toeplitz identity reproduces the reference double sum to roundoff
+    assert res["dirichlet_paths_agree"] and res["dirichlet_worst_gap"] <= 1e-14

@@ -164,6 +164,18 @@ def test_sde_coupling(tmp_path):
     assert rc == 0
 
 
+def test_sde_refuses_a_step_below_its_floor(tmp_path):
+    # the step runs as given, so one below 0.01 is refused before any output
+    args = ["sde", "--noise", "stable:1.5", "--check", "coupling", "--n-paths", "10",
+            "--t-end", "0.02"]
+    out = tmp_path / "fine"
+    assert main([*args, "--dt", "0.001", "--outdir", str(out)]) == 2
+    assert not (out / "resolved_config.json").exists()
+    out = tmp_path / "floor"
+    assert main([*args, "--dt", "0.01", "--outdir", str(out)]) == 0
+    assert json.loads((out / "resolved_config.json").read_text())["dt"] == 0.01
+
+
 def test_sde_wasserstein_refuses_off_grid_times(tmp_path):
     # t = 0.5 is not a whole number of 0.3 record steps
     rc = main(["sde", "--noise", "stable:1.5", "--check", "wasserstein",

@@ -104,15 +104,16 @@ def _scipy_packages_loaded(code: str) -> set[str]:
 
 
 def test_run_loads_no_more_scipy_than_linalg(tmp_path):
-    # the CLI end to end, and both Dirichlet-form paths (the FFT one runs on
-    # np.fft, not scipy.signal)
+    # the CLI end to end, and both Dirichlet-form paths (the Toeplitz one runs
+    # on np.fft, not scipy.signal)
     run = ("from fplab.cli import main\n"
            f"assert main(['steady', '--n', '65', '--outdir', {str(tmp_path)!r}]) == 0\n"
            "from fplab.grids import gaussian_density, make_grid\n"
-           "from fplab.inequalities import dirichlet_form\n"
+           "from fplab.inequalities import dirichlet_form_block\n"
            "from fplab.kernels import gaussian_reference_kernel\n"
-           "f = gaussian_density(make_grid(12.0, 257), 1.0, 0.3)\n"
-           "dirichlet_form(f, gaussian_reference_kernel(), 0.5, path='both')\n")
+           "g = make_grid(12.0, 257)\n"
+           "f = gaussian_density(g, 1.0, 0.3)\n"
+           "dirichlet_form_block(f.values[:, None], g, gaussian_reference_kernel(), 0.5)\n")
     floor = _scipy_packages_loaded("import numpy, scipy.linalg")
     assert "scipy.linalg" in floor
     assert _scipy_packages_loaded(run) == floor

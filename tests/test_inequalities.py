@@ -4,19 +4,16 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from fplab.fourier import power_spectra
+from dense_oracle import sobolev_lhs
+from fplab.fourier import fourier_transform_block, power_spectra
 from fplab.grids import Field, WeightSpec, derivative, gaussian_density, make_grid, weighted_norm
 from fplab.inequalities import (
     adjoint_dissipativity_check,
-    dirichlet_form,
     dirichlet_form_block,
-    dirichlet_form_fourier_oracle,
     dirichlet_form_fourier_oracle_block,
     dissipativity_check,
     fractional_sobolev_block,
-    fractional_sobolev_check,
     gradient_convolution_block,
-    gradient_convolution_check,
     psi_constant,
     psi_profile,
     regularization_norm,
@@ -37,63 +34,61 @@ GRID = make_grid(12.0, 513)
 K = gaussian_reference_kernel()
 
 
+def _column(f):
+    """A field as a one-column probe block."""
+    return f.values[:, None]
+
+
 def test_dirichlet_form_paths_agree():
-    for f in probe_family(GRID, count=8, seed=0):
-        a = dirichlet_form(f, K, 0.25, path="double-sum")
-        b = dirichlet_form(f, K, 0.25, path="fourier")
-        assert abs(a - b) <= 1e-8 * max(abs(a), 1e-12)
+    a, b = dirichlet_form_block(probe_block(GRID, count=8, seed=0), GRID, K, 0.25)
+    assert np.all(np.abs(a - b) <= 1e-8 * np.maximum(np.abs(a), 1e-12))
 
 
 @pytest.mark.parametrize("n", [65, 301, 1001])
 def test_dirichlet_form_numpy_fft_path_matches_double_sum(n):
     grid = make_grid(12.0, n)
-    for f in probe_family(grid, count=4, seed=1):
-        a = dirichlet_form(f, K, 0.25, path="double-sum")
-        b = dirichlet_form(f, K, 0.25, path="fourier")
-        assert abs(a - b) <= 1e-10 * abs(a)
+    a, b = dirichlet_form_block(probe_block(grid, count=4, seed=1), grid, K, 0.25)
+    assert np.all(np.abs(a - b) <= 1e-10 * np.abs(a))
 
 
 def test_dirichlet_form_constant_field_vanishes():
-    f = Field(GRID, np.ones(GRID.n))
-    assert dirichlet_form(f, K, 0.5, path="double-sum") <= 1e-6
+    a, b = dirichlet_form_block(np.ones((GRID.n, 1)), GRID, K, 0.5)
+    assert a[0] <= 1e-6 and b[0] <= 1e-6
 
 
 def test_dirichlet_form_quadratic_scaling():
-    f = gaussian_density(GRID)
-    g = Field(GRID, 2.0 * f.values)
-    a = dirichlet_form(f, K, 0.5, path="double-sum")
-    b = dirichlet_form(g, K, 0.5, path="double-sum")
-    assert abs(b - 4.0 * a) <= 1e-12 * max(1.0, b)
+    f = _column(gaussian_density(GRID))
+    for a, b in zip(dirichlet_form_block(f, GRID, K, 0.5),
+                    dirichlet_form_block(2.0 * f, GRID, K, 0.5)):
+        assert abs(b[0] - 4.0 * a[0]) <= 1e-12 * max(1.0, b[0])
 
 
 def test_dirichlet_form_gaussian_vs_continuum_oracle():
-    f = gaussian_density(GRID)
-    val = dirichlet_form(f, K, 0.5)
-    oracle = dirichlet_form_fourier_oracle(f, K, 0.5)
+    f = _column(gaussian_density(GRID))
+    val = dirichlet_form_block(f, GRID, K, 0.5)[0][0]
+    oracle = dirichlet_form_fourier_oracle_block(power_spectra(f, GRID), K, 0.5)[0]
     # discrete sampled-kernel form vs continuum quadrature: close but not equal
     assert abs(val - oracle) / oracle <= 2e-2
 
 
 def test_gradient_convolution_bound_probes():
     Kc = fourier_ratio_constant(K).value
+    spectra = power_spectra(probe_block(GRID, count=16, seed=2), GRID)
     for eps in (0.5, 0.1):
-        for f in probe_family(GRID, count=16, seed=2):
-            assert gradient_convolution_check(f, K, eps, Kc)["pass"]
+        assert gradient_convolution_block(spectra, K, eps, Kc)["pass"].all()
 
 
 def test_gradient_convolution_lhs_is_sorted_xi_integral():
-    from fplab.fourier import fourier_transform
-
     eps = 0.5
-    for f in probe_family(GRID, count=4, seed=2):
-        sf = fourier_transform(f)
-        xi = np.fft.fftshift(sf.xi_nodes)
-        fhat = np.fft.fftshift(sf.values)
+    for v in probe_block(GRID, count=4, seed=2).T:
+        xi, fhat = fourier_transform_block(v[:, None], GRID)
+        xi = np.fft.fftshift(xi)
+        fhat = np.fft.fftshift(fhat[:, 0])
         assert np.all(np.diff(xi) > 0)
         integrand = np.abs(xi * np.asarray(khat(K, eps * xi)) * fhat) ** 2
         expected = np.trapezoid(integrand, xi) / (2.0 * np.pi)
-        lhs = gradient_convolution_check(f, K, eps, 1.0)["lhs"]
-        assert abs(lhs - expected) <= 1e-12 * expected
+        lhs = gradient_convolution_block(power_spectra(v[:, None], GRID), K, eps, 1.0)["lhs"]
+        assert abs(lhs[0] - expected) <= 1e-12 * expected
 
 
 def test_gradient_convolution_single_mode_ratio():
@@ -106,13 +101,13 @@ def test_gradient_convolution_single_mode_ratio():
     predicted = u**2 * kh**2 / (Kc * (1.0 - kh))
     assert predicted <= 1.0
     v = np.cos(xi0 * GRID.nodes) * np.exp(-(GRID.nodes / 10.0) ** 8)
-    rep = gradient_convolution_check(Field(GRID, v), K, eps, Kc)
-    assert rep["pass"]
-    assert abs(rep["lhs"] / rep["rhs"] - predicted) <= 0.05
+    rep = gradient_convolution_block(power_spectra(v[:, None], GRID), K, eps, Kc)
+    assert rep["pass"][0]
+    assert abs(rep["lhs"][0] / rep["rhs"][0] - predicted) <= 0.05
 
 
 # ---------------------------------------------------------------------------
-# the probe-block checks judge each probe as its one-probe call does
+# column j of a P-probe block is judged as the one-column block of probe j
 
 
 def _probes(P, grid=GRID):
@@ -132,22 +127,25 @@ def test_fourier_side_blocks_match_per_probe_checks(P):
     F = _probes(P)
     Kc = fourier_ratio_constant(K).value
     spectra = power_spectra(F, GRID)
+    columns = [power_spectra(v[:, None], GRID) for v in F.T]
     for eps in (0.5, 0.1):
         rep = gradient_convolution_block(spectra, K, eps, Kc)
-        singles = [gradient_convolution_check(Field(GRID, v), K, eps, Kc) for v in F.T]
+        singles = [gradient_convolution_block(one, K, eps, Kc) for one in columns]
         for key in ("lhs", "rhs", "dirichlet", "ratio"):
-            _agree(rep[key], [one[key] for one in singles])
-        assert rep["pass"].tolist() == [one["pass"] for one in singles]
+            _agree(rep[key], [one[key][0] for one in singles])
+        assert rep["pass"].tolist() == [one["pass"][0] for one in singles]
         _agree(dirichlet_form_fourier_oracle_block(spectra, K, eps),
-               [dirichlet_form_fourier_oracle(Field(GRID, v), K, eps) for v in F.T])
+               [dirichlet_form_fourier_oracle_block(one, K, eps)[0] for one in columns])
 
 
 @pytest.mark.parametrize("P", [1, 6])
-@pytest.mark.parametrize("path", ["double-sum", "fourier", "both"])
+@pytest.mark.parametrize("path", ["double-sum", "fourier"])
 def test_dirichlet_form_block_matches_per_probe(P, path):
+    # the two outputs: the double sum and the Toeplitz identity on FFTs
+    out = {"double-sum": 0, "fourier": 1}[path]
     F = _probes(P)
-    _agree(dirichlet_form_block(F, GRID, K, 0.25, path),
-           [dirichlet_form(Field(GRID, v), K, 0.25, path) for v in F.T])
+    _agree(dirichlet_form_block(F, GRID, K, 0.25)[out],
+           [dirichlet_form_block(v[:, None], GRID, K, 0.25)[out][0] for v in F.T])
 
 
 @pytest.mark.parametrize("P", [1, 6])
@@ -155,10 +153,10 @@ def test_fractional_sobolev_block_matches_per_probe(P):
     grid = make_grid(25.0, 513)
     F = _probes(P, grid)
     rep = fractional_sobolev_block(F, grid, 1.5)
-    singles = [fractional_sobolev_check(Field(grid, v), 1.5) for v in F.T]
+    singles = [fractional_sobolev_block(v[:, None], grid, 1.5) for v in F.T]
     for key in ("lhs", "rhs", "rel_error"):
-        _agree(rep[key], [one[key] for one in singles])
-    assert rep["pass"].tolist() == [one["pass"] for one in singles]
+        _agree(rep[key], [one[key][0] for one in singles])
+    assert rep["pass"].tolist() == [one["pass"][0] for one in singles]
 
 
 def test_dirichlet_form_block_stays_below_three_dense_arrays():
@@ -171,6 +169,29 @@ def test_dirichlet_form_block_stays_below_three_dense_arrays():
     finally:
         tracemalloc.stop()
     assert peak < 3 * 8 * g.n * g.n
+
+
+@pytest.mark.parametrize("L, n, alpha", [(12.0, 513, 1.5), (25.0, 513, 1.5),
+                                         (12.0, 1025, 0.6), (25.6, 2049, 1.0)])
+def test_fractional_sobolev_lhs_matches_dense_double_sum(L, n, alpha):
+    grid = make_grid(L, n)
+    F = probe_block(grid, count=8, seed=0)
+    F[:, 2] = 0.0
+    lhs = fractional_sobolev_block(F, grid, alpha)["lhs"]
+    dense = sobolev_lhs(F, grid, alpha)
+    assert np.all(np.abs(lhs - dense) <= 1e-12 * np.abs(dense))
+
+
+def test_fractional_sobolev_block_forms_no_dense_matrix():
+    g = make_grid(25.0, 1025)
+    F = probe_block(g, count=8, seed=0)
+    tracemalloc.start()
+    try:
+        fractional_sobolev_block(F, g, 1.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.5 * 8 * g.n * g.n
 
 
 def test_psi_constant_gaussian_reference():
@@ -334,5 +355,5 @@ def test_regularization_horner_matches_explicit_operator(n_conv):
 def test_fractional_sobolev_identity(alpha):
     grid = make_grid(25.0, 1025)
     f = gaussian_density(grid)
-    rep = fractional_sobolev_check(f, alpha)
-    assert rep["pass"], rep
+    rep = fractional_sobolev_block(_column(f), grid, alpha)
+    assert rep["pass"][0], rep
