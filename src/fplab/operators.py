@@ -377,7 +377,10 @@ def _mirror_pair(op: OperatorMatrix) -> tuple[np.ndarray, np.ndarray] | None:
 def _exponential(op: OperatorMatrix, t: float) -> Callable[[np.ndarray], np.ndarray]:
     """v -> e^(t M) v for a vector or an n x k block v: the expm of each
     mirror block (``_mirror_pair``) with one fold and unfold per product, or
-    one dense expm when M has no mirror blocks."""
+    one dense expm when M has no mirror blocks.  Both half-size exponentials
+    stay alive, for a caller (``inequalities.regularization_norm``) that
+    needs the whole of e^(t M) v at every product; ``semigroup.evolve_block``
+    steps each half on its own."""
     blocks = _mirror_pair(op)
     if blocks is None:
         E = sla.expm(t * op.entries)

@@ -132,6 +132,9 @@ def _kernel_jump_table(k: Kernel, n_knots: int = 4096) -> _JumpTable:
     return _JumpTable(cdf, z, np.diff(z) / np.diff(cdf), guide)
 
 
+_SIGN_CHUNK = 1 << 15  # sign bits drawn per call in ``_invert_jumps``
+
+
 def _bucket(u: np.ndarray, n_buckets: int) -> np.ndarray:
     return np.minimum((u * n_buckets).astype(np.intp), n_buckets - 1)
 
@@ -146,19 +149,37 @@ def sample_kernel_jumps(k: Kernel, rng: np.random.Generator, size: int,
     draws are bit-identical to np.interp(u, cdf, z)."""
     if table is None:
         table = _kernel_jump_table(k)
-    cdf, z, slope, guide = table
     u = rng.uniform(0.0, 1.0, size=size)
-    j = guide[_bucket(u, guide.size)]
-    # cdf ends at 1, so no u < 1 reaches the last knot
+    return _invert_jumps(table, rng, u, np.empty(size), np.empty(size, dtype=np.intp))
+
+
+def _invert_jumps(table: _JumpTable, rng: np.random.Generator, u: np.ndarray,
+                  scratch: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """The jumps of the uniforms u (``sample_kernel_jumps``), formed in u,
+    with the float array ``scratch`` and the intp array j of u's size as
+    work space; draws the sign bits from rng."""
+    cdf, z, slope, guide = table
+    # _bucket(u, K), formed in scratch read as intp
+    bucket = scratch.view(np.intp)
+    np.multiply(u, guide.size, out=bucket, casting="unsafe")
+    np.minimum(bucket, guide.size - 1, out=bucket)
+    # every index below is in range, so np.take needs no bounds check
+    # (mode "raise" would buffer its output)
+    np.take(guide, bucket, out=j, mode="clip")
+    # cdf ends at 1, so no u < 1 reaches the last knot: 0 <= j < cdf.size - 1
     mixed = np.flatnonzero(j < 0)
     j[mixed] = np.searchsorted(cdf, u[mixed], side="right") - 1
     # in place: u becomes mag = slope[j] * (u - cdf[j]) + z[j] >= 0, then takes
     # the sign of bit - 1/2, which is np.where(bit, mag, -mag) bit for bit
-    u -= cdf[j]
-    u *= slope[j]
-    u += z[j]
-    del j
-    return np.copysign(u, rng.integers(0, 2, size=size) - 0.5, out=u)
+    u -= np.take(cdf, j, out=scratch, mode="clip")
+    u *= np.take(slope, j, out=scratch, mode="clip")
+    u += np.take(z, j, out=scratch, mode="clip")
+    # the bits come in chunks, which continue rng.integers' one stream, so
+    # no further array of u's size is made
+    for lo in range(0, u.size, _SIGN_CHUNK):
+        v = u[lo : lo + _SIGN_CHUNK]
+        np.copysign(v, rng.integers(0, 2, size=v.size) - 0.5, out=v)
+    return u
 
 
 # ---------------------------------------------------------------------------
@@ -226,19 +247,33 @@ def _paths(spec: JumpOuSpec, initial_sampler: Callable[[np.random.Generator, int
         k = spec.noise.kernel
         lam = spec.noise.rate_scale * k.l1_norm
         table = _kernel_jump_table(k)
+        # the window's jumps, times and indices live in three buffers kept
+        # across windows, so their pages are not handed back and faulted in
+        # again each window; the draws are those of rng.uniform
+        buffers = (np.empty(0), np.empty(0), np.empty(0, dtype=np.intp))
         for _ in range(n_rec):
             # number of jumps per path in this record window
             counts = rng.poisson(lam * dt, size=n)
             total = int(counts.sum())
-            jumps = sample_kernel_jumps(k, rng, total, table)
-            # jump times s uniform in the window; each jump J adds -J * e^{-(dt - s)}
-            # at the record time under the linear flow, and fl(s - dt) = -fl(dt - s)
-            e = rng.uniform(0.0, dt, size=total)
+            if total > buffers[0].size:
+                buffers = tuple(np.empty(total + total // 32, dtype=b.dtype) for b in buffers)
+            jumps, e, j = (b[:total] for b in buffers)
+            _invert_jumps(table, rng, rng.random(out=jumps), e, j)
+            # jump times s uniform in the window (0 + dt * u, as rng.uniform
+            # forms them); each jump J adds -J * e^{-(dt - s)} at the record
+            # time under the linear flow, and fl(s - dt) = -fl(dt - s)
+            rng.random(out=e)
+            e *= dt
             e -= dt
             jumps *= np.negative(np.exp(e, out=e), out=e)
             x *= np.exp(-dt)
-            x += np.bincount(np.repeat(np.arange(n), counts), weights=jumps, minlength=n)
-            del jumps, e  # before the next window's draws
+            # each jump's path, np.repeat(np.arange(n), counts), formed in j:
+            # the first jump of every path that has one marks the path, and
+            # a running maximum carries the mark over its other jumps
+            j.fill(0)
+            hit = np.flatnonzero(counts)
+            j[(np.cumsum(counts) - counts)[hit]] = hit
+            x += np.bincount(np.maximum.accumulate(j, out=j), weights=jumps, minlength=n)
             yield x
 
 

@@ -20,7 +20,10 @@ from .operators import (
     OperatorMatrix,
     OperatorParts,
     _BirthDeath,
-    _exponential,
+    _dense_factor,
+    _mirror_fold,
+    _mirror_pair,
+    _mirror_unfold,
     _shifted_solver,
 )
 
@@ -62,14 +65,22 @@ def evolve_block(op: OperatorMatrix, F0: np.ndarray, spec: EvolveSpec) -> list[t
     symmetrized S = D M D^-1 = Q diag(lam) Q^T once and forms every recorded
     state as D^-1 Q (e^(t lam) * Q^T D f0) in one block product.  That is
     exact in the D-weighted 2-norm, but a state's sup-norm error is about
-    eps ||D f0||_2 / d_i, so ExactExpm steps with the expm of the folded
-    parts (``operators._exponential``) whenever
+    eps ||D f0||_2 / d_i, so ExactExpm steps on the mirror blocks of the
+    folded parts (``operators._mirror_pair``), as below, whenever
     eps ||D f0||_2 / (min d ||f0||_inf) > 1e-9 for some column (for instance
-    a flat f0 on the Classical generator at L = 12, where d spans e^72).  A
-    centrosymmetric M (the jump generators and the Fourier-side collocation)
-    is stepped in the folded basis, with LU factors or an expm of each
-    half-size mirror block and an O(n) fold and unfold per step.  Every
-    other M uses dense LU factors or one dense expm(dt M)."""
+    a flat f0 on the Classical generator at L = 12, where d spans e^72).
+
+    A centrosymmetric M (the jump generators and the Fourier-side
+    collocation) is folded once into its even and odd halves
+    (``operators._mirror_fold``).  Each half runs its recurrence to t_end
+    with the LU factors or the expm of its half-size mirror block, freed
+    before the other half starts, so one half-size factorization or
+    exponential is alive at a time; only the recorded states are unfolded.
+    Every other M uses dense LU factors or one dense expm(dt M).
+
+    A state that is not finite raises FloatingPointError naming its step:
+    on the mirror path, the first step at which either half is not finite
+    (or a recorded step whose unfolded state overflows)."""
     n = op.grid.n
     if F0.shape[0] != n:
         raise ValueError("grid mismatch")
@@ -91,13 +102,49 @@ def evolve_block(op: OperatorMatrix, F0: np.ndarray, spec: EvolveSpec) -> list[t
                     raise FloatingPointError(f"non-finite state at step {k}")
                 out.append((k * spec.dt, states[:, j]))
             return out
-    step = _stepper(op, spec)
+    band = isinstance(bd, _BirthDeath) and spec.scheme != "ExactExpm"
+    blocks = None if band else _mirror_pair(op)
+    if blocks is not None:
+        return out + _evolve_halves(blocks, F, spec, recorded)
+    step = _stepper(op if band else op.entries, spec)
     for k in range(1, nsteps + 1):
         F = step(F)
         if not np.all(np.isfinite(F)):
             raise FloatingPointError(f"non-finite state at step {k}")
         if k % spec.record_every == 0 or k == nsteps:
             out.append((k * spec.dt, F))
+    return out
+
+
+def _evolve_halves(blocks: tuple[np.ndarray, np.ndarray], F: np.ndarray, spec: EvolveSpec,
+                   recorded: list[int]) -> list[tuple[float, np.ndarray]]:
+    """The recorded states of ``evolve_block`` from the mirror blocks
+    (even, odd) of M: F folded once, each half stepped to the last recorded
+    step by its own ``_stepper``, which is freed before the next half's is
+    formed, and the recorded halves unfolded."""
+    nsteps = last = recorded[-1]
+    keep = set(recorded)
+    halves = []
+    for B, V in zip(blocks, _mirror_fold(F)):
+        step = _stepper(B, spec)
+        states = []
+        for k in range(1, last + 1):
+            V = step(V)
+            if not np.all(np.isfinite(V)):
+                last = k - 1  # the other half stops before this step
+                break
+            if k in keep:
+                states.append(V)
+        del step  # this half's exponential or LU factors
+        halves.append(states)
+    if last < nsteps:
+        raise FloatingPointError(f"non-finite state at step {last + 1}")
+    out = []
+    for k, even, odd in zip(recorded, *halves):
+        F = _mirror_unfold(even, odd)
+        if not np.all(np.isfinite(F)):
+            raise FloatingPointError(f"non-finite state at step {k}")
+        out.append((k * spec.dt, F))
     return out
 
 
@@ -126,19 +173,23 @@ def _birth_death_expm(bd: _BirthDeath, op: OperatorMatrix, f0: np.ndarray,
     return states
 
 
-def _stepper(op: OperatorMatrix, spec: EvolveSpec) -> Callable[[np.ndarray], np.ndarray]:
+def _stepper(M: OperatorMatrix | np.ndarray,
+             spec: EvolveSpec) -> Callable[[np.ndarray], np.ndarray]:
     """One time step V -> V_next of ``spec.scheme`` for dF/dt = M F, V a
-    vector or an n x k block.
+    vector or a block, with M a dense matrix (one half-size mirror block, or
+    the whole generator when it has no structure) or, for the implicit
+    schemes, a birth-death operator.
 
-    The implicit schemes factor I - theta dt M once on the structure of M
-    (``operators._shifted_solver``).  ExactExpm multiplies by e^(dt M) on
-    the mirror blocks (``operators._exponential``); a birth-death M gets
-    here only when the guard of ``_birth_death_expm`` refused it."""
+    ExactExpm forms e^(dt M) once.  The implicit schemes factor
+    I - theta dt M once: densely (LU), or on the three bands of the
+    birth-death operator (``operators._shifted_solver``)."""
     dt = spec.dt
     if spec.scheme == "ExactExpm":
-        return _exponential(op, dt)
+        E = sla.expm(dt * M)
+        return lambda v: E @ v
     theta = 1.0 if spec.scheme == "BackwardEuler" else 0.5
-    fac = _shifted_solver(op, 1.0, -theta * dt)
+    factor = _shifted_solver if isinstance(M, OperatorMatrix) else _dense_factor
+    fac = factor(M, 1.0, -theta * dt)
     if theta == 1.0:
         return fac.solve
     return lambda v: fac.solve(v + fac.matvec(0.5 * dt * v))

@@ -64,14 +64,6 @@ def chi_band(z: np.ndarray, eta: float, lcut: float) -> np.ndarray:
     return np.asarray(chi_scaled(z, lcut)) - np.asarray(chi_scaled(z, eta))
 
 
-def xi_pair(x: np.ndarray, y: np.ndarray, R: float) -> np.ndarray:
-    """xi_R(x, y) = chi_R(x) + chi_R(y) - chi_R(x) chi_R(y); vanishes exactly
-    when both |x| >= 2R and |y| >= 2R."""
-    cx = np.asarray(chi_scaled(x, R))
-    cy = np.asarray(chi_scaled(y, R))
-    return cx + cy - cx * cy
-
-
 def chi_gradient_bound(R: float) -> float:
     """Exact sup of |chi_R'| for the quintic cutoff: 1.875 / R."""
     if R <= 0:

@@ -1,10 +1,11 @@
-"""Dense references for the structured solvers and the Toeplitz difference
-sums, formed from an n x n matrix."""
+"""Dense references for the structured solvers, the five-part splitting and
+the Toeplitz difference sums, formed from an n x n matrix."""
 
 import numpy as np
 import scipy.linalg as sla
 
 from fplab.operators import _power_cell_weights
+from fplab.splitting import chi_scaled
 
 
 def mirror_blocks(M: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
@@ -46,3 +47,13 @@ def sobolev_lhs(F: np.ndarray, grid, alpha: float) -> np.ndarray:
         du = np.gradient(v, h)
         lhs.append(double + near_factor * h * np.sum(du * du) + 2.0 * h * np.sum(v * v * missing))
     return np.array(lhs)
+
+
+def xi_pair(x: np.ndarray, y: np.ndarray, R: float) -> np.ndarray:
+    """xi_R(x, y) = chi_R(x) + chi_R(y) - chi_R(x) chi_R(y), the pair cutoff
+    of the five-part splitting's gain, which ``splitting`` applies as
+    1 - (1 - chi_R(x))(1 - chi_R(y)); vanishes exactly when both |x| >= 2R
+    and |y| >= 2R."""
+    cx = np.asarray(chi_scaled(x, R))
+    cy = np.asarray(chi_scaled(y, R))
+    return cx + cy - cx * cy

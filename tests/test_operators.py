@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from dense_oracle import mirror_blocks
+from dense_oracle import mirror_blocks, xi_pair
 from fplab.grids import Field, WeightSpec, gaussian_density, make_grid, weighted_norm
 from fplab.inequalities import adjoint_dissipativity_check, dissipativity_check
 from fplab.kernels import truncated_fractional_kernel
@@ -35,7 +35,6 @@ from fplab.splitting import (
     FractionalSplitting,
     assemble_splitting,
     chi_band,
-    xi_pair,
 )
 
 

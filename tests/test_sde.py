@@ -176,6 +176,16 @@ def test_in_place_windows_equal_the_plain_formulas(noise, stacked):
     assert np.array_equal(_final_state(spec, start, stream=23), want[-1])
 
 
+def test_compound_windows_past_one_sign_chunk_equal_the_plain_formulas():
+    # about 75000 jumps per window: the window buffers, kept across windows,
+    # hold more than two chunks of sign bits
+    spec = _spec(CompoundPoisson(kernel=K02, rate_scale=25.0), n_paths=6000)
+    start = lambda r, n: r.normal(size=n)
+    got = simulate(spec, start, stream=23).states
+    assert np.array_equal(got, window_oracle.states(spec, start, stream=23))
+    assert 2 * sde._SIGN_CHUNK < 0.5 * spec.n_paths * 25.0 * K02.l1_norm
+
+
 def test_simulate_leaves_the_start_array_alone():
     # the windows update a copy, not the array the sampler hands out
     start = np.linspace(-2.0, 2.0, 300)

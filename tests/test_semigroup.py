@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -17,6 +18,7 @@ from fplab.operators import (
     OperatorMatrix,
     OperatorParts,
     _BirthDeath,
+    _mirror_fold,
     assemble,
 )
 from fplab.semigroup import (
@@ -60,11 +62,11 @@ def _dense_evolve(M, f0, spec):
         step = lambda v: E @ v
     elif spec.scheme == "BackwardEuler":
         lu = sla.lu_factor(eye - dt * M)
-        step = lambda v: sla.lu_solve(lu, v)
+        step = lambda v: sla.lu_solve(lu, v, check_finite=False)
     else:
         lu = sla.lu_factor(eye - 0.5 * dt * M)
         right = eye + 0.5 * dt * M
-        step = lambda v: sla.lu_solve(lu, right @ v)
+        step = lambda v: sla.lu_solve(lu, right @ v, check_finite=False)
     nsteps = int(round(spec.t_end / dt))
     out, v = [f0], f0
     for k in range(1, nsteps + 1):
@@ -165,6 +167,89 @@ def test_evolve_block_matches_column_by_column():
                 # agrees with it to ~3e-12
                 same_path = not (scheme == "ExactExpm" and op is OP_CLASSICAL)
                 assert err <= (1e-14 if same_path else 1e-11) * np.max(F0), scheme
+
+
+MIRROR_OPS = {
+    "discrete-fractional": assemble(DiscreteFractional(eps=0.2, alpha=1.0), make_grid(12.8, 257)),
+    "fractional": assemble(Fractional(alpha=1.5), make_grid(25.0, 257)),
+}
+
+
+@pytest.mark.parametrize("scheme", ["BackwardEuler", "CrankNicolson", "ExactExpm"])
+@pytest.mark.parametrize("case", sorted(MIRROR_OPS))
+def test_mirror_halves_match_dense_trajectory(case, scheme):
+    # the block is folded once, each half runs to t_end and the recorded
+    # halves are unfolded: the trajectory of the dense expm or LU of M
+    op = MIRROR_OPS[case]
+    assert isinstance(op.structure, tuple)
+    F0 = np.column_stack([f.values for f in probe_family(op.grid, count=4, seed=3)])
+    spec = EvolveSpec(t_end=1.0, dt=0.05, scheme=scheme, record_every=4)
+    traj = evolve_block(op, F0, spec)
+    ref = _dense_evolve(op.entries, F0, spec)
+    assert [t for t, _ in traj] == [0.0] + [k * spec.dt for k in (4, 8, 12, 16, 20)]
+    new = np.array([F for _, F in traj])
+    assert np.max(np.abs(new - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("scheme, routine", [("ExactExpm", "expm"),
+                                             ("BackwardEuler", "lu_factor"),
+                                             ("CrankNicolson", "lu_factor")])
+def test_mirror_halves_hold_one_block_operator_at_a_time(monkeypatch, scheme, routine):
+    # the odd block's expm (or LU) starts after the even block's is freed:
+    # besides the matrix it is handed, traced memory at the odd call exceeds
+    # that at the even call by less than half an (n/2)^2 array, where
+    # holding the even exponential or factors would add a whole one
+    op = MIRROR_OPS["discrete-fractional"]
+    n = op.grid.n
+    op.structure  # the blocks exist before tracing starts
+    held = []
+    original = getattr(sla, routine)
+
+    def traced(A, *args, **kwargs):
+        held.append(tracemalloc.get_traced_memory()[0] - A.nbytes)
+        return original(A, *args, **kwargs)
+
+    monkeypatch.setattr(sla, routine, traced)
+    F0 = gaussian_density(op.grid, 1.0, 1.0).values[:, None]
+    tracemalloc.start()
+    try:
+        evolve_block(op, F0, EvolveSpec(t_end=0.2, dt=0.05, scheme=scheme))
+    finally:
+        tracemalloc.stop()
+    assert len(held) == 2
+    assert held[1] - held[0] < 0.5 * 8.0 * (n / 2) ** 2
+
+
+def test_odd_half_overflowing_first_reports_its_step():
+    # DiscreteClassical + 5 I: its even block grows like e^(5 t) and its odd
+    # block like e^(4 t).  With an even part of 1e-150 the odd half
+    # overflows first, although the even half is stepped (and overflows)
+    # first; the step reported is the odd half's, that of the dense odd
+    # block stepped alone.  The dense path on the whole M is no reference
+    # here: its roundoff seeds the faster even mode (backward Euler
+    # overflowed at step 1075 there, against 1404 for the odd half)
+    grid = make_grid(3.2, 129)
+    parts = assemble(DiscreteClassical(eps=0.4), grid).parts
+    op = OperatorMatrix(grid, replace(parts, diag=parts.diag + 5.0))
+    assert isinstance(op.structure, tuple)
+    g = np.exp(-grid.nodes**2)
+    odd, even = grid.nodes * g, 1e-150 * g
+    odd_block = mirror_blocks(op.entries)[1]
+
+    def failing_step(v, spec):
+        with pytest.raises(FloatingPointError, match=r"^non-finite state at step \d+$") as err:
+            evolve(op, Field(grid, v), spec)
+        return int(str(err.value).rsplit(" ", 1)[1])
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        for scheme in ("ExactExpm", "BackwardEuler", "CrankNicolson"):
+            spec = EvolveSpec(t_end=250.0, dt=0.1, scheme=scheme)
+            step = failing_step(odd + even, spec)
+            assert step == failing_step(odd, spec) < failing_step(even, spec), scheme
+            ref = _dense_evolve(odd_block, _mirror_fold(odd)[1], spec)
+            ref_step = int(np.flatnonzero(~np.all(np.isfinite(ref), axis=1))[0])
+            # e^(0.4 k) passes 1.8e308 near k = 1775 on either path
+            assert abs(step - ref_step) <= (5 if scheme == "ExactExpm" else 0), scheme
 
 
 STEADY_CASES = {

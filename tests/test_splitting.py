@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dense_oracle import mirror_blocks
+from dense_oracle import mirror_blocks, xi_pair
 from fplab.grids import Field, WeightSpec, make_grid, weighted_norm
 from fplab.operators import (
     Classical,
@@ -20,7 +20,6 @@ from fplab.splitting import (
     chi_gradient_bound,
     chi_scaled,
     smoothstep,
-    xi_pair,
 )
 
 
