@@ -22,7 +22,7 @@ from .inequalities import (
     psi_profile,
     regularization_norm,
 )
-from .kernels import fourier_ratio_constant, gaussian_reference_kernel
+from .kernels import fourier_ratio_constant, gaussian_reference_kernel, rescale
 from .operators import (
     Classical,
     DiscreteClassical,
@@ -51,40 +51,22 @@ from .spectra import (
 )
 from .splitting import ClassicalSplitting, FractionalSplitting, assemble_splitting
 
-from .kernels import rescale
-
 
 # ---------------------------------------------------------------------------
 # shared expensive objects
 
 
 @lru_cache(maxsize=None)
-def _classical_op():
-    return assemble(Classical(), make_grid(12.0, 1025))
-
-
-@lru_cache(maxsize=None)
-def _dc_grid(eps: float):
-    n = int(round(192.0 / eps)) + 1  # h = eps/8 exactly at L = 12
-    return make_grid(12.0, n)
-
-
-@lru_cache(maxsize=None)
-def _dc_op(eps: float):
-    return assemble(DiscreteClassical(eps=eps), _dc_grid(eps))
-
-
-@lru_cache(maxsize=None)
-def _frac_op(alpha: float):
-    return assemble(Fractional(alpha=alpha), make_grid(60.0, 2049))
-
-
 def _shared_op(which: str, param: float) -> OperatorMatrix:
+    """An operator shared by criteria 1, 2, 4 and 12: Classical at n = 1025,
+    DiscreteClassical(eps = param) at h = eps/8, Fractional(alpha = param)
+    at n = 2049."""
     if which == "classical":
-        return _classical_op()
+        return assemble(Classical(), make_grid(12.0, 1025))
     if which == "discrete-classical":
-        return _dc_op(param)
-    return _frac_op(param)
+        n = int(round(192.0 / param)) + 1  # h = eps/8 exactly at L = 12
+        return assemble(DiscreteClassical(eps=param), make_grid(12.0, n))
+    return assemble(Fractional(alpha=param), make_grid(60.0, 2049))
 
 
 @lru_cache(maxsize=None)
@@ -112,7 +94,7 @@ def _fitted_rate(which: str, param: float) -> float:
 
 def criterion_1() -> dict:
     """Local-diffusion equilibrium matches the sampled standard Gaussian."""
-    op = _classical_op()
+    op = _shared_op("classical", 0.0)
     G = steady_state(op)
     err = weighted_norm(
         Field(op.grid, G.values - gaussian_density(op.grid, 1.0, 0.0).values),
@@ -161,7 +143,7 @@ def criterion_4() -> dict:
     eps_list = (0.4, 0.2, 0.1)
     gap_offsets, steady_errs, rates = [], [], []
     for eps in eps_list:
-        op = _dc_op(eps)
+        op = _shared_op("discrete-classical", eps)
         gap_offsets.append(abs(_spectrum("discrete-classical", eps).gap + 1.0))
         G = steady_state(op)
         diff = G.values - gaussian_density(op.grid, 1.0, 0.0).values
@@ -382,35 +364,23 @@ def criterion_10() -> dict:
 
 def criterion_11() -> dict:
     """Pathwise coupling exactness and empirical Wasserstein contraction."""
-    ok = True
-    coupled_errs = {}
-    for alpha in (1.2, 1.5):
-        spec = JumpOuSpec(noise=AlphaStable(alpha=alpha), t_end=2.0, n_paths=100,
-                          seed=11, dt_record=0.5)
-        r = coupled_decay(spec, 1.0, 0.0)
-        coupled_errs[f"stable:{alpha}"] = r["max_error"]
-        ok = ok and r["pass"]
     keps = rescale(gaussian_reference_kernel(), 0.2)
-    spec = JumpOuSpec(noise=CompoundPoisson(kernel=keps, rate_scale=1.0 / 0.04),
-                      t_end=2.0, n_paths=100, seed=12, dt_record=0.5)
-    r = coupled_decay(spec, 1.0, 0.0)
-    coupled_errs["compound:0.2"] = r["max_error"]
-    ok = ok and r["pass"]
-
-    w1 = {}
-    for alpha in (1.2, 1.5):
-        spec = JumpOuSpec(noise=AlphaStable(alpha=alpha), t_end=2.0, n_paths=100000,
-                          seed=13, dt_record=0.5)
+    noises = {"stable:1.2": AlphaStable(alpha=1.2), "stable:1.5": AlphaStable(alpha=1.5),
+              "compound:0.2": CompoundPoisson(kernel=keps, rate_scale=1.0 / 0.04)}
+    ok = True
+    coupled_errs, w1 = {}, {}
+    for name, noise in noises.items():
+        # seeds 11 / 13 for the stable noises, 12 / 14 for the compound one
+        seed = 11 if isinstance(noise, AlphaStable) else 12
+        spec = JumpOuSpec(noise=noise, t_end=2.0, n_paths=100, seed=seed, dt_record=0.5)
+        r = coupled_decay(spec, 1.0, 0.0)
+        coupled_errs[name] = r["max_error"]
+        spec = JumpOuSpec(noise=noise, t_end=2.0, n_paths=100000, seed=seed + 2,
+                          dt_record=0.5)
         rep = wasserstein_contraction_check(spec, lambda r_, n_: np.full(n_, 3.0),
                                             [0.5, 1.0, 2.0])
-        w1[f"stable:{alpha}"] = rep["pass"]
-        ok = ok and rep["pass"]
-    spec = JumpOuSpec(noise=CompoundPoisson(kernel=keps, rate_scale=1.0 / 0.04),
-                      t_end=2.0, n_paths=100000, seed=14, dt_record=0.5)
-    rep = wasserstein_contraction_check(spec, lambda r_, n_: np.full(n_, 3.0),
-                                        [0.5, 1.0, 2.0])
-    w1["compound:0.2"] = rep["pass"]
-    ok = ok and rep["pass"]
+        w1[name] = rep["pass"]
+        ok = ok and r["pass"] and rep["pass"]
     return {
         "name": "wasserstein-contraction",
         "coupled_errors": coupled_errs,

@@ -248,9 +248,10 @@ def regularization_norm(
     With E = e^{ds B}, ds = t/n_quad and trapezoid weights w_k, the two-fold
     sum T_2 F = ds sum_k w_k A E^(n_quad-k) A E^k F is evaluated in Horner
     form: Y <- E Y, Z <- E Z + w_k A Y, T_2 F = ds A Z.  A is applied on its
-    parts (``matmat``) and E on the mirror blocks of B
-    (``operators._exponential``), so neither dense matrix is formed; apart
-    from the exponentials of the two half-size blocks, memory is O(nP)."""
+    parts (``matmat``) and E on the blocks of B
+    (``operators._exponential``), so neither dense matrix is formed for a
+    centrosymmetric B; apart from the exponentials of its two half-size
+    mirror blocks, memory is O(nP)."""
     if A.grid != B.grid:
         raise ValueError("grid mismatch")
     if n_conv < 1 or n_conv > 2:

@@ -16,9 +16,10 @@ making every full generator an M-matrix generator (positivity preserving).
 
 Each operator is kept as its O(n) parts (``OperatorParts``: Toeplitz terms,
 a diagonal and two bands).  Probe products run on them, and the dense
-solvers take their structure from them: birth-death bands, or the two
-half-size mirror blocks of a centrosymmetric operator.  The dense matrix
-(``dense_from_parts``) is formed only for an operator with neither.
+solvers take two things formed from them: the ``bands`` of a birth-death
+chain, and the ``blocks`` with their fold, the two half-size mirror blocks
+of a centrosymmetric operator or else its dense matrix
+(``dense_from_parts``) as one block.
 """
 
 from __future__ import annotations
@@ -161,9 +162,9 @@ class OperatorParts:
 class OperatorMatrix:
     """A generator matrix on a grid, kept as its O(n) ``parts``
     (``OperatorParts``).  Products with a vector or probe block run on them
-    (``matmat``), and the dense solvers take its ``structure``, formed from
-    them once.  ``entries``, the dense matrix (``dense_from_parts``), is
-    formed on first access and then kept."""
+    (``matmat``), and the dense solvers take its ``bands`` and ``blocks``,
+    each formed from them once.  ``entries``, the dense matrix
+    (``dense_from_parts``), is formed on first access and then kept."""
 
     grid: Grid1D
     parts: OperatorParts = field(repr=False)
@@ -174,13 +175,22 @@ class OperatorMatrix:
         return dense_from_parts(self.parts)
 
     @cached_property
-    def structure(self) -> _BirthDeath | tuple[np.ndarray, np.ndarray] | None:
-        """What the dense solvers take: the bands of a birth-death chain
-        (no Toeplitz term, every lower * upper > 0), else the even and odd
-        mirror blocks (``_mirror_blocks_of_parts``), else None (``entries``)."""
+    def bands(self) -> _BirthDeath | None:
+        """The bands of a birth-death chain (no Toeplitz term, every
+        lower * upper > 0), which the shifted solves, the eigensolve and the
+        exponential of ``semigroup.evolve_block`` take first; else None."""
         p = self.parts
-        bd = None if len(p.cols) else _birth_death(p.diag, p.lower, p.upper)
-        return bd or _mirror_blocks_of_parts(p)
+        return None if len(p.cols) else _birth_death(p.diag, p.lower, p.upper)
+
+    @cached_property
+    def blocks(self) -> _Blocks:
+        """The dense blocks that the solvers run on where they take no
+        ``bands``: the even and odd mirror blocks
+        (``_mirror_blocks_of_parts``) under the half-sum fold, else
+        ``entries`` under the identity.  Never None."""
+        pair = _mirror_blocks_of_parts(self.parts)
+        return _whole(self.entries) if pair is None else _Blocks(
+            pair, _mirror_fold, _mirror_unfold, _mirror_fold_transpose)
 
     @property
     def conservation_defect(self) -> float:
@@ -304,8 +314,35 @@ def _mirror_unfold(even: np.ndarray, odd: np.ndarray) -> np.ndarray:
     return np.concatenate([a + odd, even[m:], (a - odd)[::-1]])
 
 
+def _mirror_fold_transpose(even: np.ndarray, odd: np.ndarray) -> np.ndarray:
+    """Transpose of ``_mirror_fold``: ``_mirror_unfold`` with every
+    coordinate but the centre halved."""
+    m = odd.shape[0]
+    return _mirror_unfold(np.concatenate([0.5 * even[:m], even[m:]]), 0.5 * odd)
+
+
+class _Blocks(NamedTuple):
+    """Dense blocks B_i of an operator M and the fold that makes M block
+    diagonal: M v = unfold(B_1 v_1, B_2 v_2, ...) with (v_1, v_2, ...) =
+    fold(v), for a vector or an n x k block v.  ``OperatorMatrix.blocks``
+    holds the two mirror blocks under the half-sum fold, or M under the
+    identity (``_whole``)."""
+
+    mats: tuple[np.ndarray, ...]
+    fold: Callable[[np.ndarray], tuple[np.ndarray, ...]]
+    unfold: Callable[..., np.ndarray]
+    fold_transpose: Callable[..., np.ndarray]
+
+
+def _whole(M: np.ndarray | OperatorMatrix) -> _Blocks:
+    """M as its own single block, under the identity fold; M is a dense
+    matrix or, for the tridiagonal steps of ``semigroup.evolve_block``, a
+    birth-death operator."""
+    return _Blocks((M,), lambda v: (v,), lambda v: v, lambda v: v)
+
+
 class _Factored(NamedTuple):
-    """A I + b M factored once on the structure of M (``_shifted_solver``)."""
+    """A I + b M factored once (``_shifted_solver``)."""
 
     solve: Callable[[np.ndarray], np.ndarray]  # v -> (a I + b M)^-1 v
     matvec: Callable[[np.ndarray], np.ndarray]  # v -> M v
@@ -313,21 +350,19 @@ class _Factored(NamedTuple):
 
 
 def _shifted_solver(op: OperatorMatrix, a: complex, b: float) -> _Factored:
-    """Factor a I + b M once, for solves with a vector or an n x k block, on
-    the ``structure`` of the operator M.
+    """Factor a I + b M once, for solves with a vector or an n x k block.
 
-    A birth-death M is factored on its three bands (LAPACK ?gttrf) and
-    multiplied by a three-band product, both O(n) per column.  A
-    centrosymmetric M is factored as its two shifted half-size mirror
-    blocks, a quarter of the dense work, with an O(n) fold and unfold per
-    solve or product.  Every other M is factored densely.  ``rcond`` is
-    LAPACK's estimate (?gtcon, ?gecon) of the reciprocal 1-norm condition
-    number of a I + b M or, on the mirror path, of its worse-conditioned
-    block.  The shift a may be complex."""
-    s = op.structure
-    if s is None:
-        return _dense_factor(op.entries, a, b)
-    if isinstance(s, _BirthDeath):
+    A birth-death M (``OperatorMatrix.bands``) is factored on its three
+    bands (LAPACK ?gttrf) and multiplied by a three-band product, both O(n)
+    per column.  Every other M is factored block by block on
+    ``OperatorMatrix.blocks``, with one fold and unfold per solve or
+    product: the two shifted half-size mirror blocks of a centrosymmetric
+    M, a quarter of the dense work, else M itself.  ``rcond`` is LAPACK's
+    estimate (?gtcon, ?gecon) of the reciprocal 1-norm condition number of
+    a I + b M or of its worst-conditioned block.  The shift a may be
+    complex."""
+    s = op.bands
+    if s is not None:
         d = a + b * s.diag
         dl, du = (np.asarray(b * band, dtype=d.dtype) for band in (s.lower, s.upper))
         col = np.abs(d)
@@ -339,17 +374,16 @@ def _shifted_solver(op: OperatorMatrix, a: complex, b: float) -> _Factored:
         return _Factored(lambda v: gttrs(*factors, v)[0],
                          lambda v: _band_product(s.diag, s.lower, s.upper, v),
                          float(gtcon(*factors, col.max())[0]))
-    even, odd = (_dense_factor(B, a, b) for B in s)
+    blocks = op.blocks
+    facs = [_dense_factor(B, a, b) for B in blocks.mats]
 
     def solve(v: np.ndarray) -> np.ndarray:
-        e, o = _mirror_fold(v)
-        return _mirror_unfold(even.solve(e), odd.solve(o))
+        return blocks.unfold(*(f.solve(x) for f, x in zip(facs, blocks.fold(v))))
 
     def matvec(v: np.ndarray) -> np.ndarray:
-        e, o = _mirror_fold(v)
-        return _mirror_unfold(even.matvec(e), odd.matvec(o))
+        return blocks.unfold(*(f.matvec(x) for f, x in zip(facs, blocks.fold(v))))
 
-    return _Factored(solve, matvec, min(even.rcond, odd.rcond))
+    return _Factored(solve, matvec, min(f.rcond for f in facs))
 
 
 def _dense_factor(M: np.ndarray, a: complex, b: float) -> _Factored:
@@ -366,32 +400,16 @@ def _dense_factor(M: np.ndarray, a: complex, b: float) -> _Factored:
     return _Factored(lambda v: sla.lu_solve(lu, v), lambda v: M @ v, float(rcond))
 
 
-def _mirror_pair(op: OperatorMatrix) -> tuple[np.ndarray, np.ndarray] | None:
-    """The mirror blocks of ``structure``; a birth-death chain, whose bands
-    give no Schur form or exponential, is folded from its parts.  None when
-    the parts are not mirror-symmetric."""
-    s = op.structure
-    return _mirror_blocks_of_parts(op.parts) if isinstance(s, _BirthDeath) else s
-
-
 def _exponential(op: OperatorMatrix, t: float) -> Callable[[np.ndarray], np.ndarray]:
-    """v -> e^(t M) v for a vector or an n x k block v: the expm of each
-    mirror block (``_mirror_pair``) with one fold and unfold per product, or
-    one dense expm when M has no mirror blocks.  Both half-size exponentials
-    stay alive, for a caller (``inequalities.regularization_norm``) that
-    needs the whole of e^(t M) v at every product; ``semigroup.evolve_block``
-    steps each half on its own."""
-    blocks = _mirror_pair(op)
-    if blocks is None:
-        E = sla.expm(t * op.entries)
-        return lambda v: E @ v
-    even, odd = (sla.expm(t * B) for B in blocks)
-
-    def product(v: np.ndarray) -> np.ndarray:
-        a, b = _mirror_fold(v)
-        return _mirror_unfold(even @ a, odd @ b)
-
-    return product
+    """v -> e^(t M) v for a vector or an n x k block v: the expm of each of
+    ``OperatorMatrix.blocks`` (a birth-death chain's too) with one fold and
+    unfold per product.  Every block's exponential stays alive, for a
+    caller (``inequalities.regularization_norm``) that needs the whole of
+    e^(t M) v at every product; ``semigroup.evolve_block`` steps each block
+    on its own."""
+    blocks = op.blocks
+    exps = [sla.expm(t * B) for B in blocks.mats]
+    return lambda v: blocks.unfold(*(E @ x for E, x in zip(exps, blocks.fold(v))))
 
 
 def _band_product(diag: np.ndarray, lower: np.ndarray, upper: np.ndarray,

@@ -21,10 +21,8 @@ from .operators import (
     OperatorParts,
     _BirthDeath,
     _dense_factor,
-    _mirror_fold,
-    _mirror_pair,
-    _mirror_unfold,
     _shifted_solver,
+    _whole,
 )
 
 
@@ -58,29 +56,30 @@ def evolve_block(op: OperatorMatrix, F0: np.ndarray, spec: EvolveSpec) -> list[t
     return [(t, F)] at recorded times; one factorization (or exponential)
     serves all k columns.
 
-    On a birth-death M (``OperatorMatrix.structure``: tridiagonal, every
+    On a birth-death M (``OperatorMatrix.bands``: tridiagonal, every
     M[i,i+1] M[i+1,i] > 0, such as the Classical generator) every path is
     O(n^2).  BackwardEuler and CrankNicolson factor their tridiagonal matrix
     once (LAPACK dgttrf) and step with dgttrs.  ExactExpm diagonalizes the
     symmetrized S = D M D^-1 = Q diag(lam) Q^T once and forms every recorded
     state as D^-1 Q (e^(t lam) * Q^T D f0) in one block product.  That is
     exact in the D-weighted 2-norm, but a state's sup-norm error is about
-    eps ||D f0||_2 / d_i, so ExactExpm steps on the mirror blocks of the
-    folded parts (``operators._mirror_pair``), as below, whenever
-    eps ||D f0||_2 / (min d ||f0||_inf) > 1e-9 for some column (for instance
-    a flat f0 on the Classical generator at L = 12, where d spans e^72).
+    eps ||D f0||_2 / d_i, so ExactExpm steps on ``OperatorMatrix.blocks``,
+    as below, whenever eps ||D f0||_2 / (min d ||f0||_inf) > 1e-9 for some
+    column (for instance a flat f0 on the Classical generator at L = 12,
+    where d spans e^72).
 
-    A centrosymmetric M (the jump generators and the Fourier-side
-    collocation) is folded once into its even and odd halves
-    (``operators._mirror_fold``).  Each half runs its recurrence to t_end
-    with the LU factors or the expm of its half-size mirror block, freed
-    before the other half starts, so one half-size factorization or
-    exponential is alive at a time; only the recorded states are unfolded.
-    Every other M uses dense LU factors or one dense expm(dt M).
+    Otherwise the block is folded once into one piece per block of
+    ``OperatorMatrix.blocks``: the even and odd halves of a centrosymmetric
+    M (the jump generators and the Fourier-side collocation), else F0
+    itself.  Each piece runs its recurrence to t_end with the LU factors or
+    the expm of its block, freed before the next piece starts, so one
+    block's factorization or exponential is alive at a time; only the
+    recorded states are unfolded.  The implicit steps of a birth-death M
+    take the same loop, with the bands as the one block.
 
     A state that is not finite raises FloatingPointError naming its step:
-    on the mirror path, the first step at which either half is not finite
-    (or a recorded step whose unfolded state overflows)."""
+    the first step at which any piece is not finite (or a recorded step
+    whose unfolded state overflows)."""
     n = op.grid.n
     if F0.shape[0] != n:
         raise ValueError("grid mismatch")
@@ -92,8 +91,8 @@ def evolve_block(op: OperatorMatrix, F0: np.ndarray, spec: EvolveSpec) -> list[t
     if spec.t_end == 0 or nsteps == 0:
         return out
     recorded = [k for k in range(1, nsteps + 1) if k % spec.record_every == 0 or k == nsteps]
-    bd = op.structure
-    if spec.scheme == "ExactExpm" and isinstance(bd, _BirthDeath):
+    bd = op.bands
+    if bd is not None and spec.scheme == "ExactExpm":
         cols = [_birth_death_expm(bd, op, f, spec.dt * np.array(recorded)) for f in F.T]
         if all(c is not None for c in cols):
             states = np.stack(cols, axis=-1)  # (n, times, k)
@@ -102,46 +101,26 @@ def evolve_block(op: OperatorMatrix, F0: np.ndarray, spec: EvolveSpec) -> list[t
                     raise FloatingPointError(f"non-finite state at step {k}")
                 out.append((k * spec.dt, states[:, j]))
             return out
-    band = isinstance(bd, _BirthDeath) and spec.scheme != "ExactExpm"
-    blocks = None if band else _mirror_pair(op)
-    if blocks is not None:
-        return out + _evolve_halves(blocks, F, spec, recorded)
-    step = _stepper(op if band else op.entries, spec)
-    for k in range(1, nsteps + 1):
-        F = step(F)
-        if not np.all(np.isfinite(F)):
-            raise FloatingPointError(f"non-finite state at step {k}")
-        if k % spec.record_every == 0 or k == nsteps:
-            out.append((k * spec.dt, F))
-    return out
-
-
-def _evolve_halves(blocks: tuple[np.ndarray, np.ndarray], F: np.ndarray, spec: EvolveSpec,
-                   recorded: list[int]) -> list[tuple[float, np.ndarray]]:
-    """The recorded states of ``evolve_block`` from the mirror blocks
-    (even, odd) of M: F folded once, each half stepped to the last recorded
-    step by its own ``_stepper``, which is freed before the next half's is
-    formed, and the recorded halves unfolded."""
-    nsteps = last = recorded[-1]
+    blocks = op.blocks if bd is None or spec.scheme == "ExactExpm" else _whole(op)
     keep = set(recorded)
-    halves = []
-    for B, V in zip(blocks, _mirror_fold(F)):
+    last = nsteps
+    pieces = []
+    for B, V in zip(blocks.mats, blocks.fold(F)):
         step = _stepper(B, spec)
         states = []
         for k in range(1, last + 1):
             V = step(V)
             if not np.all(np.isfinite(V)):
-                last = k - 1  # the other half stops before this step
+                last = k - 1  # the other pieces stop before this step
                 break
             if k in keep:
                 states.append(V)
-        del step  # this half's exponential or LU factors
-        halves.append(states)
+        del step  # this piece's exponential or LU factors
+        pieces.append(states)
     if last < nsteps:
         raise FloatingPointError(f"non-finite state at step {last + 1}")
-    out = []
-    for k, even, odd in zip(recorded, *halves):
-        F = _mirror_unfold(even, odd)
+    for k, *states in zip(recorded, *pieces):
+        F = blocks.unfold(*states)
         if not np.all(np.isfinite(F)):
             raise FloatingPointError(f"non-finite state at step {k}")
         out.append((k * spec.dt, F))
@@ -176,9 +155,9 @@ def _birth_death_expm(bd: _BirthDeath, op: OperatorMatrix, f0: np.ndarray,
 def _stepper(M: OperatorMatrix | np.ndarray,
              spec: EvolveSpec) -> Callable[[np.ndarray], np.ndarray]:
     """One time step V -> V_next of ``spec.scheme`` for dF/dt = M F, V a
-    vector or a block, with M a dense matrix (one half-size mirror block, or
-    the whole generator when it has no structure) or, for the implicit
-    schemes, a birth-death operator.
+    vector or a block, with M a dense matrix (one of
+    ``OperatorMatrix.blocks``) or, for the implicit schemes, a birth-death
+    operator.
 
     ExactExpm forms e^(dt M) once.  The implicit schemes factor
     I - theta dt M once: densely (LU), or on the three bands of the
@@ -206,7 +185,7 @@ def operator_scale(op: OperatorMatrix) -> float:
 def steady_state(op: OperatorMatrix) -> Field:
     """Unit-mass null vector by shifted inverse iteration (shift 1e-8).
 
-    The shifted solve and the products with M run on the structure of M
+    The shifted solve and the products with M run on its bands or blocks
     (``operators._shifted_solver``: three bands, two half-size mirror blocks
     or dense).  Errors when the numerical null space is not one-dimensional
     (a second, deflated iteration also converging to eigenvalue ~0)."""

@@ -17,9 +17,6 @@ from .operators import (
     ModelSpec,
     OperatorMatrix,
     OperatorParts,
-    _BirthDeath,
-    _mirror_pair,
-    _mirror_unfold,
     _shifted_solver,
     assemble,
 )
@@ -39,21 +36,19 @@ class SpectrumReport:
 def _eigenvalues(op: OperatorMatrix) -> np.ndarray:
     """Eigenvalues of a generator, unordered, as a complex array.
 
-    A birth-death generator (``OperatorMatrix.structure``: tridiagonal with
+    A birth-death generator (``OperatorMatrix.bands``: tridiagonal with
     every M[i,i+1] M[i+1,i] > 0, the reversible chains, such as the
     Classical generator) is similar by a real diagonal matrix to a symmetric
     tridiagonal one, so its spectrum is real and comes from the symmetric
-    tridiagonal solver in O(n^2).  A centrosymmetric one (every other
-    generator of a mirror-symmetric model) is similar to
-    diag(M_even, M_odd), so its spectrum is that of the two half-size mirror
-    blocks, at a quarter of the dense work.  Every other operator takes the
-    dense non-symmetric solver."""
-    s = op.structure
-    if isinstance(s, _BirthDeath):
-        return sla.eigvalsh_tridiagonal(s.diag, s.offdiag).astype(complex)
+    tridiagonal solver in O(n^2).  Every other spectrum is that of its
+    ``OperatorMatrix.blocks``, by the dense non-symmetric solver: a
+    centrosymmetric generator (every other generator of a mirror-symmetric
+    model) is similar to diag(M_even, M_odd), a quarter of the dense
+    work."""
+    s = op.bands
     if s is not None:
-        return np.concatenate([sla.eigvals(B) for B in s])
-    return sla.eigvals(op.entries)
+        return sla.eigvalsh_tridiagonal(s.diag, s.offdiag).astype(complex)
+    return np.concatenate([sla.eigvals(B) for B in op.blocks.mats])
 
 
 def eigen_spectrum(op: OperatorMatrix, k_leading: int = 8, separation_a: float = -0.5) -> SpectrumReport:
@@ -157,7 +152,7 @@ class ProjectorReport:
     contour_radius: float
     contour_margin: float  # min over eigenvalues of ||lambda| - radius|
     norm: float  # ||P||_2
-    sep: float  # LAPACK estimate of sep(T11, T22); the smaller block's on the mirror path
+    sep: float  # LAPACK estimate of sep(T11, T22); the smallest block's
     projector: np.ndarray = field(repr=False)
 
 
@@ -173,11 +168,12 @@ def spectral_projector(op: OperatorMatrix, radius: float) -> ProjectorReport:
     W = Z1^T - Y Z2^T; Z1 is refined once from the residual Z2^T M Z1 in
     the same way, and W rescaled so that W Z1 = I.
 
-    A centrosymmetric M (``operators._mirror_pair``: the mirror blocks of
-    its structure, or of a birth-death chain's parts) is similar to
-    diag(M_even, M_odd) by the fold, so P is the unfolded block-diagonal projector: the Schur steps
-    run on each half-size block, and P = U V with U (n x k) the unfolded Z1
-    of each block and V (k x n) the W of each block composed with the fold.  ``sep`` is then the smaller of the two blocks'
+    The Schur steps run on each of ``OperatorMatrix.blocks`` (the two
+    mirror blocks of a centrosymmetric M, a birth-death chain's included,
+    else M itself): the fold makes M block diagonal, so P is the unfolded
+    block-diagonal projector, P = U V with U (n x k) the unfold of the
+    block-diagonal Z1 and V^T (n x k) the fold's transpose applied to the
+    block-diagonal W^T.  ``sep`` is then the smallest of the blocks'
     estimates: an even and an odd eigenvalue never couple in P, so their
     separation does not enter it.  With U = QR, ||P||_2 = ||R V||_2 and
     ||P^2 - P||_2 = ||R (V U - I) V||_2.  The rank (k), norm and
@@ -185,9 +181,8 @@ def spectral_projector(op: OperatorMatrix, radius: float) -> ProjectorReport:
 
     Errors if an eigenvalue lies within 1e-6 of the contour, suggesting a
     safe radius."""
-    blocks = _mirror_pair(op)
-    mats = (op.entries,) if blocks is None else blocks
-    schur = [_real_schur(B) for B in mats]
+    blocks = op.blocks
+    schur = [_real_schur(B) for B in blocks.mats]
     mods = [np.hypot(wr, wi) for _, _, wr, wi in schur]
     mod = np.concatenate(mods)
     dist = np.abs(mod - radius)
@@ -199,21 +194,12 @@ def spectral_projector(op: OperatorMatrix, radius: float) -> ProjectorReport:
         raise ValueError(
             f"contour crosses an eigenvalue; choose radius in ({lo:.3g}, {hi:.3g})"
         )
-    parts = [_riesz_factors(B, T, Z, block_mod < radius)
-             for B, (T, Z, _, _), block_mod in zip(mats, schur, mods)]
-    if blocks is None:
-        (U, V, sep), = parts
-    else:
-        (Ze, We, sep_e), (Zo, Wo, sep_o) = parts
-        m, ke, ko = Zo.shape[0], Ze.shape[1], Zo.shape[1]
-        U = _mirror_unfold(np.hstack([Ze, np.zeros((m + 1, ko))]),
-                           np.hstack([np.zeros((m, ke)), Zo]))
-        # v -> W fold(v): the fold halves every coordinate but the centre
-        We = We.T.copy()
-        We[:m] *= 0.5
-        V = _mirror_unfold(np.hstack([We, np.zeros((m + 1, ko))]),
-                           np.hstack([np.zeros((m, ke)), 0.5 * Wo.T])).T
-        sep = min(sep_e, sep_o)
+    Z1s, Ws, seps = zip(*(_riesz_factors(B, T, Z, block_mod < radius)
+                          for B, (T, Z, _, _), block_mod in zip(blocks.mats, schur, mods)))
+    cuts = np.cumsum([B.shape[0] for B in blocks.mats])[:-1]
+    U = blocks.unfold(*np.split(sla.block_diag(*Z1s), cuts))
+    V = blocks.fold_transpose(*np.split(sla.block_diag(*(W.T for W in Ws)), cuts)).T
+    sep = min(seps)
     k = U.shape[1]
     R = np.linalg.qr(U, mode="r")
     norm = float(np.linalg.norm(R @ V, 2))
@@ -314,7 +300,7 @@ def perturbation_certificate(
     the resolvent factorization holds on the sample).
 
     At each sample z I - L_0 and z I - B_eps are factored on their own
-    structure (``operators._shifted_solver``), and the products with
+    bands or blocks (``operators._shifted_solver``), and the products with
     L_eps - L_0 and A run on the parts.  A sample whose worse-conditioned
     factor has rcond < 1e-13 is refused.  A sample within 8 eps |z| of the
     conjugate of a sample already solved reuses its norm: for real F,

@@ -28,6 +28,29 @@ def mirror_blocks(M: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     return even, tt - tb
 
 
+def dense_evolve(M, f0, spec):
+    """Reference trajectory of ``semigroup.evolve_block``, recorded states
+    stacked, from one dense expm(dt M) or one dense LU."""
+    eye, dt = np.eye(M.shape[0]), spec.dt
+    if spec.scheme == "ExactExpm":
+        E = sla.expm(dt * M)
+        step = lambda v: E @ v
+    elif spec.scheme == "BackwardEuler":
+        lu = sla.lu_factor(eye - dt * M)
+        step = lambda v: sla.lu_solve(lu, v, check_finite=False)
+    else:
+        lu = sla.lu_factor(eye - 0.5 * dt * M)
+        right = eye + 0.5 * dt * M
+        step = lambda v: sla.lu_solve(lu, right @ v, check_finite=False)
+    nsteps = int(round(spec.t_end / dt))
+    out, v = [f0], f0
+    for k in range(1, nsteps + 1):
+        v = step(v)
+        if k % spec.record_every == 0 or k == nsteps:
+            out.append(v)
+    return np.array(out)
+
+
 def sobolev_lhs(F: np.ndarray, grid, alpha: float) -> np.ndarray:
     """The lhs of ``inequalities.fractional_sobolev_block`` (delta = 2h) for
     every column of F, its double sum over the dense |i - j| weight matrix

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from dense_oracle import mirror_blocks, xi_pair
+from dense_oracle import dense_evolve, mirror_blocks, xi_pair
 from fplab.grids import Field, WeightSpec, gaussian_density, make_grid, weighted_norm
 from fplab.inequalities import adjoint_dissipativity_check, dissipativity_check
 from fplab.kernels import truncated_fractional_kernel
@@ -20,6 +20,7 @@ from fplab.operators import (
     _BirthDeath,
     _bernoulli,
     _mirror_blocks_of_parts,
+    _shifted_solver,
     _power_cell_weights,
     _truncated_cell_weights,
     apply,
@@ -28,8 +29,15 @@ from fplab.operators import (
     sampled_convolution_weights,
 )
 from fplab.probes import probe_family
-from fplab.semigroup import EvolveSpec, decay_rate, evolve, fourier_steady_oracle, steady_state
-from fplab.spectra import eigen_spectrum
+from fplab.semigroup import (
+    EvolveSpec,
+    decay_rate,
+    evolve,
+    evolve_block,
+    fourier_steady_oracle,
+    steady_state,
+)
+from fplab.spectra import eigen_spectrum, spectral_projector
 from fplab.splitting import (
     ClassicalSplitting,
     FractionalSplitting,
@@ -422,7 +430,7 @@ def test_adjoint_check_stays_below_one_dense_array(no_dense):
 
 
 # ---------------------------------------------------------------------------
-# the solvers' structure, formed from the parts
+# the solvers' bands and blocks, formed from the parts
 
 
 def _structure_cases():
@@ -445,21 +453,26 @@ def test_mirror_blocks_from_parts_match_folded_dense(build, L, n):
     for got, want in zip(blocks, folded):
         assert got.shape == want.shape
         assert np.abs(got - want).max() <= 4.0 * np.finfo(float).eps * np.abs(M).max()
-    # the birth-death bands win over the blocks: Classical, and B of its
-    # pure multiplier splitting
-    if isinstance(op.structure, _BirthDeath):
-        assert not len(op.parts.cols)
-        assert np.array_equal(op.structure.diag, np.diag(M))
-    else:
-        assert op.structure is not None
-        assert all(np.array_equal(a, b) for a, b in zip(op.structure, blocks))
+    # the birth-death bands: Classical, and B of its pure multiplier
+    # splitting; its blocks are still the folded parts
+    if op.bands is not None:
+        assert isinstance(op.bands, _BirthDeath) and not len(op.parts.cols)
+        assert np.array_equal(op.bands.diag, np.diag(M))
+    assert all(np.array_equal(a, b) for a, b in zip(op.blocks.mats, blocks, strict=True))
+    # unfold inverts the fold, and fold_transpose is its transpose
+    blk = op.blocks
+    V = np.random.default_rng(0).standard_normal((n, 3))
+    assert np.abs(blk.unfold(*blk.fold(V)) - V).max() <= 4.0 * np.finfo(float).eps
+    W = [np.random.default_rng(1).standard_normal((B.shape[0], 3)) for B in blk.mats]
+    lhs = sum(x.T @ w for x, w in zip(blk.fold(V), W))
+    assert np.abs(lhs - V.T @ blk.fold_transpose(*W)).max() <= 1e-12 * np.abs(lhs).max()
 
 
 def test_parts_that_are_not_mirror_symmetric_fall_back():
     grid = make_grid(6.0, 257)
     op = assemble(DiscreteFractional(eps=0.2, alpha=1.0), grid)
     p = op.parts
-    assert isinstance(op.structure, tuple)
+    assert op.bands is None and len(op.blocks.mats) == 2
     skew = p.left.copy()
     skew[0, 0] *= 1.0 + 1e-12
     tilted = np.linspace(0.5, 1.5, grid.n)
@@ -471,7 +484,9 @@ def test_parts_that_are_not_mirror_symmetric_fall_back():
                   OperatorParts(p.diag, bumped, p.upper, p.cols, p.left, p.right)):
         other = OperatorMatrix(grid, parts=parts)
         assert _mirror_blocks_of_parts(parts) is None
-        assert other.structure is None
+        assert other.bands is None
+        # the dense matrix is the one block, under the identity fold
+        assert len(other.blocks.mats) == 1 and other.blocks.mats[0] is other.entries
         assert mirror_blocks(other.entries) is None
         # the dense path answers for it
         assert eigen_spectrum(other).eigenvalues.size == 8
@@ -480,7 +495,43 @@ def test_parts_that_are_not_mirror_symmetric_fall_back():
     empty = np.empty((0, grid.n))
     upwind = OperatorParts(classical.diag, np.zeros(grid.n - 1), classical.upper,
                            empty, empty, empty)
-    assert OperatorMatrix(grid, parts=upwind).structure is None
+    upwind_op = OperatorMatrix(grid, parts=upwind)
+    assert upwind_op.bands is None and len(upwind_op.blocks.mats) == 1
+
+    # every solver on the identity fold matches numpy/scipy on the dense
+    # matrix of the skewed parts
+    op = OperatorMatrix(grid, parts=OperatorParts(p.diag, p.lower, p.upper, p.cols, skew,
+                                                  p.right))
+    M = op.entries
+    n = grid.n
+    wq = grid.cell_sizes
+    # the steady state: M g = 0 with row 0 replaced by the mass wq g = 1
+    bordered = M.copy()
+    bordered[0] = wq
+    g = np.linalg.solve(bordered, np.eye(n)[0])
+    G = steady_state(op).values
+    assert np.abs(G - g).max() <= 1e-12 * np.abs(g).max()
+    F0 = np.column_stack([f.values for f in probe_family(grid, count=3, seed=5)])
+    for scheme in ("BackwardEuler", "CrankNicolson", "ExactExpm"):
+        spec = EvolveSpec(t_end=0.5, dt=0.05, scheme=scheme, record_every=5)
+        got = np.array([F for _, F in evolve_block(op, F0, spec)])
+        ref = dense_evolve(M, F0, spec)
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max(), scheme
+    # the rank-1 Riesz projector onto the zero eigenvalue, r l^T / (l^T r)
+    w, vl, vr = sla.eig(M, left=True, right=True)
+    i0 = int(np.argmin(np.abs(w)))
+    r, l = vr[:, i0].real, vl[:, i0].real
+    P = np.outer(r, l) / (l @ r)
+    proj = spectral_projector(op, radius=0.5)
+    assert proj.rank == 1
+    assert np.abs(proj.projector - P).max() <= 1e-11 * np.abs(P).max()
+    # a complex shifted solve and the product with M
+    fac = _shifted_solver(op, 0.5j, -1.0)
+    S = 0.5j * np.eye(n) - M
+    assert np.abs(fac.solve(F0) - np.linalg.solve(S, F0)).max() \
+        <= 1e-12 * np.abs(np.linalg.solve(S, F0)).max()
+    assert np.abs(fac.matvec(F0) - M @ F0).max() <= 1e-13 * np.abs(M @ F0).max()
+    assert 0.1 <= fac.rcond * np.linalg.cond(S, 1) <= 10.0
 
 
 @pytest.mark.parametrize("model,L", [(Classical(), 12.0), (DiscreteClassical(eps=0.4), 12.0),

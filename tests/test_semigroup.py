@@ -6,7 +6,7 @@ import pytest
 import scipy.linalg as sla
 from scipy.integrate import cumulative_trapezoid
 
-from dense_oracle import mirror_blocks
+from dense_oracle import dense_evolve, mirror_blocks
 from fplab.grids import Field, WeightSpec, gaussian_density, make_grid, mass, weighted_norm
 from fplab.kernels import khat
 from fplab.probes import probe_family
@@ -54,28 +54,6 @@ def test_evolve_spec_validation():
         EvolveSpec(t_end=1.0, dt=0.1, scheme="ForwardEuler")
 
 
-def _dense_evolve(M, f0, spec):
-    """Reference trajectory from one dense expm(dt M) or one dense LU."""
-    eye, dt = np.eye(M.shape[0]), spec.dt
-    if spec.scheme == "ExactExpm":
-        E = sla.expm(dt * M)
-        step = lambda v: E @ v
-    elif spec.scheme == "BackwardEuler":
-        lu = sla.lu_factor(eye - dt * M)
-        step = lambda v: sla.lu_solve(lu, v, check_finite=False)
-    else:
-        lu = sla.lu_factor(eye - 0.5 * dt * M)
-        right = eye + 0.5 * dt * M
-        step = lambda v: sla.lu_solve(lu, right @ v, check_finite=False)
-    nsteps = int(round(spec.t_end / dt))
-    out, v = [f0], f0
-    for k in range(1, nsteps + 1):
-        v = step(v)
-        if k % spec.record_every == 0 or k == nsteps:
-            out.append(v)
-    return np.array(out)
-
-
 @pytest.mark.parametrize("n", [513, 1025])
 def test_birth_death_paths_match_dense(n):
     grid = make_grid(12.0, n)
@@ -86,7 +64,7 @@ def test_birth_death_paths_match_dense(n):
     spec = EvolveSpec(t_end=4.0, dt=0.05, scheme="ExactExpm")
     traj = evolve(op, g0, spec)
     times = np.array([t for t, _ in traj])
-    ref = _dense_evolve(op.entries, g0.values, spec)
+    ref = dense_evolve(op.entries, g0.values, spec)
     w = WeightSpec(p=1, q=1)
     norms = np.array([weighted_norm(f, w) for _, f in traj])
     ref_norms = np.array([weighted_norm(Field(grid, v), w) for v in ref])
@@ -98,7 +76,7 @@ def test_birth_death_paths_match_dense(n):
     for scheme in ("BackwardEuler", "CrankNicolson"):
         spec = EvolveSpec(t_end=0.5, dt=0.01, scheme=scheme, record_every=10)
         new = np.array([f.values for _, f in evolve(op, f1, spec)])
-        ref = _dense_evolve(op.entries, f1.values, spec)
+        ref = dense_evolve(op.entries, f1.values, spec)
         assert np.max(np.abs(new - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
@@ -111,9 +89,9 @@ def test_exact_expm_guard_keeps_dense_path_for_flat_datum():
         grid = make_grid(12.0, n)
         op = assemble(Classical(), grid)
         f0 = Field(grid, np.ones(grid.n))
-        assert _birth_death_expm(op.structure, op, f0.values, np.array([0.05])) is None
+        assert _birth_death_expm(op.bands, op, f0.values, np.array([0.05])) is None
         out = np.array([f.values for _, f in evolve(op, f0, spec)])
-        ref = _dense_evolve(op.entries, f0.values, spec)
+        ref = dense_evolve(op.entries, f0.values, spec)
         assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref)), n
 
 
@@ -126,7 +104,8 @@ def test_non_finite_state_reports_its_step(force_dense):
                         (DiscreteClassical(eps=0.4), make_grid(3.2, 129))):
         parts = assemble(model, grid).parts
         ops.append(OperatorMatrix(grid, replace(parts, diag=parts.diag + 5.0)))
-    assert isinstance(ops[0].structure, _BirthDeath) and isinstance(ops[1].structure, tuple)
+    assert isinstance(ops[0].bands, _BirthDeath)
+    assert ops[1].bands is None and len(ops[1].blocks.mats) == 2
 
     def failing_step(op, scheme):
         f0 = gaussian_density(op.grid, 0.5)
@@ -181,11 +160,11 @@ def test_mirror_halves_match_dense_trajectory(case, scheme):
     # the block is folded once, each half runs to t_end and the recorded
     # halves are unfolded: the trajectory of the dense expm or LU of M
     op = MIRROR_OPS[case]
-    assert isinstance(op.structure, tuple)
+    assert op.bands is None and len(op.blocks.mats) == 2
     F0 = np.column_stack([f.values for f in probe_family(op.grid, count=4, seed=3)])
     spec = EvolveSpec(t_end=1.0, dt=0.05, scheme=scheme, record_every=4)
     traj = evolve_block(op, F0, spec)
-    ref = _dense_evolve(op.entries, F0, spec)
+    ref = dense_evolve(op.entries, F0, spec)
     assert [t for t, _ in traj] == [0.0] + [k * spec.dt for k in (4, 8, 12, 16, 20)]
     new = np.array([F for _, F in traj])
     assert np.max(np.abs(new - ref)) <= 1e-12 * np.max(np.abs(ref))
@@ -201,7 +180,7 @@ def test_mirror_halves_hold_one_block_operator_at_a_time(monkeypatch, scheme, ro
     # holding the even exponential or factors would add a whole one
     op = MIRROR_OPS["discrete-fractional"]
     n = op.grid.n
-    op.structure  # the blocks exist before tracing starts
+    op.blocks  # the blocks exist before tracing starts
     held = []
     original = getattr(sla, routine)
 
@@ -231,7 +210,7 @@ def test_odd_half_overflowing_first_reports_its_step():
     grid = make_grid(3.2, 129)
     parts = assemble(DiscreteClassical(eps=0.4), grid).parts
     op = OperatorMatrix(grid, replace(parts, diag=parts.diag + 5.0))
-    assert isinstance(op.structure, tuple)
+    assert op.bands is None and len(op.blocks.mats) == 2
     g = np.exp(-grid.nodes**2)
     odd, even = grid.nodes * g, 1e-150 * g
     odd_block = mirror_blocks(op.entries)[1]
@@ -246,7 +225,7 @@ def test_odd_half_overflowing_first_reports_its_step():
             spec = EvolveSpec(t_end=250.0, dt=0.1, scheme=scheme)
             step = failing_step(odd + even, spec)
             assert step == failing_step(odd, spec) < failing_step(even, spec), scheme
-            ref = _dense_evolve(odd_block, _mirror_fold(odd)[1], spec)
+            ref = dense_evolve(odd_block, _mirror_fold(odd)[1], spec)
             ref_step = int(np.flatnonzero(~np.all(np.isfinite(ref), axis=1))[0])
             # e^(0.4 k) passes 1.8e308 near k = 1775 on either path
             assert abs(step - ref_step) <= (5 if scheme == "ExactExpm" else 0), scheme
@@ -266,7 +245,7 @@ def test_steady_state_on_structure_matches_dense(case, force_dense):
     op = assemble(model, grid)
     # Classical is solved on its three bands, the jump families on their
     # two half-size mirror blocks
-    assert isinstance(op.structure, _BirthDeath) == (case == "classical")
+    assert isinstance(op.bands, _BirthDeath) == (case == "classical")
     assert mirror_blocks(op.entries) is not None
     G = steady_state(op).values
     force_dense()
@@ -288,7 +267,8 @@ def test_steady_state_reducible_mirror_pair_raises(force_dense):
     op = OperatorMatrix(make_grid(4.0, n), OperatorParts(np.diag(M).copy(), np.diag(M, -1).copy(),
                                                          np.diag(M, 1).copy(), empty, empty, empty))
     assert np.array_equal(op.entries, M)
-    assert isinstance(op.structure, tuple) and mirror_blocks(M) is not None
+    assert op.bands is None and len(op.blocks.mats) == 2
+    assert mirror_blocks(M) is not None
     with pytest.raises(ArithmeticError, match="rank"):
         steady_state(op)
     force_dense()
