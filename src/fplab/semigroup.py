@@ -21,6 +21,8 @@ from .operators import (
     OperatorParts,
     _BirthDeath,
     _dense_factor,
+    _dot,
+    _expm,
     _shifted_solver,
     _whole,
 )
@@ -60,9 +62,10 @@ def evolve_block(op: OperatorMatrix, F0: np.ndarray, spec: EvolveSpec) -> list[t
     M[i,i+1] M[i+1,i] > 0, such as the Classical generator) every path is
     O(n^2).  BackwardEuler and CrankNicolson factor their tridiagonal matrix
     once (LAPACK dgttrf) and step with dgttrs.  ExactExpm diagonalizes the
-    symmetrized S = D M D^-1 = Q diag(lam) Q^T once and forms every recorded
-    state as D^-1 Q (e^(t lam) * Q^T D f0) in one block product.  That is
-    exact in the D-weighted 2-norm, but a state's sup-norm error is about
+    symmetrized S = D M D^-1 = Q diag(lam) Q^T once for all k columns and
+    forms every recorded state of a column f0 as
+    D^-1 Q (e^(t lam) * Q^T D f0) in one block product.  That is exact in
+    the D-weighted 2-norm, but a state's sup-norm error is about
     eps ||D f0||_2 / d_i, so ExactExpm steps on ``OperatorMatrix.blocks``,
     as below, whenever eps ||D f0||_2 / (min d ||f0||_inf) > 1e-9 for some
     column (for instance a flat f0 on the Classical generator at L = 12,
@@ -93,9 +96,8 @@ def evolve_block(op: OperatorMatrix, F0: np.ndarray, spec: EvolveSpec) -> list[t
     recorded = [k for k in range(1, nsteps + 1) if k % spec.record_every == 0 or k == nsteps]
     bd = op.bands
     if bd is not None and spec.scheme == "ExactExpm":
-        cols = [_birth_death_expm(bd, op, f, spec.dt * np.array(recorded)) for f in F.T]
-        if all(c is not None for c in cols):
-            states = np.stack(cols, axis=-1)  # (n, times, k)
+        states = _birth_death_expm(bd, op, F, spec.dt * np.array(recorded))
+        if states is not None:
             for j, k in enumerate(recorded):
                 if not np.all(np.isfinite(states[:, j])):
                     raise FloatingPointError(f"non-finite state at step {k}")
@@ -127,29 +129,39 @@ def evolve_block(op: OperatorMatrix, F0: np.ndarray, spec: EvolveSpec) -> list[t
     return out
 
 
-def _birth_death_expm(bd: _BirthDeath, op: OperatorMatrix, f0: np.ndarray,
+def _birth_death_expm(bd: _BirthDeath, op: OperatorMatrix, F0: np.ndarray,
                       times: np.ndarray) -> np.ndarray | None:
-    """Columns e^(t M) f0 for t in ``times`` from the symmetrized
-    eigendecomposition, or None when the sup-norm guard of ``evolve_block``
-    fails (or D f0 overflows).
+    """States e^(t M) F0 for t in ``times``, shape (n, len(times), k), from
+    the symmetrized eigendecomposition, or None when the sup-norm guard of
+    ``evolve_block`` fails for some column (or D F0 overflows).
 
-    For a mass-conserving M (wq^T M = 0) the roundoff mass defect of each
-    column is put back along the equilibrium wq / d^2, the null vector of M:
+    The tridiagonal eigensolve and the conservation check run once for all
+    k columns; each column is then formed on its own, the same way for any
+    k, with its two products with Q on ``operators._dot``.  For a
+    mass-conserving M (wq^T M = 0) the roundoff mass defect of each column
+    is put back along the equilibrium wq / d^2, the null vector of M:
     without it the Classical decay datum at n = 1025 drifts by 7e-12."""
     d = np.exp(bd.log_d)  # min d = 1
-    g0 = d * f0
-    guard = np.finfo(float).eps * np.linalg.norm(g0) <= 1e-9 * np.max(np.abs(f0))
-    if not (guard and np.all(np.isfinite(g0))):
+    cols = [(f, d * f) for f in np.asfortranarray(F0).T]  # contiguous columns
+    tiny = np.finfo(float).eps
+    if not all(tiny * np.linalg.norm(g) <= 1e-9 * np.max(np.abs(f)) and np.all(np.isfinite(g))
+               for f, g in cols):
         return None
     lam, Q = sla.eigh_tridiagonal(bd.diag, bd.offdiag)
-    coef = np.exp(np.outer(lam, times)) * (Q.T @ g0)[:, None]
-    states = (Q @ coef) / d[:, None]
+    growth = np.exp(np.outer(lam, times))
     wq = op.grid.cell_sizes
     scale = max(np.abs(band).max() for band in (bd.diag, bd.lower, bd.upper))
+    u = None
     if op.conservation_defect <= 1e-12 * scale:
         u = wq / d**2
-        states += np.outer(u / (wq @ u), wq @ f0 - wq @ states)
-    return states
+        u /= wq @ u
+    out = []
+    for f, g in cols:
+        states = _dot(Q, growth * _dot(Q.T, g)[:, None]) / d[:, None]
+        if u is not None:
+            states += np.outer(u, wq @ f - wq @ states)
+        out.append(states)
+    return np.stack(out, axis=-1)
 
 
 def _stepper(M: OperatorMatrix | np.ndarray,
@@ -159,13 +171,14 @@ def _stepper(M: OperatorMatrix | np.ndarray,
     ``OperatorMatrix.blocks``) or, for the implicit schemes, a birth-death
     operator.
 
-    ExactExpm forms e^(dt M) once.  The implicit schemes factor
-    I - theta dt M once: densely (LU), or on the three bands of the
-    birth-death operator (``operators._shifted_solver``)."""
+    ExactExpm forms e^(dt M) once (``operators._expm``) and steps by
+    ``operators._dot``.  The implicit schemes factor I - theta dt M once:
+    densely (LU), or on the three bands of the birth-death operator
+    (``operators._shifted_solver``)."""
     dt = spec.dt
     if spec.scheme == "ExactExpm":
-        E = sla.expm(dt * M)
-        return lambda v: E @ v
+        E = _expm(dt * M)
+        return lambda v: _dot(E, v)
     theta = 1.0 if spec.scheme == "BackwardEuler" else 0.5
     factor = _shifted_solver if isinstance(M, OperatorMatrix) else _dense_factor
     fac = factor(M, 1.0, -theta * dt)

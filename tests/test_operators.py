@@ -17,8 +17,11 @@ from fplab.operators import (
     Fractional,
     OperatorMatrix,
     OperatorParts,
+    _THETA_13,
     _BirthDeath,
     _bernoulli,
+    _dot,
+    _expm,
     _mirror_blocks_of_parts,
     _shifted_solver,
     _power_cell_weights,
@@ -565,3 +568,54 @@ def test_refine_pipeline_forms_no_dense_generator(model, L, no_dense):
     assert max(abs(wq @ (f.values - f0.values)) for _, f in traj) <= 1e-12
     assert min(float(f.values.min()) for _, f in traj) >= -1e-12
     assert op.conservation_defect <= 1e-13 * np.abs(op.parts.diag).max()
+
+
+def test_dot_matches_numpy_product():
+    # C- and F-ordered A, a vector and an n x k block (C- and F-ordered), and
+    # complex X, which _dot takes by its real and imaginary parts
+    rng = np.random.default_rng(3)
+    n = 257
+    A = rng.standard_normal((n, n))
+    real = [rng.standard_normal(n), rng.standard_normal((n, 5)),
+            np.asfortranarray(rng.standard_normal((n, 5)))]
+    blocks = real + [x + 1j * rng.standard_normal(x.shape) for x in real[:2]]
+    for M in (A, np.asfortranarray(A)):
+        for X in blocks:
+            ref = M @ X
+            out = _dot(M, X)
+            assert out.shape == ref.shape and out.dtype == ref.dtype
+            assert np.linalg.norm(out - ref) <= 1e-14 * np.linalg.norm(ref)
+    # a C-ordered A goes to BLAS transposed, not copied
+    X = real[1]
+    tracemalloc.start()
+    try:
+        _dot(A, X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * A.nbytes
+
+
+@pytest.mark.parametrize("model,L", [(DiscreteClassical(eps=0.45), 12.0),
+                                     (Fractional(alpha=1.2), 60.0),
+                                     (DiscreteFractional(eps=0.15, alpha=1.0), 12.8)],
+                         ids=lambda m: getattr(m, "family", ""))
+def test_expm_matches_scipy_on_mirror_blocks(monkeypatch, model, L):
+    # _expm scales dt B to 1-norm <= theta_13 before scipy sees it, so scipy
+    # squares nothing, and squares the result itself
+    op = assemble(model, make_grid(L, 1025))
+    expm = sla.expm
+    handed = []
+
+    def traced(A):
+        handed.append(np.linalg.norm(A, 1))
+        return expm(A)
+
+    monkeypatch.setattr(sla, "expm", traced)
+    for B in op.blocks.mats:
+        for dt in (0.01, 0.05):
+            ref = expm(dt * B)
+            out = _expm(dt * B)
+            assert np.linalg.norm(out - ref, 1) <= 1e-13 * np.linalg.norm(ref, 1)
+            assert handed.pop() <= _THETA_13 < np.linalg.norm(dt * B, 1)
+    assert not handed

@@ -89,10 +89,43 @@ def test_exact_expm_guard_keeps_dense_path_for_flat_datum():
         grid = make_grid(12.0, n)
         op = assemble(Classical(), grid)
         f0 = Field(grid, np.ones(grid.n))
-        assert _birth_death_expm(op.bands, op, f0.values, np.array([0.05])) is None
+        assert _birth_death_expm(op.bands, op, f0.values[:, None], np.array([0.05])) is None
         out = np.array([f.values for _, f in evolve(op, f0, spec)])
         ref = dense_evolve(op.entries, f0.values, spec)
         assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref)), n
+
+
+def test_exact_expm_block_decomposes_the_chain_once(monkeypatch):
+    # an n x k ExactExpm block on a birth-death chain makes one tridiagonal
+    # eigendecomposition and one conservation check, and each of its
+    # columns comes out bit for bit as that column evolved alone
+    grid = make_grid(12.0, 257)
+    op = assemble(Classical(), grid)
+    F0 = np.stack([gaussian_density(grid, v, c).values
+                   for v, c in ((1.0, 0.0), (0.5, 1.0), (1.5, -1.0), (0.3, 2.0), (1.0, 0.5))],
+                  axis=1)
+    spec = EvolveSpec(t_end=1.0, dt=0.05, scheme="ExactExpm", record_every=4)
+    alone = [evolve(op, Field(grid, f), spec) for f in F0.T]
+    calls = []
+    eigh = sla.eigh_tridiagonal
+    defect = OperatorMatrix.conservation_defect
+
+    def counted(*args, **kwargs):
+        calls.append("eigh_tridiagonal")
+        return eigh(*args, **kwargs)
+
+    def counted_defect(self):
+        calls.append("conservation_defect")
+        return defect.fget(self)
+
+    monkeypatch.setattr(sla, "eigh_tridiagonal", counted)
+    monkeypatch.setattr(OperatorMatrix, "conservation_defect", property(counted_defect))
+    block = evolve_block(op, F0, spec)
+    assert sorted(calls) == ["conservation_defect", "eigh_tridiagonal"]
+    assert [t for t, _ in block] == [t for t, _ in alone[0]]
+    for j, (_, F) in enumerate(block):
+        for col, traj in zip(F.T, alone):
+            np.testing.assert_array_equal(col, traj[j][1].values)
 
 
 def test_non_finite_state_reports_its_step(force_dense):
