@@ -12,7 +12,6 @@ from .operators import (
     DiscreteFractional,
     Fractional,
     OperatorMatrix,
-    apply,
     assemble,
 )
 from .semigroup import EvolveSpec, decay_rate, evolve, steady_state
@@ -23,7 +22,7 @@ __all__ = [
     "Field", "Grid1D", "WeightSpec", "gaussian_density", "make_grid", "mass",
     "weighted_norm", "gaussian_reference_kernel", "rescale",
     "truncated_fractional_kernel", "Classical", "DiscreteClassical",
-    "DiscreteFractional", "Fractional", "OperatorMatrix", "apply", "assemble",
+    "DiscreteFractional", "Fractional", "OperatorMatrix", "assemble",
     "EvolveSpec", "decay_rate", "evolve", "steady_state", "eigen_spectrum",
     "spectral_projector", "ClassicalSplitting", "FractionalSplitting",
     "assemble_splitting",

@@ -197,15 +197,13 @@ def _sweep_builder(args):
 
 
 def cmd_gap_sweep(args) -> int:
-    if not args.params:
-        print("warning: empty parameter list, nothing swept")
-        _emit(args, "gap_sweep.json", {"rows": [], "pass": True, "warning": "empty"})
-        return 0
     rep = gap_sweep(_sweep_builder(args), list(args.params), gap_target=args.gap_target)
     _emit(args, "gap_sweep.json", rep)
     for row in rep["rows"]:
         print(f"{args.sweep}={row['param']}: gap={row['gap']}"
               + _error_suffix(row))
+    if rep["warning"]:
+        print(f"warning: {rep['warning']}")
     return _verdict(rep["pass"],
                     f"max gap {rep['max_gap']} vs target {rep['gap_target']}: ")
 
@@ -262,7 +260,7 @@ def cmd_converge(args) -> int:
 # default); every other check refuses the flag
 _VERIFY_READERS = {
     "model": dict.fromkeys(("dissipativity", "adjoint", "regularization", "sobolev-id")),
-    "weight": dict.fromkeys(("dissipativity", "adjoint")),
+    "weight": {"dissipativity": None, "adjoint": "2,0"},
     "a_target": dict.fromkeys(("dissipativity", "adjoint", "psi")),
     "eps": {"psi": 0.05, "dirichlet": 0.25, "gradient-bound": 0.25},
     "n_conv": dict.fromkeys(("regularization",)),

@@ -75,14 +75,14 @@ def _toeplitz_difference_sums(F: np.ndarray, c: np.ndarray) -> np.ndarray:
                            for v, Tv in zip(np.ascontiguousarray(F.T), TF)])
 
 
-def dirichlet_form_fourier_oracle_block(spectra: PowerSpectra, k: Kernel, eps: float,
-                                        xi_max: float = 60.0) -> np.ndarray:
+def dirichlet_form_fourier_oracle_block(spectra: PowerSpectra, k: Kernel,
+                                        eps: float) -> np.ndarray:
     """Independent continuum-side value of the Dirichlet form of every probe
     of a block, from its power spectra:
     (1/2pi) integral |fhat|^2 (1 - khat(eps xi)) / eps^2 dxi
-    with the continuum kernel transform (quadrature in xi)."""
+    with the continuum kernel transform (quadrature in |xi| <= 60)."""
     kh = np.asarray(khat(k, eps * spectra.xi_nodes)) / k.l1_norm
-    return spectra.integrate((1.0 - kh) / eps**2 * k.l1_norm, xi_max)
+    return spectra.integrate((1.0 - kh) / eps**2 * k.l1_norm, 60.0)
 
 
 def gradient_convolution_block(spectra: PowerSpectra, k: Kernel, eps: float,
@@ -172,7 +172,10 @@ def dissipativity_check(B: OperatorMatrix, w: WeightSpec, a: float,
 
     For weight specs with sobolev_order s >= 1 and p = 2, the same functional
     is summed over derivative orders 0..s (the H^s(m) energy), each
-    derivative taken as in ``weighted_norm`` (``grids.derivative``)."""
+    derivative taken as in ``weighted_norm`` (``grids.derivative``); p = 1
+    with s >= 1 is refused."""
+    if w.p == 1 and w.s:
+        raise ValueError("the L^1 dissipativity check reads no derivative order s")
     grid = B.grid
     F = probe_block(grid, count=probes, seed=seed)
     F = F[:, np.max(np.abs(F), axis=0) >= 1e-14]
@@ -209,8 +212,11 @@ def adjoint_dissipativity_check(B: OperatorMatrix, w: WeightSpec, b: float,
                                 alpha: float, probes: int = 64, seed: int = 0) -> dict:
     """L2 energy estimate for the weighted adjoint (D_m B D_m^-1)^T:
     checks <B* phi, phi>_{L2} <= b ||phi||^2 on probes.  The weight power must
-    satisfy q < alpha/2 so the similarity transform stays bounded.  The
-    product is D_m^-1 B^T (D_m F), on the parts of B."""
+    satisfy q < alpha/2 so the similarity transform stays bounded; a weight
+    with p != 2 or s != 0 is refused.  The product is D_m^-1 B^T (D_m F), on
+    the parts of B."""
+    if w.p != 2 or w.s:
+        raise ValueError("the adjoint check is an L^2 estimate: it reads only q of p = 2, s = 0")
     if not (w.q < alpha / 2.0):
         raise ValueError("need q < alpha/2 for the adjoint weight transform")
     grid = B.grid
@@ -289,20 +295,19 @@ def regularization_norm(
 # fractional Sobolev identity
 
 
-def fractional_sobolev_block(F: np.ndarray, grid: Grid1D, alpha: float,
-                             delta: float | None = None) -> dict:
+def fractional_sobolev_block(F: np.ndarray, grid: Grid1D, alpha: float) -> dict:
     """Compares, for every column u of the n x P block F, the regularized
     power-law double sum
-    integral integral (u(x) - u(y))^2 |x-y|^{-1-alpha} (|x-y| >= delta)
-    plus the near-field Taylor correction 2 delta^{2-alpha}/(2-alpha) ||u'||^2
+    integral integral (u(x) - u(y))^2 |x-y|^{-1-alpha} (|x-y| >= delta),
+    delta = 2h, plus the near-field Taylor correction
+    2 delta^{2-alpha}/(2-alpha) ||u'||^2
     against c0 ||u||^2_{Hdot^{alpha/2}} with c0 = 2 sigma_{alpha/2-symbol}:
     the Fourier-side quadrature of |xi|^alpha |uhat|^2.  The double sum is a
     Toeplitz identity in the |i - j| cell weights
     (``_toeplitz_difference_sums``); each entry but ``c0`` is an array with
     one value per probe."""
     n, h = grid.n, grid.h
-    if delta is None:
-        delta = 2.0 * h
+    delta = 2.0 * h
     # exact per-cell integrals of the kernel in the difference variable keep
     # the quadrature accurate next to the regularization radius
     w = np.zeros(n)

@@ -24,7 +24,7 @@ class Kernel:
     support_radius: float  # inf for smooth kernels
     alpha: float | None = None
     eps: float | None = None
-    # closed-form Fourier transform when available (takes |xi|)
+    # closed-form Fourier transform (takes |xi|); ``khat`` needs it
     profile_hat: Callable[[np.ndarray], np.ndarray] | None = None
     # quadrature tail cut for smooth kernels (in x units)
     tail_cut: float = 60.0
@@ -114,45 +114,36 @@ def truncated_fractional_kernel(alpha: float, eps: float) -> Kernel:
 
 
 def khat(k: Kernel, xi: np.ndarray | float) -> np.ndarray | float:
-    """Real Fourier transform of the symmetric kernel (cosine quadrature,
-    or the closed form when one is recorded)."""
-    axi = np.abs(np.asarray(xi, dtype=float))
-    if k.profile_hat is not None:
-        out = k.profile_hat(axi)
-    else:
-        cut = k.tail_cut if np.isinf(k.support_radius) else k.support_radius
-        z = np.linspace(0.0, cut, 20001)
-        kv = k(z)
-        out = 2.0 * np.trapezoid(kv * np.cos(np.outer(axi.ravel(), z)), z, axis=1)
-        out = out.reshape(axi.shape)
-    if np.isscalar(xi):
-        return float(out)
-    return out
+    """Real Fourier transform of the symmetric kernel, from its recorded
+    closed form; errors for a kernel that records none."""
+    if k.profile_hat is None:
+        raise ValueError("khat requires a kernel with a closed-form transform")
+    out = k.profile_hat(np.abs(np.asarray(xi, dtype=float)))
+    return float(out) if np.isscalar(xi) else out
 
 
 @dataclass(frozen=True)
 class RatioConstant:
     value: float
     arg_max: float
-    xi_max: float
-    n_xi: int
 
 
-def fourier_ratio_constant(k: Kernel, xi_max: float = 8.0, n_xi: int = 4097) -> RatioConstant:
+def fourier_ratio_constant(k: Kernel) -> RatioConstant:
     """Smallest grid-admissible K with xi^2 khat^2 <= K (1 - khat).
 
-    Scans |xi| in (0, xi_max]; errors if 1 - khat is not strictly positive
-    away from 0 (the kernel then fails the positivity hypothesis)."""
+    Scans 4096 equal steps of |xi| in (0, 8]; errors if 1 - khat is not
+    strictly positive away from 0 (the kernel then fails the positivity
+    hypothesis)."""
     if k.variant != "SmoothSymmetric":
         raise ValueError("ratio constant requires a SmoothSymmetric kernel")
-    xi = np.linspace(0.0, xi_max, n_xi)[1:]
+    xi = np.linspace(0.0, 8.0, 4097)[1:]
     kh = np.asarray(khat(k, xi))
     denom = 1.0 - kh
     if np.any(denom <= 0.0):
         raise ValueError("1 - khat(xi) not strictly positive away from 0")
     ratio = xi**2 * kh**2 / denom
     i = int(np.argmax(ratio))
-    return RatioConstant(value=float(ratio[i]), arg_max=float(xi[i]), xi_max=xi_max, n_xi=n_xi)
+    return RatioConstant(value=float(ratio[i]), arg_max=float(xi[i]))
 
 
 def symbol_constant(alpha: float) -> float:

@@ -3,7 +3,7 @@
 Four families, all of the form  diffusion + d/dx (x f):
 
 * Classical          : Laplacian diffusion.
-* DiscreteClassical  : eps^-2 (k_eps * f - f) with a smooth rescaled kernel.
+* DiscreteClassical  : eps^-2 (k_eps * f - f) with the rescaled Gaussian kernel.
 * Fractional         : compensated power-law jump integral (order alpha).
 * DiscreteFractional : k_eps * f - ||k_eps||_L1 f with the plateau-truncated
                        power-law kernel, no eps^-2 prefactor.
@@ -31,7 +31,7 @@ from typing import Callable, NamedTuple, Union
 import numpy as np
 import scipy.linalg as sla
 
-from .grids import Field, Grid1D, WeightSpec, probe_norm
+from .grids import Grid1D, WeightSpec, probe_norm
 from .kernels import (
     Kernel,
     gaussian_reference_kernel,
@@ -53,17 +53,14 @@ class Classical:
 
 @dataclass(frozen=True)
 class DiscreteClassical:
+    """The smooth-kernel model: the Gaussian reference kernel rescaled to eps."""
+
     eps: float
-    kernel: Kernel | None = None  # unrescaled smooth kernel; default Gaussian
     family: str = "discrete-classical"
 
     def __post_init__(self) -> None:
         if self.eps <= 0:
             raise ValueError("eps must be positive")
-        if self.kernel is None:
-            object.__setattr__(self, "kernel", gaussian_reference_kernel())
-        if self.kernel.variant != "SmoothSymmetric":
-            raise ValueError("DiscreteClassical requires a SmoothSymmetric kernel")
 
 
 @dataclass(frozen=True)
@@ -470,12 +467,6 @@ def _band_product(diag: np.ndarray, lower: np.ndarray, upper: np.ndarray,
     return r
 
 
-def apply(m: OperatorMatrix, f: Field) -> Field:
-    if f.grid != m.grid:
-        raise ValueError("grid mismatch")
-    return Field(f.grid, m.matmat(f.values))
-
-
 # ---------------------------------------------------------------------------
 # building blocks
 
@@ -585,7 +576,7 @@ def sampled_convolution_weights(model: DiscreteClassical, grid: Grid1D) -> tuple
         raise ValueError(
             f"grid does not resolve the kernel: need h <= eps/8 = {model.eps / 8.0:.6g}, got h = {h:.6g}"
         )
-    keps = rescale(model.kernel, model.eps)
+    keps = rescale(gaussian_reference_kernel(), model.eps)
     j = np.arange(1, grid.n)
     w = h * np.asarray(keps(j * h), dtype=float)
     w0 = h * float(keps(0.0))
@@ -636,15 +627,14 @@ def operator_distance(
     source: WeightSpec,
     target: WeightSpec,
     probes: int = 64,
-    seed: int = 0,
     oscillatory: int = 0,
 ) -> float:
-    """max over seeded smooth probes of ||(M1-M2) f||_target / ||f||_source.
+    """max over smooth probes of seed 0 of ||(M1-M2) f||_target / ||f||_source.
 
     A lower-bound proxy for the induced operator norm, used for convergence
     slopes.  ``oscillatory`` adds modulated probes whose frequency content
     saturates norms between Sobolev spaces of different orders."""
     if m1.grid != m2.grid:
         raise ValueError("same grid required")
-    F = probe_block(m1.grid, count=probes, seed=seed, oscillatory=oscillatory)
+    F = probe_block(m1.grid, count=probes, oscillatory=oscillatory)
     return probe_norm(m1.matmat(F) - m2.matmat(F), F, m1.grid, source, target)

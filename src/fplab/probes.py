@@ -27,10 +27,10 @@ def _hermite_function(order: int, x: np.ndarray) -> np.ndarray:
 
 
 def probe_family(grid: Grid1D, count: int = 64, seed: int = 0,
-                 max_order: int = 6, include_sharp: bool = False,
-                 oscillatory: int = 0) -> list[Field]:
-    """Random Hermite-type probes: mixtures of shifted Hermite functions with a
-    <x>^-2 envelope; even, odd, and sign-changing variants arise naturally.
+                 include_sharp: bool = False, oscillatory: int = 0) -> list[Field]:
+    """Random Hermite-type probes: mixtures of shifted Hermite functions of
+    order <= 6 with a <x>^-2 envelope; even, odd, and sign-changing variants
+    arise naturally.
 
     ``include_sharp`` appends narrow bumps (width down to ~2h) for
     smoothing-norm experiments.  ``oscillatory`` appends that many
@@ -45,7 +45,7 @@ def probe_family(grid: Grid1D, count: int = 64, seed: int = 0,
         n_terms = int(rng.integers(1, 4))
         v = np.zeros_like(x)
         for _ in range(n_terms):
-            order = int(rng.integers(0, max_order + 1))
+            order = int(rng.integers(0, 7))
             shift = float(rng.uniform(-2.0, 2.0))
             width = float(rng.uniform(0.7, 2.0))
             coef = float(rng.normal())

@@ -106,10 +106,10 @@ class _JumpTable(NamedTuple):
     guide: np.ndarray   # per bucket: the knot below it, or -1 if it holds a knot
 
 
-def _kernel_jump_table(k: Kernel, n_knots: int = 4096) -> _JumpTable:
-    """Monotone CDF table of |jump| for the normalized symmetric kernel, with
-    a guide table (Chen & Asau 1974) over K = 8 * (knots kept) equal buckets
-    of [0, 1).
+def _kernel_jump_table(k: Kernel) -> _JumpTable:
+    """Monotone CDF table of |jump| for the normalized symmetric kernel on
+    4096 equally spaced knots of [0, cut], with a guide table (Chen & Asau
+    1974) over K = 8 * (knots kept) equal buckets of [0, 1).
 
     A draw u falls in bucket b = min(floor(u K), K - 1).  The knots are
     bucketed by the same floating-point expression, which is monotone in u, so
@@ -118,7 +118,7 @@ def _kernel_jump_table(k: Kernel, n_knots: int = 4096) -> _JumpTable:
     one starting at the last knot below the bucket: ``guide[b]``.  Buckets
     that hold a knot store -1 and are resolved by a binary search."""
     cut = k.support_radius if np.isfinite(k.support_radius) else k.tail_cut
-    z = np.linspace(0.0, cut, n_knots)
+    z = np.linspace(0.0, cut, 4096)
     pdf = np.asarray(k(z))
     cdf = np.concatenate([[0.0], np.cumsum(0.5 * (pdf[1:] + pdf[:-1]) * np.diff(z))])
     cdf /= cdf[-1]
@@ -139,25 +139,17 @@ def _bucket(u: np.ndarray, n_buckets: int) -> np.ndarray:
     return np.minimum((u * n_buckets).astype(np.intp), n_buckets - 1)
 
 
-def sample_kernel_jumps(k: Kernel, rng: np.random.Generator, size: int,
-                        table: _JumpTable | None = None) -> np.ndarray:
-    """Symmetric draws from kernel/||kernel||_1 by CDF-table inversion.
-
-    Each uniform u is placed by the table's guide (O(1) per draw; a binary
-    search only in the buckets that hold a knot) and mapped by
-    slope * (u - cdf[j]) + z[j], np.interp's formula with its slopes, so the
-    draws are bit-identical to np.interp(u, cdf, z)."""
-    if table is None:
-        table = _kernel_jump_table(k)
-    u = rng.uniform(0.0, 1.0, size=size)
-    return _invert_jumps(table, rng, u, np.empty(size), np.empty(size, dtype=np.intp))
-
-
 def _invert_jumps(table: _JumpTable, rng: np.random.Generator, u: np.ndarray,
                   scratch: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """The jumps of the uniforms u (``sample_kernel_jumps``), formed in u,
-    with the float array ``scratch`` and the intp array j of u's size as
-    work space; draws the sign bits from rng."""
+    """Symmetric draws from kernel/||kernel||_1 by CDF-table inversion of the
+    uniforms u in [0, 1), formed in u, with the float array ``scratch`` and
+    the intp array j of u's size as work space; draws the sign bits from
+    rng.
+
+    Each u is placed by the table's guide (O(1) per draw; a binary search
+    only in the buckets that hold a knot) and mapped by
+    slope * (u - cdf[j]) + z[j], np.interp's formula with its slopes, so the
+    magnitudes are bit-identical to np.interp(u, cdf, z)."""
     cdf, z, slope, guide = table
     # _bucket(u, K), formed in scratch read as intp
     bucket = scratch.view(np.intp)
@@ -310,15 +302,15 @@ def wasserstein_contraction_check(
     spec: JumpOuSpec,
     f0_sampler: Callable[[np.random.Generator, int], np.ndarray],
     t_grid: list[float],
-    burn_in: float = 20.0,
 ) -> dict:
     """Checks W1(f_t, G) <= e^{-t} W1(f0, G) (1 + mc_tol), mc_tol = 4/sqrt(n).
 
-    The equilibrium ensemble G is produced by a burn-in run and then evolved
-    synchronously with the test ensemble (same noise), so the contraction
-    bound holds pathwise up to the empirical-quantile noise.  With shared
-    noise and a linear drift, X_t - Y_t = e^{-t}(x0 - y0) on every path, so
-    the bound tests the rank pairing of the two clouds, not the process.
+    The equilibrium ensemble G is produced by a burn-in run to t = 20 and
+    then evolved synchronously with the test ensemble (same noise), so the
+    contraction bound holds pathwise up to the empirical-quantile noise.
+    With shared noise and a linear drift, X_t - Y_t = e^{-t}(x0 - y0) on
+    every path, so the bound tests the rank pairing of the two clouds, not
+    the process.
 
     Each t must be a whole number of record steps (to 1e-9 relative) in
     [0, spec.t_end].  Holds one (2, n_paths) state, plus W1 at t = 0 and at
@@ -328,7 +320,7 @@ def wasserstein_contraction_check(
     if any(not 0.0 <= t <= spec.t_end or abs(r * dt - t) > 1e-9 * t
            for t, r in zip(t_grid, steps)):
         raise ValueError(f"t_grid {t_grid} must be record times of {dt} in [0, {spec.t_end}]")
-    burn_spec = JumpOuSpec(noise=spec.noise, t_end=burn_in, n_paths=spec.n_paths,
+    burn_spec = JumpOuSpec(noise=spec.noise, t_end=20.0, n_paths=spec.n_paths,
                            seed=spec.seed + 101, dt_record=0.5)
     eq0 = np.sort(_final_state(burn_spec, lambda r, n: r.normal(size=n), stream=11))
     f0 = np.sort(f0_sampler(_rng(spec.seed, 999), spec.n_paths))

@@ -10,7 +10,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .grids import Field, Grid1D, WeightSpec, mass, weighted_norm
-from .kernels import khat, power_kernel_symbol_factor
+from .kernels import gaussian_reference_kernel, khat, power_kernel_symbol_factor
 from .operators import (
     Classical,
     DiscreteClassical,
@@ -36,8 +36,10 @@ class EvolveSpec:
     record_every: int = 1
 
     def __post_init__(self) -> None:
-        if self.dt <= 0 or self.t_end < 0:
-            raise ValueError("dt > 0 and t_end >= 0 required")
+        if not (self.dt > 0 and 0 <= self.t_end < np.inf):
+            raise ValueError("dt > 0 and a finite t_end >= 0 required")
+        if abs(round(self.t_end / self.dt) * self.dt - self.t_end) > 1e-9 * self.t_end:
+            raise ValueError(f"t_end {self.t_end} is not a whole number of steps dt = {self.dt}")
         if self.scheme not in ("BackwardEuler", "CrankNicolson", "ExactExpm"):
             raise ValueError(f"unknown scheme {self.scheme}")
         if self.record_every < 1:
@@ -91,7 +93,7 @@ def evolve_block(op: OperatorMatrix, F0: np.ndarray, spec: EvolveSpec) -> list[t
     nsteps = int(round(spec.t_end / spec.dt))
     F = np.array(F0, dtype=float)  # every step returns a new array
     out = [(0.0, F)]
-    if spec.t_end == 0 or nsteps == 0:
+    if nsteps == 0:
         return out
     recorded = [k for k in range(1, nsteps + 1) if k % spec.record_every == 0 or k == nsteps]
     bd = op.bands
@@ -302,11 +304,12 @@ def fourier_steady_oracle(model: ModelSpec, grid: Grid1D) -> Field:
 
     if isinstance(model, DiscreteClassical):
         keps = model.eps
+        k = gaussian_reference_kernel()
 
         def cf(xi: np.ndarray) -> np.ndarray:
             s = np.linspace(1e-12, float(xi.max()) + 1.0, 200001)
-            kh = np.asarray(khat(model.kernel, keps * s), dtype=float)
-            integrand = (kh - model.kernel.l1_norm) / (keps**2 * s)
+            kh = np.asarray(khat(k, keps * s), dtype=float)
+            integrand = (kh - k.l1_norm) / (keps**2 * s)
             cum = _cumulative_trapezoid(integrand, s)
             return np.exp(np.interp(xi, s, cum))
 

@@ -123,7 +123,8 @@ def gap_sweep(
     params: list[float],
     gap_target: float = -0.5,
 ) -> dict:
-    """Spectral gap per parameter; PASS iff every gap <= gap_target < 0."""
+    """Spectral gap per parameter; PASS iff every gap <= gap_target < 0, and
+    vacuously, with a warning, for an empty parameter list."""
     rows = []
     for p in params:
         row = {"param": p, "gap": np.nan, "error": None}
@@ -137,7 +138,8 @@ def gap_sweep(
         "rows": rows,
         "max_gap": max(gaps) if gaps else np.nan,
         "gap_target": gap_target,
-        "pass": bool(gaps) and max(gaps) <= gap_target,
+        "pass": not params or bool(gaps) and max(gaps) <= gap_target,
+        "warning": None if params else "empty parameter list",
     }
 
 
@@ -268,16 +270,11 @@ def _sylvester(T11: np.ndarray, T22: np.ndarray, C: np.ndarray) -> np.ndarray:
     return X / scale
 
 
-def projector_distance(
-    p1: ProjectorReport,
-    p2: ProjectorReport,
-    grid: Grid1D,
-    w: WeightSpec = WeightSpec(p=1, q=0),
-    probes: int = 32,
-    seed: int = 0,
-) -> float:
-    """Probe-based operator-norm proxy of the difference of two projectors."""
-    F = probe_block(grid, count=probes, seed=seed)
+def projector_distance(p1: ProjectorReport, p2: ProjectorReport, grid: Grid1D) -> float:
+    """Probe-based operator-norm proxy of the difference of two projectors,
+    in L^1 over 32 probes of seed 0."""
+    F = probe_block(grid, count=32)
+    w = WeightSpec(p=1)
     return probe_norm((p1.projector - p2.projector) @ F, F, grid, w, w)
 
 
@@ -291,13 +288,12 @@ def perturbation_certificate(
     grid: Grid1D,
     split: SplittingSpec,
     z_samples: list[complex],
-    w: WeightSpec = WeightSpec(p=1, q=0),
     probes: int = 32,
-    seed: int = 0,
 ) -> dict:
     """Probe norms of K(z) = -(L_eps - L_0) R_{L_0}(z) (A R_{B_eps}(z)) at the
-    sample points; PASS iff all norms are < 1 (so I + K(z) is invertible and
-    the resolvent factorization holds on the sample).
+    sample points, in L^1 over ``probes`` probes of seed 0; PASS iff all
+    norms are < 1 (so I + K(z) is invertible and the resolvent
+    factorization holds on the sample).
 
     At each sample z I - L_0 and z I - B_eps are factored on their own
     bands or blocks (``operators._shifted_solver``), and the products with
@@ -309,7 +305,8 @@ def perturbation_certificate(
     L_eps, L_0 = assemble(model_eps, grid), assemble(model_0, grid)
     D = L_eps.parts - L_0.parts
     A, B = assemble_splitting(model_eps, grid, split)
-    F = probe_block(grid, count=probes, seed=seed)
+    F = probe_block(grid, count=probes)
+    w = WeightSpec(p=1)
     rows = []
     tiny = 8.0 * np.finfo(float).eps
     for z in z_samples:

@@ -81,7 +81,7 @@ def test_fourier_side_flag_requires_fractional(tmp_path):
     assert rc == 2
 
 
-def test_gap_sweep_exit_codes(tmp_path):
+def test_gap_sweep_exit_codes(tmp_path, capsys):
     common = ["gap-sweep", "--model", "discrete-classical:0.4", "--sweep", "eps",
               "--L", "12", "--n", "961", "--params", "0.4", "0.2",
               "--outdir", str(tmp_path / "a")]
@@ -90,6 +90,30 @@ def test_gap_sweep_exit_codes(tmp_path):
             "--L", "12", "--n", "961", "--params", "0.4",
             "--gap-target", "-1.5", "--outdir", str(tmp_path / "b")]
     assert main(fail) == 1
+    # an empty sweep passes vacuously and prints the sweep's own warning
+    capsys.readouterr()
+    out = tmp_path / "empty"
+    assert main(["gap-sweep", "--model", "discrete-classical:0.4", "--sweep", "eps",
+                 "--L", "12", "--n", "961", "--outdir", str(out)]) == 0
+    assert "warning: empty parameter list" in capsys.readouterr().out
+    rep = json.loads((out / "gap_sweep.json").read_text())
+    assert rep["pass"] is True and rep["rows"] == []
+    assert rep["warning"] == "empty parameter list" and rep["gap_target"] == -0.5
+
+
+def test_verify_refuses_a_weight_its_check_does_not_read(tmp_path):
+    # the adjoint check is an L^2 estimate, and the L^1 dissipativity check
+    # takes no derivative order
+    adjoint = ["verify", "--check", "adjoint", "--model", "discrete-fractional:0.1,1",
+               "--L", "25.6", "--n", "1025"]
+    dissipativity = ["verify", "--check", "dissipativity", "--n", "129"]
+    for argv in ([*adjoint, "--weight", "1,0.4"], [*dissipativity, "--weight", "1,1,2"]):
+        out = tmp_path / "refused"
+        assert main([*argv, "--outdir", str(out)]) == 2, argv
+        assert not out.exists()
+    out = tmp_path / "adjoint"
+    assert main([*adjoint, "--outdir", str(out)]) == 0
+    assert json.loads((out / "resolved_config.json").read_text())["weight"] == "2,0"
 
 
 def test_verify_psi(tmp_path):

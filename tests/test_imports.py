@@ -1,4 +1,5 @@
 """Every name a module of the fplab package imports is used in that module,
+every defaulted parameter of a package function is passed by some call,
 only ``cli.py`` formats or writes files, and a run loads no more of SciPy
 than ``scipy.linalg`` does.
 
@@ -13,7 +14,8 @@ import subprocess
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "fplab"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "fplab"
 
 
 def _unused_imports(tree: ast.Module) -> list[tuple[int, str]]:
@@ -54,6 +56,114 @@ def test_package_has_no_unused_imports():
               for path in files
               for line, name in _unused_imports(ast.parse(path.read_text()))]
     assert not unused, "unused imports: " + ", ".join(unused)
+
+
+def _calls(tree: ast.Module) -> list[tuple[str, int, bool, set[str], str | None, str | None]]:
+    """(callee name, explicit positional count, whether a ``*`` sequence is
+    unpacked, keyword names, what a ``**`` mapping passes (None if there is
+    none, "forward" for the enclosing function's own ``**`` parameter, else
+    "any"), the enclosing function's name) for every call of a name or an
+    attribute."""
+    found = []
+
+    def visit(node: ast.AST, owner: str | None, kwarg: str | None) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner, kwarg = node.name, node.args.kwarg and node.args.kwarg.arg
+        if isinstance(node, ast.Call):
+            f = node.func
+            name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+            keywords, mapping = set(), None
+            for kw in node.keywords:
+                if kw.arg is not None:
+                    keywords.add(kw.arg)
+                else:
+                    mapping = ("forward" if isinstance(kw.value, ast.Name)
+                               and kw.value.id == kwarg else "any")
+            starred = [isinstance(a, ast.Starred) for a in node.args]
+            if name:
+                found.append((name, starred.count(False), any(starred), keywords, mapping,
+                              owner))
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner, kwarg)
+
+    visit(tree, None, None)
+    return found
+
+
+def _defaults(tree: ast.Module) -> list[tuple[str, set[str], int, list[tuple[str, int | None]]]]:
+    """(name, named parameters, required positional count, defaulted
+    parameters with their positional index or None if keyword-only) of
+    every function that is not a dunder; a method's self does not count."""
+    methods = {id(f) for c in ast.walk(tree) if isinstance(c, ast.ClassDef) for f in c.body}
+    out = []
+    for f in ast.walk(tree):
+        if not isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef)) or f.name.startswith("__"):
+            continue
+        a = f.args
+        static = any(getattr(d, "id", None) == "staticmethod" for d in f.decorator_list)
+        pos = (a.posonlyargs + a.args)[int(id(f) in methods and not static):]
+        required = len(pos) - len(a.defaults)
+        defaulted = [(p.arg, i) for i, p in enumerate(pos) if i >= required]
+        defaulted += [(p.arg, None) for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+        out.append((f.name, {p.arg for p in pos + a.kwonlyargs}, required, defaulted))
+    return out
+
+
+def _unpassed_defaults(package: dict[str, ast.Module], callers: list[ast.Module]) -> list[str]:
+    """"file:function(parameter)" for every defaulted parameter of a function
+    in ``package`` (file name -> tree) that no call in ``callers`` passes, by
+    position or by keyword.  Calls are matched by the bare name.  A call that
+    hands on its function's own ``**`` parameter passes the keywords that
+    the calls of that function pass beyond its named parameters; any other
+    ``**`` mapping passes every parameter, and a ``*`` sequence the required
+    positional ones."""
+    funcs = [(path, *fn) for path, tree in package.items() for fn in _defaults(tree)]
+    calls = [c for tree in callers for c in _calls(tree)]
+    named: dict[str, set[str]] = {}
+    for _, name, params, _, _ in funcs:
+        named.setdefault(name, set()).update(params)
+    # the keywords that reach each function's ``**`` parameter, to a fixed point
+    extra: dict[str, set[str]] = {}
+    while True:
+        before = sum(map(len, extra.values()))
+        for name, _, _, keywords, mapping, owner in calls:
+            passed = keywords | (extra.get(owner, set()) if mapping == "forward" else set())
+            extra.setdefault(name, set()).update(passed - named.get(name, set()))
+        if sum(map(len, extra.values())) == before:
+            break
+    missing = []
+    for path, name, _, required, defaulted in funcs:
+        sites = [c for c in calls if c[0] == name]
+        for param, index in defaulted:
+            if not any((index is not None and index < (max(n, required) if star else n))
+                       or param in kw or mapping == "any"
+                       or (mapping == "forward" and param in extra.get(owner, set()))
+                       for _, n, star, kw, mapping, owner in sites):
+                missing.append(f"{path}:{name}({param})")
+    return sorted(missing)
+
+
+def test_every_defaulted_parameter_is_passed_somewhere():
+    # the scanner on a known case first
+    toy = (
+        "def f(a, b=1, *, c=2, d=3):\n    pass\n"
+        "def g(x, y=0, **options):\n    return f(x, **options)\n"
+        "def h(z=0):\n    pass\n"
+        "class C:\n    def m(self, u, v=0):\n        pass\n"
+        "    def __eq__(self, other=None):\n        pass\n"
+    )
+    calls = "g(1, c=5)\nC().m(1, 2)\nf(*args)\nh(**config)\n"
+    found = _unpassed_defaults({"p.py": ast.parse(toy)}, [ast.parse(toy), ast.parse(calls)])
+    # g hands c on to f; m's v is its second positional after self; f(*args)
+    # passes only a; an unknown mapping passes z; dunders are exempt
+    assert found == ["p.py:f(b)", "p.py:f(d)", "p.py:g(y)"]
+    # a parameter that every caller leaves at its default is a constant
+    package = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    callers = list(package.values()) + [ast.parse(path.read_text())
+                                        for folder in ("perfbench", "tests")
+                                        for path in sorted((ROOT / folder).glob("*.py"))]
+    unpassed = _unpassed_defaults(package, callers)
+    assert not unpassed, "defaulted parameters no call passes: " + ", ".join(unpassed)
 
 
 def _file_output(tree: ast.Module) -> list[tuple[int, str]]:

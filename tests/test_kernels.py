@@ -46,13 +46,11 @@ def test_khat_closed_form_and_at_zero():
     assert abs(khat(K, 0.0) - K.l1_norm) <= 1e-12
 
 
-def test_khat_quadrature_matches_closed_form():
-    # strip the recorded closed form and force the cosine quadrature
-    import dataclasses
-
-    kq = dataclasses.replace(K, profile_hat=None)
-    xi = np.linspace(0.0, 4.0, 9)
-    assert np.allclose(khat(kq, xi), np.exp(-(xi**2)), atol=1e-8)
+def test_khat_refuses_a_kernel_without_closed_form():
+    # no quadrature fallback: a cosine sum over the kernel's support is what
+    # it replaced, O(size of xi x 20001) memory
+    with pytest.raises(ValueError, match="closed-form"):
+        khat(truncated_fractional_kernel(1.0, 0.2), np.linspace(0.0, 4.0, 9))
 
 
 def test_fourier_ratio_constant_gaussian():

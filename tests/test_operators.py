@@ -9,7 +9,7 @@ import scipy.linalg as sla
 from dense_oracle import dense_evolve, mirror_blocks, xi_pair
 from fplab.grids import Field, WeightSpec, gaussian_density, make_grid, weighted_norm
 from fplab.inequalities import adjoint_dissipativity_check, dissipativity_check
-from fplab.kernels import truncated_fractional_kernel
+from fplab.kernels import gaussian_reference_kernel, truncated_fractional_kernel
 from fplab.operators import (
     Classical,
     DiscreteClassical,
@@ -26,7 +26,6 @@ from fplab.operators import (
     _shifted_solver,
     _power_cell_weights,
     _truncated_cell_weights,
-    apply,
     assemble,
     operator_distance,
     sampled_convolution_weights,
@@ -71,20 +70,19 @@ def test_mass_conservation_columns(model, grid):
 @pytest.mark.parametrize("model,grid", MODELS, ids=lambda m: getattr(m, "family", ""))
 def test_apply_zero_and_linearity(model, grid):
     op = assemble(model, grid)
-    zero = apply(op, Field(grid, np.zeros(grid.n)))
-    assert np.max(np.abs(zero.values)) == 0.0
-    f = gaussian_density(grid)
-    g = Field(grid, np.sin(grid.nodes) * np.exp(-(grid.nodes**2) / 4))
-    lhs = apply(op, Field(grid, 2.0 * f.values + g.values)).values
-    rhs = 2.0 * apply(op, f).values + apply(op, g).values
+    zero = op.matmat(np.zeros(grid.n))
+    assert np.max(np.abs(zero)) == 0.0
+    f = gaussian_density(grid).values
+    g = np.sin(grid.nodes) * np.exp(-(grid.nodes**2) / 4)
+    lhs = op.matmat(2.0 * f + g)
+    rhs = 2.0 * op.matmat(f) + op.matmat(g)
     assert np.max(np.abs(lhs - rhs)) <= 1e-10 * max(1.0, np.max(np.abs(rhs)))
 
 
 @pytest.mark.parametrize("model,grid", MODELS, ids=lambda m: getattr(m, "family", ""))
 def test_even_symmetry(model, grid):
     op = assemble(model, grid)
-    f = Field(grid, np.exp(-(grid.nodes**2) / 3.0))
-    out = apply(op, f).values
+    out = op.matmat(np.exp(-(grid.nodes**2) / 3.0))
     assert np.max(np.abs(out - out[::-1])) <= 1e-11 * max(1.0, np.max(np.abs(out)))
 
 
@@ -97,7 +95,7 @@ def test_jump_offdiagonals_nonnegative(model, grid):
 
 def test_classical_annihilates_gaussian():
     op = assemble(Classical(), GRID)
-    out = apply(op, gaussian_density(GRID))
+    out = Field(GRID, op.matmat(gaussian_density(GRID).values))
     assert weighted_norm(out, WeightSpec(p=1)) <= 1e-6
 
 
@@ -112,7 +110,7 @@ def test_fractional_annihilates_fourier_equilibrium():
     model = Fractional(alpha=1.5)
     op = assemble(model, grid)
     G = fourier_steady_oracle(model, grid)
-    out = apply(op, G)
+    out = Field(grid, op.matmat(G.values))
     assert weighted_norm(out, WeightSpec(p=1)) <= 5e-3
 
 
@@ -120,7 +118,7 @@ def test_sampled_convolution_weights_total_mass():
     model = DiscreteClassical(eps=0.4)
     w0, w = sampled_convolution_weights(model, GRID)
     total = w0 + 2.0 * np.sum(w)
-    assert abs(total - model.kernel.l1_norm) <= 1e-12
+    assert abs(total - gaussian_reference_kernel().l1_norm) <= 1e-12
 
 
 def test_resolution_guards():
@@ -151,13 +149,6 @@ def test_operator_distance_smooth_family_shrinks():
     d_fine = operator_distance(assemble(DiscreteClassical(eps=0.2), g), m0,
                                src, tgt, probes=16)
     assert d_fine < d_coarse
-
-
-def test_apply_grid_mismatch():
-    op = assemble(Classical(), GRID)
-    other = make_grid(12.0, 515)
-    with pytest.raises(ValueError):
-        apply(op, Field(other, np.zeros(other.n)))
 
 
 def test_mass_conserved_on_probes():
@@ -324,7 +315,7 @@ def test_structured_products_match_dense(build, L, n):
         scale = (np.abs(M) @ np.abs(F)).max(axis=0)
         assert np.all(np.abs(got - M @ F).max(axis=0) <= 1e-13 * scale)
     v = F[:, 0]
-    assert np.abs(apply(op, Field(grid, v)).values - op.entries @ v).max() \
+    assert np.abs(op.matmat(v) - op.entries @ v).max() \
         <= 1e-13 * (np.abs(op.entries) @ np.abs(v)).max()
 
 

@@ -13,10 +13,10 @@ from fplab.sde import (
     CompoundPoisson,
     JumpOuSpec,
     _final_state,
+    _invert_jumps,
     _kernel_jump_table,
     coupled_decay,
     empirical_w1,
-    sample_kernel_jumps,
     simulate,
     stable_standard,
     wasserstein_contraction_check,
@@ -50,9 +50,15 @@ def test_stable_sampler_characteristic_function():
             assert abs(emp - np.exp(-abs(xi) ** alpha)) <= 4.0 / np.sqrt(n), (alpha, xi)
 
 
+def _jumps(table, rng, u):
+    """The jumps of the uniforms u, as the compound windows of ``_paths``
+    draw them: ``_invert_jumps`` with the sign bits from rng."""
+    return _invert_jumps(table, rng, u, np.empty(u.size), np.empty(u.size, dtype=np.intp))
+
+
 def test_kernel_jump_sampler_moments():
     rng = np.random.default_rng(np.random.Philox(key=7))
-    draws = sample_kernel_jumps(K02, rng, 200_000)
+    draws = _jumps(_kernel_jump_table(K02), rng, rng.random(200_000))
     # normalized kernel has mean 0 and variance 2 * eps^2
     assert abs(np.mean(draws)) <= 0.005
     assert abs(np.var(draws) - 2.0 * 0.2**2) <= 0.005
@@ -65,15 +71,12 @@ def _interp_jumps(table, rng, size):
     return (rng.integers(0, 2, size=size) * 2 - 1) * np.interp(u, table.cdf, table.z)
 
 
-class _FixedDraws:
-    """A stand-in generator that hands out given uniforms and sign bits, each
-    call a new array, as a generator does (the sampler works in place)."""
+class _FixedBits:
+    """A stand-in generator that hands out given sign bits, each call a new
+    array, as a generator does."""
 
-    def __init__(self, u, bits):
-        self.u, self.bits = u, bits
-
-    def uniform(self, low, high, size):
-        return self.u.copy()
+    def __init__(self, bits):
+        self.bits = bits
 
     def integers(self, low, high, size):
         return self.bits.copy()
@@ -83,8 +86,8 @@ class _FixedDraws:
                          ids=["gaussian", "truncated-fractional"])
 def test_guide_table_sampler_is_np_interp_bit_for_bit(kernel):
     table = _kernel_jump_table(kernel)
-    draws = sample_kernel_jumps(kernel, np.random.default_rng(np.random.Philox(key=21)),
-                                1_000_000, table)
+    rng = np.random.default_rng(np.random.Philox(key=21))
+    draws = _jumps(table, rng, rng.random(1_000_000))
     ref = _interp_jumps(table, np.random.default_rng(np.random.Philox(key=21)), 1_000_000)
     assert np.array_equal(draws, ref)
     # both kinds of bucket are exercised: some hold a knot, some do not
@@ -94,7 +97,7 @@ def test_guide_table_sampler_is_np_interp_bit_for_bit(kernel):
     u = np.concatenate([[0.0], table.cdf[:-1], [np.nextafter(1.0, 0.0)]])
     for bit in (0, 1):
         bits = np.full(u.size, bit)
-        got = sample_kernel_jumps(kernel, _FixedDraws(u, bits), u.size, table)
+        got = _jumps(table, _FixedBits(bits), u.copy())
         want = (2 * bit - 1) * np.interp(u, table.cdf, table.z)
         assert np.array_equal(got, want)
         assert np.array_equal(np.signbit(got), np.signbit(want))

@@ -8,7 +8,7 @@ from scipy.integrate import cumulative_trapezoid
 
 from dense_oracle import dense_evolve, mirror_blocks
 from fplab.grids import Field, WeightSpec, gaussian_density, make_grid, mass, weighted_norm
-from fplab.kernels import khat
+from fplab.kernels import gaussian_reference_kernel, khat
 from fplab.probes import probe_family
 from fplab.operators import (
     Classical,
@@ -52,6 +52,13 @@ def test_evolve_spec_validation():
         EvolveSpec(t_end=1.0, dt=0.0)
     with pytest.raises(ValueError):
         EvolveSpec(t_end=1.0, dt=0.1, scheme="ForwardEuler")
+    # t_end must be a whole number of steps: these would stop at 0.9, step
+    # past the end to 0.05, and take no step at all
+    for t_end, dt in [(1.0, 0.3), (0.04, 0.05), (0.01, 0.05)]:
+        with pytest.raises(ValueError, match="whole number of steps"):
+            EvolveSpec(t_end=t_end, dt=dt)
+    for t_end, dt in [(0.0, 0.1), (150.0, 0.1), (0.5, 0.01)]:
+        assert EvolveSpec(t_end=t_end, dt=dt).t_end == t_end
 
 
 @pytest.mark.parametrize("n", [513, 1025])
@@ -370,8 +377,9 @@ def test_cumulative_trapezoid_is_scipys_bit_for_bit():
     # 257-node grid, as fourier_steady_oracle forms it
     model, grid = DiscreteClassical(eps=0.2), make_grid(12.0, 257)
     s = np.linspace(1e-12, np.pi / grid.h + 1.0, 200001)
-    kh = np.asarray(khat(model.kernel, model.eps * s), dtype=float)
-    integrand = (kh - model.kernel.l1_norm) / (model.eps**2 * s)
+    k = gaussian_reference_kernel()
+    kh = np.asarray(khat(k, model.eps * s), dtype=float)
+    integrand = (kh - k.l1_norm) / (model.eps**2 * s)
     assert np.array_equal(_cumulative_trapezoid(integrand, s),
                           cumulative_trapezoid(integrand, s, initial=0.0))
 

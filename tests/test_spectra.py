@@ -228,7 +228,11 @@ def test_gap_sweep_pass_logic():
     assert rep["pass"]
     assert all(abs(r["gap"] + 1.0) <= 0.05 for r in rep["rows"])
     bad = gap_sweep(lambda e: OP, [0.1], gap_target=-1.5)
-    assert not bad["pass"]
+    assert not bad["pass"] and bad["warning"] is None
+    # an empty sweep passes vacuously, as in semigroup.uniform_decay_sweep
+    empty = gap_sweep(lambda e: OP, [])
+    assert empty["pass"] is True and empty["warning"] == "empty parameter list"
+    assert empty["rows"] == [] and np.isnan(empty["max_gap"])
 
 
 def test_gap_sweep_records_exception_type():
