@@ -61,6 +61,9 @@ class JumpOuSpec:
     def __post_init__(self) -> None:
         if self.t_end < 0 or self.dt_record <= 0:
             raise ValueError("t_end >= 0 and dt_record > 0 required")
+        if abs(round(self.t_end / self.dt_record) * self.dt_record - self.t_end) > 1e-9 * self.t_end:
+            raise ValueError(f"t_end {self.t_end} is not a whole number of record steps "
+                             f"dt_record = {self.dt_record}")
         if self.n_paths < 1:
             raise ValueError("n_paths >= 1")
 

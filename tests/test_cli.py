@@ -201,11 +201,21 @@ def test_sde_refuses_a_step_below_its_floor(tmp_path):
 
 
 def test_sde_wasserstein_refuses_off_grid_times(tmp_path):
-    # t = 0.5 is not a whole number of 0.3 record steps
+    # t = 0.5 is not a whole number of 0.3 record steps; t_end = 0.9 is
     rc = main(["sde", "--noise", "stable:1.5", "--check", "wasserstein",
-               "--n-paths", "100", "--t-end", "1.0", "--dt", "0.3",
+               "--n-paths", "100", "--t-end", "0.9", "--dt", "0.3",
                "--outdir", str(tmp_path)])
     assert rc == 2
+
+
+def test_sde_refuses_a_t_end_off_the_record_grid(tmp_path):
+    # 1.0 is not a whole number of 0.3 record steps: no percentiles that
+    # stop at t = 0.9
+    rc = main(["sde", "--noise", "stable:1.5", "--check", "ensemble",
+               "--n-paths", "10", "--t-end", "1", "--dt", "0.3",
+               "--outdir", str(tmp_path)])
+    assert rc == 2
+    assert not (tmp_path / "ensemble.csv").exists()
 
 
 def test_wrong_model_family_for_check(tmp_path):

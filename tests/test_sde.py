@@ -38,6 +38,11 @@ def test_spec_validation():
         CompoundPoisson(kernel=K02, rate_scale=-1.0)
     with pytest.raises(ValueError):
         JumpOuSpec(noise=AlphaStable(1.5), t_end=-1.0, n_paths=10)
+    # simulate would record only round(t_end / dt_record) steps, up to t = 0.9
+    with pytest.raises(ValueError, match="whole number"):
+        JumpOuSpec(noise=AlphaStable(1.5), t_end=1.0, n_paths=10, dt_record=0.3)
+    # 3 * 0.3 is 0.8999999999999999, within the 1e-9 relative rule
+    JumpOuSpec(noise=AlphaStable(1.5), t_end=0.9, n_paths=10, dt_record=0.3)
 
 
 def test_stable_sampler_characteristic_function():
@@ -336,15 +341,16 @@ def test_streamed_check_raises_at_a_non_finite_window(monkeypatch):
                                       lambda r, n: np.full(n, 3.0), [0.5, 1.0])
 
 
-@pytest.mark.parametrize("dt, t_grid", [(0.3, [0.5]), (0.3, [0.6, 2.0]), (0.5, [2.5]),
-                                        (0.5, [-0.5, 1.0])],
+@pytest.mark.parametrize("dt, t_grid", [(0.3, [0.5]), (0.3, [0.6, 2.0]), (0.7, [2.8]),
+                                        (0.7, [-0.7, 1.4])],
                          ids=["off-grid", "off-grid-last", "past-t-end", "negative"])
 def test_check_refuses_times_off_the_record_grid(dt, t_grid, monkeypatch):
     def no_run(*args, **kwargs):
         raise AssertionError("ran a window")
 
     monkeypatch.setattr(sde, "_paths", no_run)
-    spec = JumpOuSpec(noise=AlphaStable(1.5), t_end=2.0, n_paths=10, dt_record=dt)
+    # t_end is 7 steps of 0.3 and 3 of 0.7
+    spec = JumpOuSpec(noise=AlphaStable(1.5), t_end=2.1, n_paths=10, dt_record=dt)
     with pytest.raises(ValueError, match="record times"):
         wasserstein_contraction_check(spec, lambda r, n: np.full(n, 3.0), t_grid)
 

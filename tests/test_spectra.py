@@ -20,8 +20,11 @@ from fplab.operators import (
     assemble,
 )
 from fplab.semigroup import EvolveSpec, evolve, steady_state
+from fplab import spectra
 from fplab.spectra import (
+    _bordered,
     _eigenvalues,
+    _real_schur,
     eigen_spectrum,
     fourier_side_generator,
     gap_sweep,
@@ -182,6 +185,98 @@ def test_mirror_blocks_match_dense(case, force_dense):
         if case != "fourier-side":
             wq = op.grid.cell_sizes
             assert np.max(np.abs(new @ wq - f0.values @ wq)) <= 1e-13, spec.scheme
+
+
+BORDER_CASES = {
+    # refine's parameters at n = 1025, whose odd mirror block has order 512
+    "discrete-classical": lambda: assemble(DiscreteClassical(eps=0.45), make_grid(12.0, 1025)),
+    "fractional": lambda: assemble(Fractional(alpha=1.2), make_grid(60.0, 1025)),
+    "discrete-fractional": lambda: assemble(DiscreteFractional(eps=0.15, alpha=1.0),
+                                            make_grid(12.8, 1025)),
+    "fourier-side": lambda: fourier_side_generator(1.0, 30.0, 1025),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BORDER_CASES))
+def test_bordered_block_matches_unbordered_solves(case):
+    op = BORDER_CASES[case]()
+    blocks = op.blocks.mats
+    assert [B.shape[0] for B in blocks] == [513, 512]
+    ev = _eigenvalues(op)
+    assert ev.size == 1025
+    assert not np.any(ev == _bordered(blocks[1])[1])
+    # the gap as the unbordered blocks give it
+    plain = np.concatenate([sla.eigvals(B) for B in blocks])
+    plain_gap = np.delete(plain, np.argmin(np.abs(plain))).real.max()
+    assert abs(eigen_spectrum(op).gap - plain_gap) <= 1e-12 * abs(plain_gap)
+    # the 8 leading eigenvalues within the bound of
+    # test_mirror_blocks_match_dense, from each block's own norm and
+    # condition numbers
+    eps = np.finfo(float).eps
+    w, bound = [], []
+    for B in blocks:
+        wb, vl, vr = sla.eig(B, left=True, right=True)
+        kappa = 1.0 / np.abs(np.sum(vl.conj() * vr, axis=0))
+        w.append(wb)
+        bound.append(8.0 * eps * np.linalg.norm(B, 2) * kappa)
+    w, bound = np.concatenate(w), np.concatenate(bound)
+    lead = np.argsort(-w.real)[:8]
+    tol = 1e-10 * np.maximum(np.abs(w[lead]), 1.0) + bound[lead]
+    assert np.all(np.abs(ev[None, :] - w[lead, None]).min(axis=1) <= tol)
+    # the Schur form of the 512 block, taken from the bordered 513 one
+    B = blocks[1]
+    T, Z, wr, wi = _real_schur(B)
+    assert T.shape == Z.shape == B.shape and wr.size == wi.size == 512
+    assert np.linalg.norm(B @ Z - Z @ T, 2) <= 100.0 * eps * np.linalg.norm(B, 2)
+    assert np.linalg.norm(Z.T @ Z - np.eye(512), 2) <= 1e-13
+
+
+def test_projector_from_bordered_blocks_matches_dense(force_dense):
+    # criterion 10's operator; radius 1.5 takes 0 from the even block and -1
+    # from the bordered odd one
+    op = assemble(DiscreteFractional(eps=0.05, alpha=1.0), make_grid(12.8, 1025))
+    rep = spectral_projector(op, radius=1.5)
+    force_dense()
+    ref = spectral_projector(op, radius=1.5)
+    assert rep.rank == ref.rank == 2
+    assert np.max(np.abs(rep.projector - ref.projector)) <= 1e-12 * ref.norm
+    assert abs(rep.norm - ref.norm) <= 1e-12 * ref.norm
+
+
+def test_no_qr_sweep_at_an_order_that_is_a_multiple_of_256(monkeypatch):
+    orders = []
+    eigvals, dgees = sla.eigvals, lapack.dgees
+
+    def eigvals_spy(M, *args, **kwargs):
+        orders.append(M.shape[0])
+        return eigvals(M, *args, **kwargs)
+
+    def dgees_spy(select, M, *args, **kwargs):
+        orders.append(M.shape[0])
+        return dgees(select, M, *args, **kwargs)
+
+    monkeypatch.setattr(sla, "eigvals", eigvals_spy)
+    monkeypatch.setattr(lapack, "dgees", dgees_spy)
+    for n in (513, 1025):
+        orders.clear()
+        op = assemble(DiscreteFractional(eps=0.15, alpha=1.0), make_grid(12.8, n))
+        _eigenvalues(op)
+        spectral_projector(op, radius=0.5)
+        assert set(orders) == {(n + 1) // 2}, n
+
+
+def test_border_that_does_not_come_back_isolated_is_refused(monkeypatch):
+    def coupled(B):
+        A, c = _bordered(B)
+        A[0, -1] = A[-1, 0] = 1.0
+        return A, c
+
+    monkeypatch.setattr(spectra, "_bordered", coupled)
+    op = assemble(DiscreteFractional(eps=0.15, alpha=1.0), make_grid(12.8, 513))
+    with pytest.raises(ArithmeticError, match="isolated"):
+        _eigenvalues(op)
+    with pytest.raises(ArithmeticError, match="isolated"):
+        spectral_projector(op, radius=0.5)
 
 
 def test_fourier_side_generator_bands_match_dense_product():
