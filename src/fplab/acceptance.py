@@ -215,6 +215,7 @@ def criterion_6() -> dict:
         failures += int(np.count_nonzero(~rep["pass"]))
         total += rep["pass"].size
         worst = max(worst, float(rep["ratio"].max()))
+    del spectra
     a, b = dirichlet_form_block(probe_block(g, count=10, seed=7), g, k, 0.5)
     gap = float(np.max(np.abs(a - b) / np.maximum(np.abs(a), 1e-300)))
     dirichlet_ok = gap <= 1e-8

@@ -30,6 +30,7 @@ from typing import Callable, NamedTuple, Union
 
 import numpy as np
 import scipy.linalg as sla
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .grids import Grid1D, WeightSpec, probe_norm
 from .kernels import (
@@ -100,6 +101,10 @@ ModelSpec = Union[Classical, DiscreteClassical, Fractional, DiscreteFractional]
 # operator matrices
 
 
+# columns per padded FFT pair in ``OperatorParts.matmat``
+_COLUMN_CHUNK = 8
+
+
 def _fft_size(m: int) -> int:
     """The smallest c 2^a >= m with c in (1, 3, 5): a length numpy's FFT runs
     fast on, at most 4/3 of m."""
@@ -115,8 +120,9 @@ class OperatorParts:
 
     with T(c) the symmetric Toeplitz matrix whose first column is c.  A
     product with an n x P block costs one zero-padded real FFT pair per
-    Toeplitz term, through the circulant that T(c) sits in (Chan & Ng,
-    SIAM Rev. 38, 1996), plus O(nP) for the rest; no n x n array is made."""
+    Toeplitz term and ``_COLUMN_CHUNK`` columns, through the circulant that
+    T(c) sits in (Chan & Ng, SIAM Rev. 38, 1996), plus O(nP) for the rest;
+    no n x n array is made."""
 
     diag: np.ndarray
     lower: np.ndarray
@@ -133,26 +139,48 @@ class OperatorParts:
 
     def matmat(self, F: np.ndarray, transpose: bool = False) -> np.ndarray:
         """M F, or M^T F with ``transpose``, for a vector or n x P block F; a
-        complex F by its real and imaginary parts."""
+        complex F by its real and imaginary parts.  The product runs over
+        ``_COLUMN_CHUNK`` columns at a time, so no padded transform or band
+        temporary spans the whole block; the FFT transforms every column on
+        its own, so the chunking does not change a bit of the product."""
         if np.iscomplexobj(F):
             return self.matmat(F.real, transpose) + 1j * self.matmat(F.imag, transpose)
         lower, upper, left, right = ((self.upper, self.lower, self.right, self.left)
                                      if transpose else
                                      (self.lower, self.upper, self.left, self.right))
-        out = _band_product(self.diag, lower, upper, F)
         n = F.shape[0]
         size = _fft_size(2 * n - 1)
-        shape = (-1,) + (1,) * (F.ndim - 1)
-        for col, a, b in zip(self.cols, left, right):
+        symbols = []
+        for col in self.cols:
             circ = np.zeros(size)
             circ[:n] = col
             circ[size - n + 1:] = col[:0:-1]
             # the circulant is symmetric, so its eigenvalues are real
-            symbol = np.fft.rfft(circ).real.reshape(shape)
-            prod = np.fft.irfft(symbol * np.fft.rfft(b.reshape(shape) * F, size, axis=0),
-                                size, axis=0)
-            out += a.reshape(shape) * prod[:n]
+            symbols.append(np.fft.rfft(circ).real[:, None].copy())
+        # the layout of F, as the elementwise product of the bands would give
+        out = np.empty_like(F, dtype=float)
+        # a vector as a one-column block; both reshapes are views
+        F2, out2 = F.reshape(n, -1), out.reshape(n, -1)
+        for j in range(0, F2.shape[1], _COLUMN_CHUNK):
+            chunk = slice(j, j + _COLUMN_CHUNK)
+            out2[:, chunk] = _band_product(self.diag, lower, upper, F2[:, chunk])
+            for symbol, a, b in zip(symbols, left, right):
+                out2[:, chunk] += _toeplitz_product(symbol, a, b, F2[:, chunk], size)
         return out
+
+
+def _toeplitz_product(symbol: np.ndarray, a: np.ndarray, b: np.ndarray,
+                      F: np.ndarray, size: int) -> np.ndarray:
+    """diag(a) T diag(b) F for an n x k block F, with T the leading n x n
+    block of the size x size circulant whose real eigenvalues are
+    ``symbol``: one zero-padded real FFT pair, the symbol applied in
+    place."""
+    n = F.shape[0]
+    X = np.fft.rfft(b[:, None] * F, size, axis=0)
+    X *= symbol
+    prod = np.fft.irfft(X, size, axis=0)[:n]
+    prod *= a[:, None]
+    return prod
 
 
 @dataclass(frozen=True)
@@ -270,15 +298,28 @@ def _mirror_blocks_of_parts(p: OperatorParts) -> tuple[np.ndarray, np.ndarray] |
     n = p.diag.size
     m = n // 2
     even, odd = np.zeros((m + 1, m + 1)), np.zeros((m, m))
-    for c, a, b in zip(p.cols, p.left, p.right):
-        T, H = sla.toeplitz(c[:m]), sla.hankel(c[:m:-1], c[m + 1 : 1 : -1])
-        for X, right in ((T, b[:m]), (H, b[:m:-1])):
-            X *= a[:m, None]
-            X *= right
-        odd += T
-        odd -= H
-        T += H
-        even[:m, :m] += T
+    scratch = np.empty((m, m)) if len(p.cols) else None
+    for k, (c, a, b) in enumerate(zip(p.cols, p.left, p.right)):
+        # strided views, no copies: T[i, j] = c[|i-j|] as windows of the
+        # palindrome c[m-1], ..., c[1], c[0], ..., c[m-1] read bottom-up,
+        # and H[i, j] = c[n-1-i-j] as windows of c[n-1], ..., c[2]
+        T = sliding_window_view(np.concatenate([c[m - 1 : 0 : -1], c[:m]]), m)[::-1]
+        H = sliding_window_view(c[:1:-1], m)
+        np.multiply(H, a[:m, None], out=scratch)
+        scratch *= b[:m:-1]
+        if k == 0:
+            # the first term is scaled straight into odd
+            np.multiply(T, a[:m, None], out=odd)
+            odd *= b[:m]
+            np.add(odd, scratch, out=even[:m, :m])
+            odd -= scratch
+        else:
+            T = T * a[:m, None]
+            T *= b[:m]
+            odd += T
+            odd -= scratch
+            T += scratch
+            even[:m, :m] += T
         centre = c[m:0:-1]
         even[:m, m] += centre * a[:m] * b[m]
         even[m, :m] += 2.0 * (centre * a[m] * b[:m])
@@ -391,9 +432,11 @@ def _dense_factor(M: np.ndarray, a: complex, b: float) -> _Factored:
     np.multiply(M, b, out=S)
     d = np.arange(n)
     S[d, d] += a
-    anorm = np.linalg.norm(S, 1)
+    lange, gecon = sla.get_lapack_funcs(("lange", "gecon"), (S,))
+    # LAPACK's 1-norm sums |S| column by column; np.linalg.norm forms |S|
+    anorm = lange("1", S)
     lu = sla.lu_factor(S, overwrite_a=True)
-    rcond = sla.get_lapack_funcs("gecon", (lu[0],))(lu[0], anorm)[0]
+    rcond = gecon(lu[0], anorm)[0]
     return _Factored(lambda v: sla.lu_solve(lu, v), lambda v: _dot(M, v), float(rcond))
 
 
@@ -447,7 +490,10 @@ def _expm(A: np.ndarray) -> np.ndarray:
     scaling (Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31, 2009) picked
     no squaring on the mirror blocks of DiscreteClassical(0.45),
     Fractional(1.2) and DiscreteFractional(0.15, 1) at n = 513, 1025 and
-    2049 and dt = 0.01, 0.05 and 0.5."""
+    2049 and dt = 0.01, 0.05 and 0.5.  It is not squaring-free on every
+    block: the mirror blocks of the classical splitting's B at n = 257
+    (``verify --check regularization``) still get one scipy squaring at
+    t = 1, 2 and 4 (its Pade structure (13, 1))."""
     norm = np.linalg.norm(A, 1)
     s = int(np.ceil(np.log2(norm / _THETA_13))) if _THETA_13 < norm < np.inf else 0
     E = sla.expm(A * 0.5**s if s else A)

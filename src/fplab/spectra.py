@@ -99,8 +99,9 @@ def eigen_spectrum(op: OperatorMatrix, k_leading: int = 8, separation_a: float =
     Errors if the eigenvalue of minimal modulus is not simple (two
     eigenvalues within 1e-8 of each other near 0)."""
     ev = _eigenvalues(op)
-    order = np.argsort(-ev.real)
-    ev = ev[order]
+    # real part descending, ties (a conjugate pair) by imaginary part
+    # descending, whatever order the solver returned them in
+    ev = ev[np.lexsort((-ev.imag, -ev.real))]
     mod = np.abs(ev)
     i0 = int(np.argmin(mod))
     others = np.delete(mod, i0)

@@ -66,24 +66,30 @@ def test_run_all_times_each_criterion(report):
 
 def test_criterion_6_transforms_its_probe_block_once(monkeypatch):
     seeds, transformed = [], []
-    family, fft = probes.probe_family, np.fft.fft
+    family = probes.probe_family
 
     def counted_family(grid, count=64, seed=0, **options):
         seeds.append(seed)
         return family(grid, count, seed, **options)
 
-    def counted_fft(a, *args, **kwargs):
-        transformed.append(np.shape(a))
-        return fft(a, *args, **kwargs)
+    def counted(fft):
+        def spy(a, *args, **kwargs):
+            transformed.append((fft.__name__, np.shape(a)))
+            return fft(a, *args, **kwargs)
+        return spy
 
     monkeypatch.setattr(probes, "probe_family", counted_family)
-    monkeypatch.setattr(np.fft, "fft", counted_fft)
+    monkeypatch.setattr(np.fft, "fft", counted(np.fft.fft))
+    monkeypatch.setattr(np.fft, "rfft", counted(np.fft.rfft))
     res = acceptance.criterion_6()
     assert res["pass"] and res["gradient_total"] == 300
     # one draw of the probe family and one forward FFT of its 513 x 100
-    # block serve all three eps
+    # block serve all three eps; the transform is real (the half spectrum)
+    # and no complex FFT runs (the Dirichlet double sum's Toeplitz products
+    # transform a 10-probe block in chunks)
     assert seeds.count(6) == 1
-    assert transformed == [(513, 100)]
+    assert [t for t in transformed if t[1][1:] == (100,)] == [("rfft", (513, 100))]
+    assert all(name == "rfft" for name, _ in transformed)
     assert 0.9 < res["worst_ratio"] <= 1.0
     # the Toeplitz identity reproduces the reference double sum to roundoff
     assert res["dirichlet_paths_agree"] and res["dirichlet_worst_gap"] <= 1e-14

@@ -78,15 +78,32 @@ def test_gradient_convolution_bound_probes():
         assert gradient_convolution_block(spectra, K, eps, Kc)["pass"].all()
 
 
+def test_gradient_convolution_block_integrates_row_by_row():
+    # criterion 6's three eps on its 513 x 100 block: each integral works
+    # on one probe row at a time, so no 100 x npad temporary is made
+    Kc = fourier_ratio_constant(K).value
+    spectra = power_spectra(probe_block(GRID, count=100, seed=6), GRID)
+    tracemalloc.start()
+    try:
+        for eps in (0.5, 0.25, 0.1):
+            gradient_convolution_block(spectra, K, eps, Kc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.5e6
+
+
 def test_gradient_convolution_lhs_is_sorted_xi_integral():
     eps = 0.5
     for v in probe_block(GRID, count=4, seed=2).T:
         xi, fhat = fourier_transform_block(v[:, None], GRID)
-        xi = np.fft.fftshift(xi)
-        fhat = np.fft.fftshift(fhat[:, 0])
-        assert np.all(np.diff(xi) > 0)
-        integrand = np.abs(xi * np.asarray(khat(K, eps * xi)) * fhat) ** 2
-        expected = np.trapezoid(integrand, xi) / (2.0 * np.pi)
+        assert xi[0] == 0.0 and np.all(np.diff(xi) > 0)
+        integrand = np.abs(xi * np.asarray(khat(K, eps * xi)) * fhat[:, 0]) ** 2
+        # the integrand is even; the ascending full line -Nyquist, ...,
+        # Nyquist - dxi is the half line [0, Nyquist] read backwards plus
+        # [0, Nyquist - dxi]
+        expected = (np.trapezoid(integrand, xi)
+                    + np.trapezoid(integrand[:-1], xi[:-1])) / (2.0 * np.pi)
         lhs = gradient_convolution_block(power_spectra(v[:, None], GRID), K, eps, 1.0)["lhs"]
         assert abs(lhs[0] - expected) <= 1e-12 * expected
 

@@ -30,7 +30,7 @@ from fplab.operators import (
     operator_distance,
     sampled_convolution_weights,
 )
-from fplab.probes import probe_family
+from fplab.probes import probe_block, probe_family
 from fplab.semigroup import (
     EvolveSpec,
     decay_rate,
@@ -423,6 +423,39 @@ def test_adjoint_check_stays_below_one_dense_array(no_dense):
     assert _peak_bytes(run) < 8 * g.n * g.n
 
 
+def _five_part_B(g):
+    """B of criterion 7's five-part splitting: three Toeplitz terms."""
+    return assemble_splitting(DiscreteFractional(eps=0.05, alpha=1.0), g,
+                              FractionalSplitting(eta=0.5, Lcut=2.0, R=4.0))[1]
+
+
+def test_toeplitz_products_stay_within_a_column_chunk():
+    # the padded transforms span _COLUMN_CHUNK columns, not the block: the
+    # 2049 x 64 product adds little beyond its 1 MB result (the transforms
+    # of the whole block took 9 MB)
+    g = make_grid(25.6, 2049)
+    B = _five_part_B(g)
+    assert len(B.parts.cols) == 3
+    F = probe_block(g, count=64, seed=1)
+    for transpose in (False, True):
+        assert _peak_bytes(lambda: B.matmat(F, transpose)) <= 2e6
+
+
+@pytest.mark.parametrize("transpose", [False, True])
+def test_chunked_product_is_the_column_by_column_product(transpose):
+    # pocketfft transforms every column on its own, so the chunks (20
+    # columns: two full chunks and a part) change no bit of any column
+    g = make_grid(25.6, 2049)
+    B = _five_part_B(g)
+    F = probe_block(g, count=40, seed=3)
+    for X in (F[:, :20], np.asfortranarray(F[:, :20]), F[:, :20] + 1j * F[:, 20:]):
+        block = B.matmat(X, transpose)
+        columns = np.column_stack([B.matmat(v, transpose) for v in X.T])
+        assert block.dtype == columns.dtype and np.array_equal(block, columns)
+        # the product keeps the block's layout, so sums over it do not move
+        assert block.flags.f_contiguous == X.flags.f_contiguous
+
+
 # ---------------------------------------------------------------------------
 # the solvers' bands and blocks, formed from the parts
 
@@ -460,6 +493,16 @@ def test_mirror_blocks_from_parts_match_folded_dense(build, L, n):
     W = [np.random.default_rng(1).standard_normal((B.shape[0], 3)) for B in blk.mats]
     lhs = sum(x.T @ w for x, w in zip(blk.fold(V), W))
     assert np.abs(lhs - V.T @ blk.fold_transpose(*W)).max() <= 1e-12 * np.abs(lhs).max()
+
+
+def test_mirror_blocks_read_the_toeplitz_and_hankel_quarters_in_place():
+    # strided views of the kernel column, one m x m scratch: the two blocks
+    # plus about one quarter-size array (sla.toeplitz and sla.hankel
+    # copies made it about two)
+    op = assemble(DiscreteClassical(eps=0.2), make_grid(12.0, 961))
+    m = op.grid.n // 2
+    blocks = 8 * ((m + 1) ** 2 + m * m)
+    assert _peak_bytes(lambda: _mirror_blocks_of_parts(op.parts)) - blocks <= 1.3 * 8 * m * m
 
 
 def test_parts_that_are_not_mirror_symmetric_fall_back():

@@ -56,6 +56,20 @@ def test_eigen_spectrum_csv(tmp_path):
     assert np.array_equal(arr, np.column_stack([ev.real, ev.imag]))
 
 
+@pytest.mark.parametrize("reverse", [False, True])
+def test_leading_cut_reports_the_upper_member_of_a_conjugate_pair(monkeypatch, reverse):
+    # k_leading = 6 cuts the pair -4.18 +- 0.46i of Fractional(1) at L = 60,
+    # n = 257: the member with positive imaginary part is reported, in
+    # whichever order the solver returns the two
+    op = assemble(Fractional(1.0), make_grid(60.0, 257))
+    solve = spectra._eigenvalues
+    ev = solve(op)
+    monkeypatch.setattr(spectra, "_eigenvalues", lambda _: ev[::-1] if reverse else ev)
+    leading = eigen_spectrum(op, k_leading=7).eigenvalues
+    assert leading[5] == np.conj(leading[6]) and leading[5].imag > 0.4
+    assert eigen_spectrum(op, k_leading=6).eigenvalues[-1] == leading[5]
+
+
 def test_eigen_spectrum_reversible_tridiagonal_matches_dense():
     rep = eigen_spectrum(OP)
     dense = sla.eigvals(OP.entries)
