@@ -215,7 +215,7 @@ class OperatorMatrix:
         ``entries`` under the identity.  Never None."""
         pair = _mirror_blocks_of_parts(self.parts)
         return _whole(self.entries) if pair is None else _Blocks(
-            pair, _mirror_fold, _mirror_unfold, _mirror_fold_transpose)
+            pair, _mirror_fold, _mirror_unfold)
 
     @property
     def conservation_defect(self) -> float:
@@ -352,31 +352,25 @@ def _mirror_unfold(even: np.ndarray, odd: np.ndarray) -> np.ndarray:
     return np.concatenate([a + odd, even[m:], (a - odd)[::-1]])
 
 
-def _mirror_fold_transpose(even: np.ndarray, odd: np.ndarray) -> np.ndarray:
-    """Transpose of ``_mirror_fold``: ``_mirror_unfold`` with every
-    coordinate but the centre halved."""
-    m = odd.shape[0]
-    return _mirror_unfold(np.concatenate([0.5 * even[:m], even[m:]]), 0.5 * odd)
-
-
 class _Blocks(NamedTuple):
     """Dense blocks B_i of an operator M and the fold that makes M block
     diagonal: M v = unfold(B_1 v_1, B_2 v_2, ...) with (v_1, v_2, ...) =
     fold(v), for a vector or an n x k block v.  ``OperatorMatrix.blocks``
     holds the two mirror blocks under the half-sum fold, or M under the
-    identity (``_whole``)."""
+    identity (``_whole``).  The eigensolve reads only ``mats``; the shifted
+    solves, the exponentials and the stepping of ``semigroup.evolve_block``
+    fold a state, act per block and unfold."""
 
     mats: tuple[np.ndarray, ...]
     fold: Callable[[np.ndarray], tuple[np.ndarray, ...]]
     unfold: Callable[..., np.ndarray]
-    fold_transpose: Callable[..., np.ndarray]
 
 
 def _whole(M: np.ndarray | OperatorMatrix) -> _Blocks:
     """M as its own single block, under the identity fold; M is a dense
     matrix or, for the tridiagonal steps of ``semigroup.evolve_block``, a
     birth-death operator."""
-    return _Blocks((M,), lambda v: (v,), lambda v: v, lambda v: v)
+    return _Blocks((M,), lambda v: (v,), lambda v: v)
 
 
 class _Factored(NamedTuple):

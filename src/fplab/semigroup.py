@@ -410,7 +410,9 @@ def uniform_decay_sweep(
     spec: EvolveSpec,
     a_target: float = -0.5,
 ) -> dict:
-    """Fit (a, C) per parameter; PASS iff the sup of fitted rates < a_target."""
+    """Fit (a, C) per parameter; PASS iff no parameter errored and the sup
+    of fitted rates < a_target, and vacuously for an empty parameter list.
+    An errored parameter is recorded and the sweep goes on."""
     rows = []
     for p in params:
         try:
@@ -424,7 +426,7 @@ def uniform_decay_sweep(
                          "error": {"type": type(exc).__name__, "message": str(exc)}})
     rates = [r["rate"] for r in rows if r["error"] is None and np.isfinite(r["rate"])]
     sup = max(rates) if rates else np.nan
-    passed = bool(rates) and sup < a_target
+    passed = bool(rates) and sup < a_target and not any(r["error"] for r in rows)
     if not params:
         passed = True  # vacuous
     return {"rows": rows, "sup_rate": sup, "a_target": a_target,

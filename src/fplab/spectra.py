@@ -1,6 +1,7 @@
 """Eigenvalue analysis of the discretized generators: spectral gaps,
-parameter sweeps, Riesz spectral projectors from an ordered Schur form,
-and the resolvent-perturbation certificate for the truncated jump family.
+parameter sweeps, the rank-1 Riesz projector onto the equilibrium in
+closed form, and the resolvent-perturbation certificate for the truncated
+jump family.
 """
 
 from __future__ import annotations
@@ -10,7 +11,6 @@ from typing import Callable
 
 import numpy as np
 import scipy.linalg as sla
-from scipy.linalg import lapack
 
 from .grids import Grid1D, WeightSpec, make_grid, probe_norm
 from .operators import (
@@ -21,6 +21,7 @@ from .operators import (
     assemble,
 )
 from .probes import probe_block
+from .semigroup import operator_scale, steady_state
 from .splitting import SplittingSpec, assemble_splitting
 
 
@@ -164,8 +165,10 @@ def gap_sweep(
     params: list[float],
     gap_target: float = -0.5,
 ) -> dict:
-    """Spectral gap per parameter; PASS iff every gap <= gap_target < 0, and
-    vacuously, with a warning, for an empty parameter list."""
+    """Spectral gap per parameter; PASS iff no parameter errored and every
+    gap <= gap_target < 0, and vacuously, with a warning, for an empty
+    parameter list.  An errored parameter is recorded and the sweep goes
+    on."""
     rows = []
     for p in params:
         row = {"param": p, "gap": np.nan, "error": None}
@@ -179,7 +182,8 @@ def gap_sweep(
         "rows": rows,
         "max_gap": max(gaps) if gaps else np.nan,
         "gap_target": gap_target,
-        "pass": not params or bool(gaps) and max(gaps) <= gap_target,
+        "pass": not params or (bool(gaps) and max(gaps) <= gap_target
+                               and not any(r["error"] for r in rows)),
         "warning": None if params else "empty parameter list",
     }
 
@@ -191,43 +195,27 @@ def gap_sweep(
 @dataclass(frozen=True)
 class ProjectorReport:
     rank: int
-    idempotency_defect: float  # ||P^2 - P||_2 / ||P||_2
     contour_radius: float
     contour_margin: float  # min over eigenvalues of ||lambda| - radius|
     norm: float  # ||P||_2
-    sep: float  # LAPACK estimate of sep(T11, T22); the smallest block's
     projector: np.ndarray = field(repr=False)
 
 
 def spectral_projector(op: OperatorMatrix, radius: float) -> ProjectorReport:
     """Riesz projector onto the eigenvalues inside |z| = radius, the contour
-    integral P = (1 / 2 pi i) int_{|z|=radius} (zI - M)^(-1) dz, computed
-    exactly from one real Schur form instead of by quadrature.
+    integral P = (1 / 2 pi i) int_{|z|=radius} (zI - M)^(-1) dz, in closed
+    form: for a mass-conserving M the cell sizes wq are the left null
+    vector (wq^T M = 0), so the projector onto the simple zero eigenvalue is
+    P = G wq^T / (wq . G), with G the steady state (``steady_state``), and
+    ||P||_2 = ||G||_2 ||wq||_2 / |wq . G|.
 
-    M = Z T Z^T (LAPACK dgees); dtrsen reorders it so that the k eigenvalues
-    with |lambda| < radius lead, T = [[T11, T12], [0, T22]], Z = [Z1 Z2], and
-    estimates sep(T11, T22).  With Y solving T11 Y - Y T22 = -T12 (dtrsyl)
-    and refined once from the residual W M Z, P = Z1 W and
-    W = Z1^T - Y Z2^T; Z1 is refined once from the residual Z2^T M Z1 in
-    the same way, and W rescaled so that W Z1 = I.
-
-    The Schur steps run on each of ``OperatorMatrix.blocks`` (the two
-    mirror blocks of a centrosymmetric M, a birth-death chain's included,
-    else M itself): the fold makes M block diagonal, so P is the unfolded
-    block-diagonal projector, P = U V with U (n x k) the unfold of the
-    block-diagonal Z1 and V^T (n x k) the fold's transpose applied to the
-    block-diagonal W^T.  ``sep`` is then the smallest of the blocks'
-    estimates: an even and an odd eigenvalue never couple in P, so their
-    separation does not enter it.  With U = QR, ||P||_2 = ||R V||_2 and
-    ||P^2 - P||_2 = ||R (V U - I) V||_2.  The rank (k), norm and
-    idempotency defect cost O(n k^2) beyond the O(n^2 k) products.
-
-    Errors if an eigenvalue lies within 1e-6 of the contour, suggesting a
-    safe radius."""
-    blocks = op.blocks
-    schur = [_real_schur(B) for B in blocks.mats]
-    mods = [np.hypot(wr, wi) for _, _, wr, wi in schur]
-    mod = np.concatenate(mods)
+    The eigenvalues come from ``_eigenvalues``.  Errors if one lies within
+    1e-6 of the contour, suggesting a safe radius; refuses, as beyond the
+    closed form, a contour that does not enclose exactly one eigenvalue
+    (naming the radius interval that encloses only the smallest one) and a
+    generator that does not conserve mass (largest weighted column sum
+    above 1e-10 times ``operator_scale``)."""
+    mod = np.abs(_eigenvalues(op))
     dist = np.abs(mod - radius)
     if dist.min() < 1e-6:
         inner = mod[mod < radius]
@@ -237,97 +225,25 @@ def spectral_projector(op: OperatorMatrix, radius: float) -> ProjectorReport:
         raise ValueError(
             f"contour crosses an eigenvalue; choose radius in ({lo:.3g}, {hi:.3g})"
         )
-    Z1s, Ws, seps = zip(*(_riesz_factors(B, T, Z, block_mod < radius)
-                          for B, (T, Z, _, _), block_mod in zip(blocks.mats, schur, mods)))
-    cuts = np.cumsum([B.shape[0] for B in blocks.mats])[:-1]
-    U = blocks.unfold(*np.split(sla.block_diag(*Z1s), cuts))
-    V = blocks.fold_transpose(*np.split(sla.block_diag(*(W.T for W in Ws)), cuts)).T
-    sep = min(seps)
-    k = U.shape[1]
-    R = np.linalg.qr(U, mode="r")
-    norm = float(np.linalg.norm(R @ V, 2))
-    idem = float(np.linalg.norm(R @ (V @ U - np.eye(k)) @ V, 2) / max(norm, 1e-300))
+    k = int(np.count_nonzero(mod < radius))
+    if k != 1:
+        lo, hi = np.partition(mod, 1)[:2]
+        raise ValueError(f"contour encloses {k} eigenvalues; the closed form is of rank 1: "
+                         f"choose radius in ({lo:.3g}, {hi:.3g})")
+    scale = operator_scale(op)
+    if op.conservation_defect > 1e-10 * scale:
+        raise ValueError(f"generator does not conserve mass: conservation defect "
+                         f"{op.conservation_defect:.3e} against scale {scale:.3e}")
+    G = steady_state(op).values
+    wq = op.grid.cell_sizes
+    c = wq @ G
     return ProjectorReport(
-        rank=k,
-        idempotency_defect=idem,
+        rank=1,
         contour_radius=radius,
         contour_margin=float(dist.min()),
-        norm=norm,
-        sep=float(sep),
-        projector=U @ V,
+        norm=float(np.linalg.norm(G) * np.linalg.norm(wq) / abs(c)),
+        projector=np.outer(G, wq) / c,
     )
-
-
-def _real_schur(M: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Unordered real Schur form M = Z T Z^T and the eigenvalues' real and
-    imaginary parts (LAPACK dgees).
-
-    An M whose order m is a multiple of 256, as the odd mirror block of
-    every grid n = 2^k + 1 is, is factored bordered (``_bordered``), for the
-    cache collisions ``_eigenvalues`` describes: on 2 vCPUs with 2 OpenBLAS
-    threads dgees with vectors took 0.29 s at m = 512 and 0.19 s at 513,
-    1.05 s at 1024 and 0.76 s at 1025.  The border must come back exactly
-    isolated, T[m, m] = c and Z[m, m] = 1 with zeros elsewhere in their row
-    and column, so that T[:m, :m] and Z[:m, :m] are M's Schur form."""
-    no_sort = lambda wr, wi: 0  # dgees takes a selection callback even unsorted
-    m = M.shape[0]
-    bordered = m % 256 == 0
-    if bordered:
-        M, c = _bordered(M)
-    lwork = int(lapack.dgees(no_sort, M, lwork=-1)[-2][0])
-    T, _, wr, wi, Z, _, info = lapack.dgees(no_sort, M, lwork=lwork, overwrite_a=bordered)
-    if info != 0:
-        raise ArithmeticError(f"Schur decomposition failed (dgees info={info})")
-    if bordered:
-        e = np.zeros(m + 1)
-        e[m] = 1.0
-        if not all(np.array_equal(v, s * e) for v, s in ((T[m], c), (T[:, m], c),
-                                                          (Z[m], 1.0), (Z[:, m], 1.0))):
-            raise ArithmeticError("the bordered eigenvalue did not come back isolated")
-        T, Z, wr, wi = T[:m, :m], Z[:m, :m], wr[:m], wi[:m]
-    return T, Z, wr, wi
-
-
-def _riesz_factors(M: np.ndarray, T: np.ndarray, Z: np.ndarray,
-                   inside: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    """Z1, W and the sep estimate of the Riesz projector Z1 W of M onto the
-    eigenvalues flagged ``inside``, from the Schur form M = Z T Z^T."""
-    n = M.shape[0]
-    k = int(inside.sum())
-    T, Z, _, _, _, _, sep, info = lapack.dtrsen(
-        inside.astype(np.int32), T, Z, job="B",
-        lwork=max(1, 2 * k * (n - k)), liwork=max(1, k * (n - k)),
-    )
-    if info != 0:
-        raise ArithmeticError(f"Schur reordering failed (dtrsen info={info})")
-    Z1, Z2 = Z[:, :k], Z[:, k:]
-    W = Z1.T
-    if 0 < k < n:
-        T11, T22 = T[:k, :k], T[k:, k:]
-        Y = _sylvester(T11, T22, -T[:k, k:])
-        W = Z1.T - Y @ Z2.T
-        # one refinement step: T and Z are backward stable only to
-        # eps ||M||, so W is a left invariant subspace of M only to that
-        # order.  With L = W M Z1 (the inside eigenvalues as W sees them) the
-        # residual of W M = L W on Z2 is R = W M Z2 - L W Z2, and
-        # T11 dY - dY T22 = -R removes its first order
-        WMZ = (W @ M) @ Z
-        Y += _sylvester(T11, T22, WMZ[:, :k] @ (W @ Z2) - WMZ[:, k:])
-        W = Z1.T - Y @ Z2.T
-        # the right invariant subspace has the same eps ||M|| error: its
-        # first order is removed by Z1 + Z2 X with T22 X - X T11 = -Z2^T M Z1,
-        # and W is rescaled to (W Z1)^-1 W so that W Z1 = I again
-        Z1 = Z1 + Z2 @ _sylvester(T22, T11, -(Z2.T @ (M @ Z1)))
-        W = np.linalg.solve(W @ Z1, W)
-    return Z1, W, float(sep)
-
-
-def _sylvester(T11: np.ndarray, T22: np.ndarray, C: np.ndarray) -> np.ndarray:
-    """X with T11 X - X T22 = C for quasi-triangular T11, T22 (dtrsyl)."""
-    X, scale, info = lapack.dtrsyl(T11, T22, C, isgn=-1)
-    if info != 0:
-        raise ArithmeticError("eigenvalues inside and outside the contour too close")
-    return X / scale
 
 
 def projector_distance(p1: ProjectorReport, p2: ProjectorReport, grid: Grid1D) -> float:

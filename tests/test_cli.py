@@ -90,6 +90,13 @@ def test_gap_sweep_exit_codes(tmp_path, capsys):
             "--L", "12", "--n", "961", "--params", "0.4",
             "--gap-target", "-1.5", "--outdir", str(tmp_path / "b")]
     assert main(fail) == 1
+    # a sweep with an errored parameter fails, whatever its other rows read
+    errored = ["gap-sweep", "--model", "discrete-fractional:0.2,1", "--sweep", "eps",
+               "--params", "0.4", "0.01", "--L", "12.8", "--n", "129",
+               "--outdir", str(tmp_path / "c")]
+    assert main(errored) == 1
+    rep = json.loads((tmp_path / "c" / "gap_sweep.json").read_text())
+    assert rep["rows"][1]["error"]["type"] == "ValueError" and rep["pass"] is False
     # an empty sweep passes vacuously and prints the sweep's own warning
     capsys.readouterr()
     out = tmp_path / "empty"

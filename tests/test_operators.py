@@ -486,13 +486,10 @@ def test_mirror_blocks_from_parts_match_folded_dense(build, L, n):
         assert isinstance(op.bands, _BirthDeath) and not len(op.parts.cols)
         assert np.array_equal(op.bands.diag, np.diag(M))
     assert all(np.array_equal(a, b) for a, b in zip(op.blocks.mats, blocks, strict=True))
-    # unfold inverts the fold, and fold_transpose is its transpose
+    # unfold inverts the fold
     blk = op.blocks
     V = np.random.default_rng(0).standard_normal((n, 3))
     assert np.abs(blk.unfold(*blk.fold(V)) - V).max() <= 4.0 * np.finfo(float).eps
-    W = [np.random.default_rng(1).standard_normal((B.shape[0], 3)) for B in blk.mats]
-    lhs = sum(x.T @ w for x, w in zip(blk.fold(V), W))
-    assert np.abs(lhs - V.T @ blk.fold_transpose(*W)).max() <= 1e-12 * np.abs(lhs).max()
 
 
 def test_mirror_blocks_read_the_toeplitz_and_hankel_quarters_in_place():

@@ -34,6 +34,7 @@ from fplab.semigroup import (
     steady_state,
     uniform_decay_sweep,
 )
+from fplab.spectra import spectral_projector
 
 
 GRID = make_grid(12.0, 513)
@@ -311,9 +312,15 @@ def test_steady_state_reducible_mirror_pair_raises(force_dense):
     assert mirror_blocks(M) is not None
     with pytest.raises(ArithmeticError, match="rank"):
         steady_state(op)
+    # the two null vectors lie inside any small contour, beyond the rank-1
+    # closed form of the projector
+    with pytest.raises(ValueError, match="encloses 2 eigenvalues"):
+        spectral_projector(op, radius=0.5)
     force_dense()
     with pytest.raises(ArithmeticError, match="rank"):
         steady_state(op)
+    with pytest.raises(ValueError, match="encloses 2 eigenvalues"):
+        spectral_projector(op, radius=0.5)
 
 
 def test_gaussian_variance_relaxation_oracle():
@@ -483,3 +490,5 @@ def test_uniform_decay_sweep_continues_after_error():
                               a_target=-0.8)
     assert rep["rows"][0]["error"] == {"type": "ValueError", "message": "bad parameter"}
     assert rep["rows"][1]["error"] is None
+    # the good row alone would pass; the errored one fails the sweep
+    assert rep["sup_rate"] < -0.8 and rep["pass"] is False
