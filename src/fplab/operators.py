@@ -436,14 +436,14 @@ def _dense_factor(M: np.ndarray, a: complex, b: float) -> _Factored:
 
 def _exponential(op: OperatorMatrix, t: float) -> Callable[[np.ndarray], np.ndarray]:
     """v -> e^(t M) v for a vector or an n x k block v: the exponential
-    (``_expm``) of each of ``OperatorMatrix.blocks`` (a birth-death chain's
-    too) with one fold and unfold per product, and the products on
-    ``_dot``.  Every block's exponential stays alive, for a caller
-    (``inequalities.regularization_norm``) that needs the whole of
-    e^(t M) v at every product; ``semigroup.evolve_block`` steps each block
-    on its own."""
+    ``_expm(B, t)`` of each block B of ``OperatorMatrix.blocks`` (a
+    birth-death chain's too; no copy t B is made) with one fold and unfold
+    per product, and the products on ``_dot``.  Every block's exponential
+    stays alive, for a caller (``inequalities.regularization_norm``) that
+    needs the whole of e^(t M) v at every product;
+    ``semigroup.evolve_block`` steps each block on its own."""
     blocks = op.blocks
-    exps = [_expm(t * B) for B in blocks.mats]
+    exps = [_expm(B, t) for B in blocks.mats]
     return lambda v: blocks.unfold(*(_dot(E, x) for E, x in zip(exps, blocks.fold(v))))
 
 
@@ -474,25 +474,81 @@ def _dot(A: np.ndarray, X: np.ndarray) -> np.ndarray:
 # ||A||_1 at which the [13/13] Pade approximant of e^A needs no scaling
 _THETA_13 = 5.371920351148152
 
+# b_0, ..., b_13: the coefficients of the [13/13] Pade approximant of e^x
+_PADE_13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+            1187353796428800.0, 129060195264000.0, 10559470521600.0,
+            670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
+            960960.0, 16380.0, 182.0, 1.0)
 
-def _expm(A: np.ndarray) -> np.ndarray:
-    """e^A as ``sla.expm`` of A / 2^s, s = max(0, ceil(log2(||A||_1 /
-    theta_13))), squared s times by ``_dot``.
 
-    scipy squares with numpy's ``@``, on the BLAS that ``_dot`` keeps the
-    solver paths off.  Handed a matrix of 1-norm at most theta_13, its own
-    scaling (Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31, 2009) picked
-    no squaring on the mirror blocks of DiscreteClassical(0.45),
-    Fractional(1.2) and DiscreteFractional(0.15, 1) at n = 513, 1025 and
-    2049 and dt = 0.01, 0.05 and 0.5.  It is not squaring-free on every
-    block: the mirror blocks of the classical splitting's B at n = 257
-    (``verify --check regularization``) still get one scipy squaring at
-    t = 1, 2 and 4 (its Pade structure (13, 1))."""
-    norm = np.linalg.norm(A, 1)
+def _expm(M: np.ndarray, t: float) -> np.ndarray:
+    """e^(t M) for a real dense M by [13/13] Pade scaling and squaring
+    (Higham, SIAM J. Matrix Anal. Appl. 26, 2005): with A = c M,
+    c = t / 2^s and s = max(0, ceil(log2(||t M||_1 / theta_13))),
+
+        U = A (A6 (b13 A6 + b11 A4 + b9 A2) + b7 A6 + b5 A4 + b3 A2 + b1 I),
+        V = A6 (b12 A6 + b10 A4 + b8 A2) + b6 A6 + b4 A4 + b2 A2 + b0 I,
+
+    then (V - U) r = V + U, squared s times.  Degree 13 is what scipy's own
+    selection (Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31, 2009) took
+    on the scaled mirror blocks at n = 513 to 2049 and dt = 0.01 to 0.5;
+    it matches ``scipy.linalg.expm`` there to a few 1e-13 relative in the
+    1-norm.
+
+    Every product is scipy's ?gemm written into one of five preallocated
+    Fortran n x n arrays (A2, A4, A6 and two work arrays), the linear
+    combinations are ?axpy on their raveled views, and V - U is solved in
+    place by ?gesv: no other n x n array is made, and A = c M is never
+    formed, the products with A taking M with alpha = c (a C-ordered M
+    passed transposed, as ``_dot`` does).  The s squarings alternate
+    between two of the arrays."""
+    n = M.shape[0]
+    trans = int(M.flags.c_contiguous)
+    Mt = M.T if trans else M
+    gemm, axpy = sla.get_blas_funcs(("gemm", "axpy"), (M,))
+    lange, gesv = sla.get_lapack_funcs(("lange", "gesv"), (M,))
+    # ||M||_1 = ||M^T||_inf, summed by LAPACK without forming |M|
+    norm = abs(t) * lange("I" if trans else "1", Mt)
     s = int(np.ceil(np.log2(norm / _THETA_13))) if _THETA_13 < norm < np.inf else 0
-    E = sla.expm(A * 0.5**s if s else A)
+    c = t * 0.5**s
+    b = _PADE_13
+
+    def work() -> np.ndarray:
+        return np.empty((n, n), dtype=M.dtype, order="F")
+
+    def combine(out: np.ndarray, terms: tuple[tuple[float, np.ndarray], ...],
+                unit: float = 0.0) -> None:
+        """out = sum_k a_k X_k + unit I in place; X_0 may be out itself."""
+        (a0, X0), *rest = terms
+        np.multiply(X0, a0, out=out)
+        flat = out.ravel(order="F")
+        for a, X in rest:
+            axpy(X.ravel(order="F"), flat, a=a)
+        flat[:: n + 1] += unit
+
+    A2 = gemm(c * c, Mt, Mt, trans_a=trans, trans_b=trans, c=work(), overwrite_c=1)
+    A4 = gemm(1.0, A2, A2, c=work(), overwrite_c=1)
+    A6 = gemm(1.0, A4, A2, c=work(), overwrite_c=1)
+    W1, W2 = work(), work()
+    # V, in W2
+    combine(W1, ((b[12], A6), (b[10], A4), (b[8], A2)))
+    combine(W2, ((b[6], A6), (b[4], A4), (b[2], A2)), unit=b[0])
+    gemm(1.0, A6, W1, beta=1.0, c=W2, overwrite_c=1)
+    # U / A in A2, then U = c M (U / A) in A4
+    combine(W1, ((b[13], A6), (b[11], A4), (b[9], A2)))
+    combine(A2, ((b[3], A2), (b[5], A4), (b[7], A6)), unit=b[1])
+    gemm(1.0, A6, W1, beta=1.0, c=A2, overwrite_c=1)
+    gemm(c, Mt, A2, trans_a=trans, c=A4, overwrite_c=1)
+    # V + U in A6 and V - U in W2; the solve overwrites A6 with r
+    combine(A6, ((1.0, W2), (1.0, A4)))
+    axpy(A4.ravel(order="F"), W2.ravel(order="F"), a=-1.0)
+    _, _, E, info = gesv(W2, A6, overwrite_a=1, overwrite_b=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"singular Pade denominator (?gesv info {info})")
+    spare = A2
+    del A2, A4, A6, W1, W2
     for _ in range(s):
-        E = _dot(E, E)
+        E, spare = gemm(1.0, E, E, c=spare, overwrite_c=1), E
     return E
 
 

@@ -137,9 +137,11 @@ def _birth_death_expm(bd: _BirthDeath, op: OperatorMatrix, F0: np.ndarray,
     the symmetrized eigendecomposition, or None when the sup-norm guard of
     ``evolve_block`` fails for some column (or D F0 overflows).
 
-    The tridiagonal eigensolve and the conservation check run once for all
-    k columns; each column is then formed on its own, the same way for any
-    k, with its two products with Q on ``operators._dot``.  For a
+    The tridiagonal eigensolve, by MRRR (LAPACK ?stemr: O(n) workspace
+    besides Q, where ?stevd asks for n^2 more), and the conservation check
+    run once for all k columns; each column is then formed on its own, the
+    same way for any k, with its two products with Q on ``operators._dot``
+    and one n x len(times) work array.  For a
     mass-conserving M (wq^T M = 0) the roundoff mass defect of each column
     is put back along the equilibrium wq / d^2, the null vector of M:
     without it the Classical decay datum at n = 1025 drifts by 7e-12."""
@@ -149,19 +151,24 @@ def _birth_death_expm(bd: _BirthDeath, op: OperatorMatrix, F0: np.ndarray,
     if not all(tiny * np.linalg.norm(g) <= 1e-9 * np.max(np.abs(f)) and np.all(np.isfinite(g))
                for f, g in cols):
         return None
-    lam, Q = sla.eigh_tridiagonal(bd.diag, bd.offdiag)
-    growth = np.exp(np.outer(lam, times))
+    lam, Q = sla.eigh_tridiagonal(bd.diag, bd.offdiag, lapack_driver="stemr")
     wq = op.grid.cell_sizes
     scale = max(np.abs(band).max() for band in (bd.diag, bd.lower, bd.upper))
     u = None
     if op.conservation_defect <= 1e-12 * scale:
         u = wq / d**2
         u /= wq @ u
+    # one n x len(times) array per call: each column's growth e^(t lam)
+    # times Q^T D f0, then its mass correction
+    work = np.empty((lam.size, times.size))
     out = []
     for f, g in cols:
-        states = _dot(Q, growth * _dot(Q.T, g)[:, None]) / d[:, None]
+        np.exp(np.multiply.outer(lam, times, out=work), out=work)
+        work *= _dot(Q.T, g)[:, None]
+        states = _dot(Q, work)
+        states /= d[:, None]
         if u is not None:
-            states += np.outer(u, wq @ f - wq @ states)
+            states += np.multiply.outer(u, wq @ f - wq @ states, out=work)
         out.append(states)
     return np.stack(out, axis=-1)
 
@@ -173,13 +180,14 @@ def _stepper(M: OperatorMatrix | np.ndarray,
     ``OperatorMatrix.blocks``) or, for the implicit schemes, a birth-death
     operator.
 
-    ExactExpm forms e^(dt M) once (``operators._expm``) and steps by
-    ``operators._dot``.  The implicit schemes factor I - theta dt M once:
-    densely (LU), or on the three bands of the birth-death operator
+    ExactExpm forms e^(dt M) once, as ``operators._expm(M, dt)`` (five
+    block-size work arrays, no copy dt M), and steps by ``operators._dot``.
+    The implicit schemes factor I - theta dt M once: densely (LU), or on
+    the three bands of the birth-death operator
     (``operators._shifted_solver``)."""
     dt = spec.dt
     if spec.scheme == "ExactExpm":
-        E = _expm(dt * M)
+        E = _expm(M, dt)
         return lambda v: _dot(E, v)
     theta = 1.0 if spec.scheme == "BackwardEuler" else 0.5
     factor = _shifted_solver if isinstance(M, OperatorMatrix) else _dense_factor

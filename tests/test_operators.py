@@ -8,7 +8,11 @@ import scipy.linalg as sla
 
 from dense_oracle import dense_evolve, mirror_blocks, xi_pair
 from fplab.grids import Field, WeightSpec, gaussian_density, make_grid, weighted_norm
-from fplab.inequalities import adjoint_dissipativity_check, dissipativity_check
+from fplab.inequalities import (
+    adjoint_dissipativity_check,
+    dissipativity_check,
+    regularization_norm,
+)
 from fplab.kernels import gaussian_reference_kernel, truncated_fractional_kernel
 from fplab.operators import (
     Classical,
@@ -33,6 +37,7 @@ from fplab.operators import (
 from fplab.probes import probe_block, probe_family
 from fplab.semigroup import (
     EvolveSpec,
+    _birth_death_expm,
     decay_rate,
     evolve,
     evolve_block,
@@ -631,22 +636,59 @@ def test_dot_matches_numpy_product():
                                      (Fractional(alpha=1.2), 60.0),
                                      (DiscreteFractional(eps=0.15, alpha=1.0), 12.8)],
                          ids=lambda m: getattr(m, "family", ""))
-def test_expm_matches_scipy_on_mirror_blocks(monkeypatch, model, L):
-    # _expm scales dt B to 1-norm <= theta_13 before scipy sees it, so scipy
-    # squares nothing, and squares the result itself
+def test_expm_matches_scipy_on_mirror_blocks(model, L):
+    # the five-array Pade against scipy's expm on both mirror blocks, as
+    # assembled (C order, taken transposed) and as a Fortran copy: unscaled
+    # at dt = 0.001 (||dt B||_1 <= theta_13, s = 0), squared s >= 1 times
+    # from dt = 0.01 on
     op = assemble(model, make_grid(L, 1025))
-    expm = sla.expm
-    handed = []
-
-    def traced(A):
-        handed.append(np.linalg.norm(A, 1))
-        return expm(A)
-
-    monkeypatch.setattr(sla, "expm", traced)
     for B in op.blocks.mats:
-        for dt in (0.01, 0.05):
-            ref = expm(dt * B)
-            out = _expm(dt * B)
-            assert np.linalg.norm(out - ref, 1) <= 1e-13 * np.linalg.norm(ref, 1)
-            assert handed.pop() <= _THETA_13 < np.linalg.norm(dt * B, 1)
-    assert not handed
+        assert B.flags.c_contiguous
+        for dt, tol in ((0.001, 1e-13), (0.01, 1e-13), (0.05, 1e-13), (0.5, 5e-13)):
+            assert (np.linalg.norm(dt * B, 1) > _THETA_13) == (dt >= 0.01)
+            ref = sla.expm(dt * B)
+            for X in (B, np.asfortranarray(B)) if dt in (0.001, 0.05) else (B,):
+                out = _expm(X, dt)
+                assert np.linalg.norm(out - ref, 1) <= tol * np.linalg.norm(ref, 1), dt
+
+
+def test_expm_holds_five_work_arrays():
+    # A2, A4, A6 and two work arrays, the result one of them, on an m = 513
+    # mirror block whose exponential is squared (s >= 1); the Pade of scipy's
+    # expm on the 2^-s-scaled copy peaked at 9.0 B.nbytes
+    B = assemble(DiscreteClassical(eps=0.45), make_grid(12.0, 1025)).blocks.mats[0]
+    assert B.shape == (513, 513) and np.linalg.norm(0.05 * B, 1) > 2.0 * _THETA_13
+    tracemalloc.start()
+    try:
+        _expm(B, 0.05)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5.5 * B.nbytes
+
+
+def test_no_exponential_path_calls_scipy_expm(monkeypatch):
+    # every exponential is _expm's own Pade, so none is squared on numpy's
+    # BLAS: the Duhamel sums of regularization_norm on the classical
+    # splitting, ExactExpm on a jump generator and a birth-death chain sent
+    # down the block path by the sup-norm guard of evolve_block
+    def refuse(*args, **kwargs):
+        raise AssertionError("scipy.linalg.expm called")
+
+    monkeypatch.setattr(sla, "expm", refuse)
+    grid = make_grid(12.0, 257)
+    A, B = assemble_splitting(Classical(), grid, ClassicalSplitting(M=10.0, R=6.0))
+    for n_conv in (1, 2):
+        rep = regularization_norm(A, B, n_conv=n_conv, t_grid=[1.0, 2.0, 4.0],
+                                  source=WeightSpec(p=2, q=1),
+                                  target=WeightSpec(p=2, q=1, s=1), probes=8)
+        assert all(np.isfinite(row["norm"]) and row["norm"] > 0.0 for row in rep["rows"])
+    spec = EvolveSpec(t_end=0.2, dt=0.05, scheme="ExactExpm")
+    jump = assemble(DiscreteFractional(eps=0.2, alpha=1.0), make_grid(12.8, 257))
+    assert jump.bands is None
+    assert all(np.all(np.isfinite(f.values))
+               for _, f in evolve(jump, gaussian_density(jump.grid, 1.0), spec))
+    classical = assemble(Classical(), grid)
+    flat = np.ones((grid.n, 1))
+    assert _birth_death_expm(classical.bands, classical, flat, np.array([0.05])) is None
+    assert all(np.all(np.isfinite(F)) for _, F in evolve_block(classical, flat, spec))

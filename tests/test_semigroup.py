@@ -7,6 +7,7 @@ import scipy.linalg as sla
 from scipy.integrate import cumulative_trapezoid
 
 from dense_oracle import dense_evolve, mirror_blocks
+from fplab import semigroup
 from fplab.grids import Field, WeightSpec, gaussian_density, make_grid, mass, weighted_norm
 from fplab.kernels import gaussian_reference_kernel, khat
 from fplab.probes import probe_family
@@ -136,6 +137,36 @@ def test_exact_expm_block_decomposes_the_chain_once(monkeypatch):
             np.testing.assert_array_equal(col, traj[j][1].values)
 
 
+def test_birth_death_expm_matches_dense_exponential():
+    # the MRRR eigenvectors (?stemr) of the symmetrized Classical chain give
+    # the states of the dense exponential of M
+    grid = make_grid(12.0, 257)
+    op = assemble(Classical(), grid)
+    f0 = gaussian_density(grid, 0.5, 1.0).values
+    times = np.array([0.05, 0.5, 1.0, 2.0])
+    states = _birth_death_expm(op.bands, op, f0[:, None], times)[:, :, 0]
+    for j, t in enumerate(times):
+        ref = sla.expm(t * op.entries) @ f0
+        assert np.max(np.abs(states[:, j] - ref)) <= 1e-12 * np.max(np.abs(ref)), t
+
+
+def test_birth_death_expm_holds_q_and_o_nk():
+    # ?stemr needs O(n) workspace, so one column at n = 1025 peaks at Q plus
+    # O(n k) for its 80 recorded times; ?stevd's n^2 workspace made it 2.0 n^2
+    grid = make_grid(12.0, 1025)
+    op = assemble(Classical(), grid)
+    bd, n = op.bands, grid.n
+    f0 = gaussian_density(grid, 1.0).values[:, None]
+    times = 0.05 * np.arange(1, 81)
+    tracemalloc.start()
+    try:
+        assert _birth_death_expm(bd, op, f0, times) is not None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.3 * 8.0 * n * n
+
+
 def test_non_finite_state_reports_its_step(force_dense):
     # Classical + 5 I is still a birth-death chain and DiscreteClassical + 5 I
     # is centrosymmetric (stepped on its two half-size blocks); their states
@@ -211,10 +242,12 @@ def test_mirror_halves_match_dense_trajectory(case, scheme):
     assert np.max(np.abs(new - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
-@pytest.mark.parametrize("scheme, routine", [("ExactExpm", "expm"),
-                                             ("BackwardEuler", "lu_factor"),
-                                             ("CrankNicolson", "lu_factor")])
-def test_mirror_halves_hold_one_block_operator_at_a_time(monkeypatch, scheme, routine):
+@pytest.mark.parametrize("scheme, module, routine", [("ExactExpm", semigroup, "_expm"),
+                                                     ("BackwardEuler", sla, "lu_factor"),
+                                                     ("CrankNicolson", sla, "lu_factor")],
+                         ids=["ExactExpm-expm", "BackwardEuler-lu_factor",
+                              "CrankNicolson-lu_factor"])
+def test_mirror_halves_hold_one_block_operator_at_a_time(monkeypatch, scheme, module, routine):
     # the odd block's expm (or LU) starts after the even block's is freed:
     # besides the matrix it is handed, traced memory at the odd call exceeds
     # that at the even call by less than half an (n/2)^2 array, where
@@ -223,13 +256,13 @@ def test_mirror_halves_hold_one_block_operator_at_a_time(monkeypatch, scheme, ro
     n = op.grid.n
     op.blocks  # the blocks exist before tracing starts
     held = []
-    original = getattr(sla, routine)
+    original = getattr(module, routine)
 
     def traced(A, *args, **kwargs):
         held.append(tracemalloc.get_traced_memory()[0] - A.nbytes)
         return original(A, *args, **kwargs)
 
-    monkeypatch.setattr(sla, routine, traced)
+    monkeypatch.setattr(module, routine, traced)
     F0 = gaussian_density(op.grid, 1.0, 1.0).values[:, None]
     tracemalloc.start()
     try:

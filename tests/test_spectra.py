@@ -19,7 +19,7 @@ from fplab.operators import (
     assemble,
 )
 from fplab.semigroup import EvolveSpec, evolve, steady_state
-from fplab import spectra
+from fplab import semigroup, spectra
 from fplab.spectra import (
     _bordered,
     _eigenvalues,
@@ -81,17 +81,20 @@ def test_eigen_spectrum_reversible_tridiagonal_matches_dense():
 def test_eigensolve_selection_follows_matrix_structure(monkeypatch):
     dense_calls = []
 
-    def spy(name):
-        dense = getattr(sla, name)
+    def spy(module, routine, name):
+        dense = getattr(module, routine)
 
         def wrapped(M, *args, **kwargs):
             dense_calls.append((name, M.shape[0]))
             return dense(M, *args, **kwargs)
 
-        monkeypatch.setattr(sla, name, wrapped)
+        monkeypatch.setattr(module, routine, wrapped)
 
-    for name in ("eigvals", "expm", "lu_factor"):
-        spy(name)
+    # the exponential is semigroup's _expm, whose Pade solve is ?gesv: it
+    # adds no lu_factor call to the lists below
+    spy(sla, "eigvals", "eigvals")
+    spy(semigroup, "_expm", "expm")
+    spy(sla, "lu_factor", "lu_factor")
     g = make_grid(12.0, 65)
     schemes = [EvolveSpec(t_end=0.2, dt=0.05, scheme=s)
                for s in ("ExactExpm", "BackwardEuler", "CrankNicolson")]
