@@ -71,7 +71,7 @@ def _shared_op(which: str, param: float) -> OperatorMatrix:
 
 @lru_cache(maxsize=None)
 def _spectrum(which: str, param: float) -> SpectrumReport:
-    """Dense spectrum of a shared operator, solved once for criteria 2-4 and 12."""
+    """Spectrum report of a shared operator, solved once for criteria 2-4 and 12."""
     return eigen_spectrum(_shared_op(which, param))
 
 

@@ -180,7 +180,7 @@ def cmd_spectrum(args) -> int:
     _emit(args, "spectrum.json",
           {"eigenvalues_re": ev.real, "eigenvalues_im": ev.imag, "gap": rep.gap,
            "zero_residual": rep.zero_residual, "separation_a": rep.separation_a,
-           "separation_count": rep.separation_count})
+           "separation_count": rep.separation_count, "residual": rep.residual})
     print(f"gap = {rep.gap:.6f} (zero residual {rep.zero_residual:.2e})")
     return 0
 
@@ -467,7 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
     grid = ("model", "L", "n")
     _subcommand(sub, "steady", cmd_steady, "steady state of the generator", *grid)
-    _subcommand(sub, "spectrum", cmd_spectrum, "dense eigenvalue report",
+    _subcommand(sub, "spectrum", cmd_spectrum, "rightmost eigenvalues, gap and count",
                 *grid, "a_target", "fourier_side")
     _subcommand(sub, "gap-sweep", cmd_gap_sweep, "spectral gap over a parameter sweep",
                 *grid, "params", "sweep", "gap_target")

@@ -28,6 +28,24 @@ def mirror_blocks(M: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     return even, tt - tb
 
 
+def dense_report(M: np.ndarray, separation_a: float = -0.5) -> tuple[float, int]:
+    """The gap (largest real part but the eigenvalue of least modulus) and
+    the count right of separation_a that ``spectra.eigen_spectrum``
+    reports, from every eigenvalue of the dense M by ``sla.eigvals``.
+    O(n^3)."""
+    w = sla.eigvals(M)
+    gap = float(np.delete(w, np.argmin(np.abs(w))).real.max())
+    return gap, int(np.sum(w.real > separation_a))
+
+
+def dense_contour(M: np.ndarray, radius: float) -> tuple[int, float]:
+    """The count of eigenvalues inside |z| = radius and the margin
+    min ||lambda| - radius| that ``spectra.spectral_projector`` reads,
+    from every eigenvalue of the dense M by ``sla.eigvals``.  O(n^3)."""
+    mod = np.abs(sla.eigvals(M))
+    return int(np.count_nonzero(mod < radius)), float(np.abs(mod - radius).min())
+
+
 def dense_evolve(M, f0, spec):
     """Reference trajectory of ``semigroup.evolve_block``, recorded states
     stacked, from one dense expm(dt M) or one dense LU."""

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from fplab.cli import main, parse_model, parse_noise, parse_splitting, parse_weight, UsageError
@@ -73,6 +74,23 @@ def test_spectrum_and_config_file(tmp_path):
     assert rc == 0
     rep = json.loads((tmp_path / "o" / "spectrum.json").read_text())
     assert abs(rep["gap"] + 1.0) <= 0.05
+
+
+def test_spectrum_reports_its_residual(tmp_path):
+    # the residual that certifies a jump generator's rightmost eigenvalues,
+    # NaN for Classical and the Fourier side, whose spectra are solved whole
+    runs = [(["--model", "discrete-fractional:0.2,1", "--L", "12.8"], True),
+            (["--model", "classical", "--L", "12"], False),
+            (["--model", "fractional:1.0", "--fourier-side", "--L", "30"], False)]
+    for i, (model, certified) in enumerate(runs):
+        out = tmp_path / str(i)
+        assert main(["spectrum", *model, "--n", "257", "--outdir", str(out)]) == 0
+        res = json.loads((out / "spectrum.json").read_text())["residual"]
+        assert (0.0 < res <= 1e-12) if certified else np.isnan(res), model
+    # a count deep in an ill-conditioned spectrum is refused as a numerical
+    # failure (spectra.test_count_in_an_ill_conditioned_spectrum_is_refused)
+    assert main(["spectrum", "--model", "fractional:1.0", "--L", "60", "--n", "513",
+                 "--a-target", "-12", "--outdir", str(tmp_path / "deep")]) == 3
 
 
 def test_fourier_side_flag_requires_fractional(tmp_path):

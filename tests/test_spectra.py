@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from dense_oracle import mirror_blocks
+from dense_oracle import dense_contour, dense_report, mirror_blocks
 from fplab.cli import main
 from fplab.grids import WeightSpec, gaussian_density, make_grid, mass
 from fplab.operators import (
@@ -60,9 +60,9 @@ def test_leading_cut_reports_the_upper_member_of_a_conjugate_pair(monkeypatch, r
     # n = 257: the member with positive imaginary part is reported, in
     # whichever order the solver returns the two
     op = assemble(Fractional(1.0), make_grid(60.0, 257))
-    solve = spectra._eigenvalues
-    ev = solve(op)
-    monkeypatch.setattr(spectra, "_eigenvalues", lambda _: ev[::-1] if reverse else ev)
+    ev = _eigenvalues(op)
+    monkeypatch.setattr(spectra, "_spectrum",
+                        lambda *_: (ev[::-1] if reverse else ev, np.nan))
     leading = eigen_spectrum(op, k_leading=7).eigenvalues
     assert leading[5] == np.conj(leading[6]) and leading[5].imag > 0.4
     assert eigen_spectrum(op, k_leading=6).eigenvalues[-1] == leading[5]
@@ -90,10 +90,12 @@ def test_eigensolve_selection_follows_matrix_structure(monkeypatch):
 
         monkeypatch.setattr(module, routine, wrapped)
 
-    # the exponential is semigroup's _expm, whose Pade solve is ?gesv: it
-    # adds no lu_factor call to the lists below
+    # the exponential is semigroup's _expm, and spectra's for the
+    # eigensolve of a generator; its Pade solve is ?gesv: it adds no
+    # lu_factor call to the lists below
     spy(sla, "eigvals", "eigvals")
     spy(semigroup, "_expm", "expm")
+    spy(spectra, "_expm", "expm")
     spy(sla, "lu_factor", "lu_factor")
     g = make_grid(12.0, 65)
     schemes = [EvolveSpec(t_end=0.2, dt=0.05, scheme=s)
@@ -135,7 +137,9 @@ def test_eigensolve_selection_follows_matrix_structure(monkeypatch):
     evolve_all(skewed)
     assert dense_calls == [("eigvals", 65), ("expm", 65), ("lu_factor", 65), ("lu_factor", 65)]
     # the steady state, the projector and the certificate of jump generators
-    # factor nothing at full size: LU and eigensolves are of mirror blocks
+    # factor nothing at full size: LU and exponentials are of mirror blocks,
+    # and the projector's eigenvalues come from the exponential, with no
+    # dense eigensolve
     dense_calls.clear()
     grid = make_grid(1.6, 65)
     steady_state(mirrored[1])
@@ -144,7 +148,7 @@ def test_eigensolve_selection_follows_matrix_structure(monkeypatch):
                              Fractional(alpha=1.0, constant=1.0), grid,
                              FractionalSplitting(eta=0.2, Lcut=1.0, R=0.5),
                              [0.5j, -0.5j], probes=4)
-    assert {name for name, _ in dense_calls} == {"lu_factor", "eigvals"}
+    assert {name for name, _ in dense_calls} == {"lu_factor", "expm"}
     assert max(size for _, size in dense_calls) == 33
 
 
@@ -163,29 +167,36 @@ def test_mirror_blocks_match_dense(case, force_dense):
     M = op.entries
     assert mirror_blocks(M) is not None
     w, vl, vr = sla.eig(M, left=True, right=True)
-    lead = np.argsort(-w.real)[:8]
+    lead = np.lexsort((-w.imag, -w.real))[:8]
     # each of the leading dense eigenvalues has a mirrored one within 1e-10
     # relative, or within its first-order perturbation bound
     # eps ||M||_2 kappa(lambda) when that is wider: the higher Fractional
     # eigenvalues and the Fourier side's even/odd double eigenvalues have
     # condition numbers kappa up to 1e8, which no backward-stable solver
     # resolves to 1e-10 (measured: within 0.8 of that bound)
-    kappa = 1.0 / np.abs(np.sum(vl[:, lead].conj() * vr[:, lead], axis=0))
-    tol = (1e-10 * np.maximum(np.abs(w[lead]), 1.0)
-           + 8.0 * np.finfo(float).eps * np.linalg.norm(M, 2) * kappa)
+    bound = (8.0 * np.finfo(float).eps * np.linalg.norm(M, 2)
+             / np.abs(np.sum(vl.conj() * vr, axis=0)))
+    tol = 1e-10 * np.maximum(np.abs(w[lead]), 1.0) + bound[lead]
     ev = _eigenvalues(op)
     assert ev.size == M.shape[0]
     assert np.all(np.abs(ev[None, :] - w[lead, None]).min(axis=1) <= tol)
+    # the report (the rightmost eigenvalues of a generator, every one of the
+    # Fourier side) against every eigenvalue of the dense matrix: the same
+    # bound for the 8 reported, the gap within 1e-12 relative or its own
+    # bound, and the same count right of -0.5
     rep = eigen_spectrum(op)
+    assert np.all(np.abs(rep.eigenvalues[None, :] - w[lead, None]).min(axis=1) <= tol)
+    gap, count = dense_report(M)
+    others = np.delete(np.arange(w.size), np.argmin(np.abs(w)))
+    at_gap = others[np.argmax(w[others].real)]
+    assert abs(rep.gap - gap) <= max(1e-12 * abs(gap), bound[at_gap])
+    assert rep.separation_count == count
     # off-centre, so that both the even and the odd block carry the state
     f0 = gaussian_density(op.grid, 1.0, 1.0)
     specs = [EvolveSpec(t_end=2.0, dt=0.05, scheme=s, record_every=5)
              for s in ("ExactExpm", "BackwardEuler", "CrankNicolson")]
     mirrored = [np.array([f.values for _, f in evolve(op, f0, spec)]) for spec in specs]
     force_dense()
-    dense = eigen_spectrum(op)
-    assert abs(rep.gap - dense.gap) <= 1e-12 * abs(dense.gap)
-    assert rep.separation_count == dense.separation_count
     for spec, new in zip(specs, mirrored):
         ref = np.array([f.values for _, f in evolve(op, f0, spec)])
         assert np.max(np.abs(new - ref)) <= 1e-12 * np.max(np.abs(ref)), spec.scheme
@@ -234,16 +245,18 @@ def test_bordered_block_matches_unbordered_solves(case):
 
 
 def test_projector_from_bordered_blocks_matches_dense(force_dense):
-    # criterion 10's operator; the eigenvalues that set the count and the
-    # contour margin come from the even block and the bordered odd one
+    # criterion 10's operator, whose odd mirror block has order 512; the
+    # count and the contour margin against every eigenvalue of the dense
+    # matrix, the projector against the steady state's dense solve
     op = assemble(DiscreteFractional(eps=0.05, alpha=1.0), make_grid(12.8, 1025))
+    count, margin = dense_contour(op.entries, 0.5)
     rep = spectral_projector(op, radius=0.5)
     force_dense()
     ref = spectral_projector(op, radius=0.5)
-    assert rep.rank == ref.rank == 1
+    assert rep.rank == ref.rank == count == 1
     assert np.max(np.abs(rep.projector - ref.projector)) <= 1e-12 * ref.norm
     assert abs(rep.norm - ref.norm) <= 1e-12 * ref.norm
-    assert abs(rep.contour_margin - ref.contour_margin) <= 1e-9
+    assert abs(rep.contour_margin - margin) <= 1e-9
 
 
 def test_no_qr_sweep_at_an_order_that_is_a_multiple_of_256(monkeypatch):
@@ -273,8 +286,10 @@ def test_border_that_does_not_come_back_isolated_is_refused(monkeypatch):
     op = assemble(DiscreteFractional(eps=0.15, alpha=1.0), make_grid(12.8, 513))
     with pytest.raises(ArithmeticError, match="isolated"):
         _eigenvalues(op)
+    # the projector of a generator solves no block dense; the Fourier side,
+    # which conserves no mass, is solved bordered before it is refused
     with pytest.raises(ArithmeticError, match="isolated"):
-        spectral_projector(op, radius=0.5)
+        spectral_projector(fourier_side_generator(1.0, 30.0, 513), radius=0.5)
 
 
 def test_fourier_side_generator_bands_match_dense_product():
@@ -417,24 +432,25 @@ def test_projector_matches_fine_contour_quadrature():
 def test_projector_mirror_blocks_match_dense(case, radius, force_dense):
     # radius 1.5 encloses 0 (even block) and -1 (odd block), on the Fourier
     # side 0 and the double -1.03, and the Fourier side does not conserve
-    # mass: the mirror blocks and the dense matrix refuse them alike
+    # mass: the mirror blocks refuse them for the reason and the count that
+    # every eigenvalue of the dense matrix gives
     op = MIRROR_CASES[case]()
+    count, margin = dense_contour(op.entries, radius)
     if radius > 1.0 or case == "fourier-side":
         with pytest.raises(ValueError) as mirrored:
             spectral_projector(op, radius=radius)
-        force_dense()
-        with pytest.raises(ValueError) as dense:
-            spectral_projector(op, radius=radius)
+        reason = (f"contour encloses {count} eigenvalues" if count != 1
+                  else "generator does not conserve mass")
         # the reason and the count, not the suggested radii
-        assert str(mirrored.value).split(";")[0] == str(dense.value).split(";")[0]
+        assert str(mirrored.value).split(";")[0].startswith(reason)
         return
     rep = spectral_projector(op, radius=radius)
     force_dense()
     ref = spectral_projector(op, radius=radius)
-    assert rep.rank == ref.rank == 1
+    assert rep.rank == ref.rank == count == 1
     assert np.max(np.abs(rep.projector - ref.projector)) <= 1e-12 * ref.norm
     assert abs(rep.norm - ref.norm) <= 1e-12 * ref.norm
-    assert abs(rep.contour_margin - ref.contour_margin) <= 1e-9
+    assert abs(rep.contour_margin - margin) <= 1e-9
 
 
 def test_projector_refuses_a_contour_that_does_not_enclose_one_eigenvalue():
@@ -535,3 +551,136 @@ def test_degenerate_zero_eigenvalue_detection():
                                           np.zeros(4), empty, empty, empty))
     with pytest.raises(ArithmeticError):
         eigen_spectrum(bad)
+
+
+# ---------------------------------------------------------------------------
+# the rightmost eigenvalues of a generator (spectra._rightmost)
+
+REFINE_FAMILIES = ([(DiscreteClassical(eps=e), 12.0) for e in (0.40, 0.45, 0.50, 0.55, 0.60)]
+                   + [(Fractional(alpha=a), 60.0) for a in (1.0, 1.2, 1.4, 1.6, 1.8)]
+                   + [(DiscreteFractional(eps=e, alpha=1.0), 12.8)
+                      for e in (0.10, 0.15, 0.20, 0.25, 0.30)])
+
+
+@pytest.mark.parametrize("model,L", REFINE_FAMILIES,
+                         ids=lambda v: f"{v.family}:{getattr(v, 'eps', getattr(v, 'alpha', ''))}"
+                         if hasattr(v, "family") else "")
+def test_rightmost_eigenvalues_match_dense_at_refine_inputs(model, L):
+    # the benchmark's refine report (k_leading = 4) at n = 513 against every
+    # eigenvalue of the dense matrix, with the bounds of
+    # test_mirror_blocks_match_dense (measured: the gap within 2.4e-12
+    # relative, the residual at most 5e-14)
+    op = assemble(model, make_grid(L, 513))
+    M = op.entries
+    rep = eigen_spectrum(op, k_leading=4)
+    assert rep.residual <= spectra._TOL
+    w, vl, vr = sla.eig(M, left=True, right=True)
+    bound = (8.0 * np.finfo(float).eps * np.linalg.norm(M, 2)
+             / np.abs(np.sum(vl.conj() * vr, axis=0)))
+    lead = np.lexsort((-w.imag, -w.real))[:4]
+    tol = 1e-10 * np.maximum(np.abs(w[lead]), 1.0) + bound[lead]
+    assert np.all(np.abs(rep.eigenvalues[None, :] - w[lead, None]).min(axis=1) <= tol)
+    gap, count = dense_report(M)
+    assert abs(rep.gap - gap) <= max(1e-12 * abs(gap), bound[lead[1]])
+    assert rep.separation_count == count
+
+
+def _two_closed_classes(n: int) -> OperatorMatrix:
+    """A mass-conserving, mirror-symmetric generator with two closed
+    classes: the centre nodes, joined by unit rates, and the outer ones,
+    joined by unit rates and by one jump between the two end nodes (a
+    Toeplitz term).  Both stationary states are even, so the even mirror
+    block holds a double zero eigenvalue."""
+    grid = make_grid(4.0, n)
+    m, r = n // 2, n // 8
+    rates = np.ones(n - 1)
+    rates[[m - r - 1, m + r]] = 0.0  # no rate between the classes
+    ends = np.zeros((1, n))
+    ends[0, [0, -1]] = 1.0
+    col = np.zeros((1, n))
+    col[0, -1] = 1.0
+    off = OperatorMatrix(grid, OperatorParts(np.zeros(n), rates, rates.copy(), col, ends, ends))
+    wq = grid.cell_sizes
+    diag = -off.matmat(wq, transpose=True) / wq
+    return OperatorMatrix(grid, replace(off.parts, diag=diag))
+
+
+def test_double_zero_of_two_closed_classes_is_not_simple():
+    # a Krylov space grown from one vector holds one direction of the double
+    # zero's eigenspace; Arnoldi starts from two (and restarts from a random
+    # vector where the space closes), so both zeros show, as in the dense
+    # solver, and the report refuses them
+    op = _two_closed_classes(129)
+    assert op.bands is None and len(op.blocks.mats) == 2
+    assert op.conservation_defect <= 1e-14 * np.abs(op.parts.diag).max()
+    even = np.abs(sla.eigvals(op.blocks.mats[0]))
+    assert np.sum(even < 1e-10) == 2
+    with pytest.raises(ArithmeticError, match="not simple"):
+        eigen_spectrum(op)
+    # a contour inside every nonzero eigenvalue encloses both zeros
+    mod = np.sort(np.abs(sla.eigvals(op.entries)))
+    with pytest.raises(ValueError, match="encloses 2 eigenvalues"):
+        spectral_projector(op, radius=0.5 * mod[2])
+
+
+def test_dense_eigensolve_only_off_the_generators(monkeypatch):
+    # refine's three jump families at both sizes and criterion 10's four
+    # operators take no dense eigensolve of a block; the Fourier side, which
+    # is no generator, still does, on both mirror blocks (the odd bordered)
+    orders = []
+    eigvals = sla.eigvals
+
+    def eigvals_spy(M, *args, **kwargs):
+        orders.append(M.shape[0])
+        return eigvals(M, *args, **kwargs)
+
+    monkeypatch.setattr(sla, "eigvals", eigvals_spy)
+    for n in (513, 1025):
+        for model, L in REFINE_FAMILIES:
+            eigen_spectrum(assemble(model, make_grid(L, n)), k_leading=4)
+    g = make_grid(12.8, 1025)
+    for model in (Fractional(alpha=1.0, constant=1.0),
+                  *(DiscreteFractional(eps=e, alpha=1.0) for e in (0.2, 0.1, 0.05))):
+        spectral_projector(assemble(model, g), radius=0.5)
+    assert not any(m > 64 for m in orders)
+    eigen_spectrum(fourier_side_generator(1.0, 30.0, 1025))
+    assert [m for m in orders if m > 64] == [513, 513]
+
+
+def test_separation_count_past_k_leading_matches_dense():
+    # 13 eigenvalues right of -12, condition numbers up to 1.1e7, the
+    # nearest 0.12 from the line
+    op = assemble(DiscreteFractional(eps=0.2, alpha=1.0), make_grid(12.8, 513))
+    rep = eigen_spectrum(op, k_leading=4, separation_a=-12.0)
+    _, count = dense_report(op.entries, -12.0)
+    assert rep.separation_count == count > 8
+    assert rep.residual <= spectra._TOL
+
+
+def test_count_in_an_ill_conditioned_spectrum_is_refused():
+    # Fractional(1) at L = 60, n = 513: the eigenvalues near -12 have
+    # condition numbers 1e13-5e14, and the dense solvers disagree on how
+    # many lie right of -12 (38 by sla.eig with vectors, 41 by sla.eigvals).
+    # The exponential's Schur vectors reach only ||B Q - Q R||_F = 5.8e-3
+    # ||B||_1 there (Krylov dimension 128), and the solve refuses rather
+    # than report a count
+    op = assemble(Fractional(alpha=1.0), make_grid(60.0, 513))
+    with pytest.raises(ArithmeticError, match="invariant subspace"):
+        eigen_spectrum(op, separation_a=-12.0)
+
+
+def test_eigen_spectrum_memory_is_one_block_exponential():
+    # refine's Fractional(1.2) at n = 1025: with the mirror blocks formed,
+    # the eigensolve peaks at operators._expm's five work arrays of the even
+    # block, one exponential alive at a time
+    op = assemble(Fractional(alpha=1.2), make_grid(60.0, 1025))
+    even = op.blocks.mats[0]
+    tracemalloc.start()
+    try:
+        rep = eigen_spectrum(op, k_leading=4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.residual <= spectra._TOL
+    assert peak <= 5.2 * even.nbytes
+
