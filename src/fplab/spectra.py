@@ -122,8 +122,8 @@ _START_VECTORS = 2
 # Ritz value, so that an eigenvalue whose Ritz value sits just left of it
 # is still taken and certified
 _SLACK = 1.0
-# ||B Q - Q R||_F / ||B||_1 accepted: the largest the criteria reach is
-# 4.4e-8 (Fractional(1.5) at n = 2049, whose 8 leading eigenvalues have
+# ||B Q - Q R||_F / ||B||_1 accepted: the criteria reach at most 5e-8
+# (Fractional(1.5) at n = 2049, whose 8 leading eigenvalues have
 # condition numbers up to 1e9), refine's at most 5e-14; where the residual
 # reached 1.7e-3 to 2e-2 (counts right of -12 and -16 among eigenvalues of
 # condition number 1e12-5e14) the count differed from the dense one, and
@@ -158,37 +158,55 @@ def _arnoldi(B: np.ndarray, dim: int, rng: np.random.Generator) -> tuple[np.ndar
     classical Gram-Schmidt (CGS2).  A product that lies in the space
     already built, to 1e-12 of its norm (the Krylov space has reached an
     invariant subspace, or E has damped the rest below roundoff), is
-    replaced by a random vector, coupled to nothing in H."""
+    replaced by a random vector, as the start vectors are, coupled to
+    nothing in H."""
     E = _expm(B, _TAU)
     m = E.shape[0]
     dim = min(dim, m)
     b = min(_START_VECTORS, dim)
     V = np.empty((m, dim), order="F")
     H = np.zeros((dim, dim))
-    V[:, :b] = np.linalg.qr(rng.standard_normal((m, b)))[0]
 
-    def orthogonalize(w: np.ndarray, k: int, h: np.ndarray) -> None:
-        for _ in range(2):
+    def orthogonalize(w: np.ndarray, k: int, h: np.ndarray) -> float:
+        """w minus its projection on V[:, :k] in place, the coefficients
+        added to h; the norm of what is left."""
+        for _ in range(2 if k else 0):
             c = _dot(V[:, :k].T, w)
             w -= _dot(V[:, :k], c)
             h += c
+        return float(np.linalg.norm(w))
 
+    def random_vector(k: int) -> np.ndarray:
+        w = rng.standard_normal(m)
+        return w / orthogonalize(w, k, np.zeros(k))
+
+    for k in range(b):
+        V[:, k] = random_vector(k)
     for j in range(dim):
         k = min(j + b, dim)
         w = _dot(E, V[:, j])
         size = np.linalg.norm(w)
-        orthogonalize(w, k, H[:k, j])
+        norm = orthogonalize(w, k, H[:k, j])
         if k == dim:
             continue
-        norm = np.linalg.norm(w)
         if norm <= 1e-12 * size:
-            w = rng.standard_normal(m)
-            orthogonalize(w, k, np.zeros(k))
-            norm = np.linalg.norm(w)
+            V[:, k] = random_vector(k)
         else:
             H[k, j] = norm
-        V[:, k] = w / norm
+            V[:, k] = w / norm
     return V, H
+
+
+def _schur(A: np.ndarray, cut: float = -1.0) -> tuple[np.ndarray, np.ndarray, int]:
+    """The eigenvalues of a small real A, its real Schur vectors Z and the
+    number p of eigenvalues of modulus above ``cut``, whose Schur vectors
+    lead Z, by one LAPACK ?gees: the only dense eigensolver of
+    ``_rightmost``, so no other routine's code is paged in."""
+    gees, = sla.get_lapack_funcs(("gees",), (A,))
+    _, p, wr, wi, Z, _, info = gees(lambda x, y: np.hypot(x, y) > cut, A, sort_t=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"real Schur form not found (?gees info {info})")
+    return wr + 1j * wi, Z, p
 
 
 def _rightmost(mats: tuple[np.ndarray, ...], line: float, count: int) -> tuple[np.ndarray, float]:
@@ -215,7 +233,7 @@ def _rightmost(mats: tuple[np.ndarray, ...], line: float, count: int) -> tuple[n
     ``_conserves_mass``, whose comments say why each has its value."""
     rng = np.random.default_rng(0)
     runs = [_arnoldi(B, _KRYLOV_DIMS[0], rng) for B in mats]
-    moduli = np.sort(np.concatenate([np.abs(np.linalg.eigvals(H)) for _, H in runs]))[::-1]
+    moduli = np.sort(np.concatenate([np.abs(_schur(H)[0]) for _, H in runs]))[::-1]
     cut = min(np.exp(_TAU * line), moduli[min(count, moduli.size) - 1]) * np.exp(-_TAU * _SLACK)
     evs, worst = [], 0.0
     for B, (V, H) in zip(mats, runs):
@@ -225,7 +243,7 @@ def _rightmost(mats: tuple[np.ndarray, ...], line: float, count: int) -> tuple[n
         for dim in _KRYLOV_DIMS:
             if dim > _KRYLOV_DIMS[0]:
                 V, H = _arnoldi(B, dim, rng)
-            _, Z, p = sla.schur(H, output="real", sort=lambda x, y: np.hypot(x, y) > cut)
+            _, Z, p = _schur(H, cut)
             if 2 * p > H.shape[0] and H.shape[0] < B.shape[0]:
                 failure = f"{p} Ritz values above the cut"
                 continue
@@ -240,7 +258,7 @@ def _rightmost(mats: tuple[np.ndarray, ...], line: float, count: int) -> tuple[n
         else:
             raise ArithmeticError(f"no invariant subspace of the rightmost eigenvalues at "
                                   f"Krylov dimension {_KRYLOV_DIMS[-1]}: {failure}")
-        evs.append(np.linalg.eigvals(R))
+        evs.append(_schur(R)[0])
         worst = max(worst, res)
     return np.concatenate(evs), worst
 
