@@ -41,9 +41,9 @@ class SpectrumReport:
 
 def _eigenvalues(op: OperatorMatrix) -> np.ndarray:
     """Every eigenvalue of op, unordered, as a complex array: the solver
-    of ``_spectrum`` for a birth-death chain and for an operator that is
-    not a generator (the Fourier-side collocation); every other generator
-    takes ``_rightmost``.
+    of ``_spectrum`` for a birth-death chain, for an operator that is not a
+    generator (the Fourier-side collocation) and for a line left of
+    -depth/tau; every other request of a generator takes ``_rightmost``.
 
     A birth-death generator (``OperatorMatrix.bands``: tridiagonal with
     every M[i,i+1] M[i+1,i] > 0, the reversible chains, such as the
@@ -129,6 +129,19 @@ _SLACK = 1.0
 # condition number 1e12-5e14) the count differed from the dense one, and
 # the dense solvers differed among themselves.
 _TOL = 1e-6
+# the deepest line asked of ``_rightmost``, in units of 1/tau: a line left
+# of -depth/tau (E's wanted moduli below e^-6 = 2.5e-3 of its dominant
+# one) is solved whole by ``_eigenvalues`` instead, a choice made from the
+# line before any solve.  At L = 60 or 12.8, n = 513 and Krylov dimensions
+# up to 128, Arnoldi certified the count right of every line down to -6
+# and matched the dense count there (Fractional(1): 9 eigenvalues,
+# Fractional(1.5): 7, DiscreteFractional(0.2, 1): 6, DiscreteClassical(0.4):
+# 7); at -8 it refused both Fractional operators (15 and 9 eigenvalues,
+# condition numbers up to 1e13).  Deeper still, the count is roundoff's
+# choice: right of -12, Fractional(1)'s eigenvalues of condition number
+# 1e13-5e14 make it 36 by ``sla.eigvals`` of the mirror blocks and 41 of
+# the whole matrix.
+_DEPTH = 6.0
 
 
 def _conserves_mass(op: OperatorMatrix) -> bool:
@@ -142,9 +155,10 @@ def _spectrum(op: OperatorMatrix, line: float, count: int) -> tuple[np.ndarray, 
     """Eigenvalues of op, unordered, that hold every one with real part
     right of ``line`` and at least the ``count`` rightmost, with the
     residual of ``SpectrumReport``: by ``_rightmost`` on the blocks of a
-    mass-conserving generator without birth-death bands, else every
-    eigenvalue by ``_eigenvalues`` and NaN."""
-    if op.bands is None and _conserves_mass(op):
+    mass-conserving generator without birth-death bands, for a line no
+    deeper than -depth/tau; else every eigenvalue by ``_eigenvalues`` and
+    NaN."""
+    if op.bands is None and _TAU * line >= -_DEPTH and _conserves_mass(op):
         return _rightmost(op.blocks.mats, line, count)
     return _eigenvalues(op), np.nan
 
@@ -272,8 +286,10 @@ def eigen_spectrum(op: OperatorMatrix, k_leading: int = 8, separation_a: float =
     bands: ``_rightmost`` returns every eigenvalue right of separation_a
     and at least the max(k_leading, 2) rightmost, which is all this report
     reads, with the residual that certifies them.  A birth-death chain
-    (every eigenvalue, tridiagonal) and an operator that is not a
-    generator (every eigenvalue, dense) go to ``_eigenvalues``.
+    (every eigenvalue, tridiagonal), an operator that is not a generator
+    and a separation_a left of -depth/tau (every eigenvalue, dense on the
+    blocks) go to ``_eigenvalues``, with residual NaN.  A k_leading whose
+    eigenvalues reach that deep may be refused (``ArithmeticError``).
 
     Errors if the eigenvalue of minimal modulus is not simple (two
     eigenvalues within 1e-8 of each other near 0)."""
@@ -391,8 +407,9 @@ def spectral_projector(op: OperatorMatrix, radius: float) -> ProjectorReport:
     The count inside the contour and ``contour_margin`` read only the
     eigenvalues right of -2 radius, which ``_spectrum`` returns (with no
     full eigensolve of a mass-conserving generator without birth-death
-    bands): any other one has modulus >= 2 radius, so it lies outside the
-    contour and no closer to it than the zero eigenvalue.  Errors if an
+    bands while 2 radius <= depth/tau): any other one has modulus
+    >= 2 radius, so it lies outside the contour and no closer to it than
+    the zero eigenvalue.  Errors if an
     eigenvalue lies within 1e-6 of the contour, suggesting a safe radius;
     refuses, as beyond the closed form, a contour that does not enclose
     exactly one eigenvalue (naming the radius interval that encloses only

@@ -87,10 +87,13 @@ def test_spectrum_reports_its_residual(tmp_path):
         assert main(["spectrum", *model, "--n", "257", "--outdir", str(out)]) == 0
         res = json.loads((out / "spectrum.json").read_text())["residual"]
         assert (0.0 < res <= 1e-12) if certified else np.isnan(res), model
-    # a count deep in an ill-conditioned spectrum is refused as a numerical
-    # failure (spectra.test_count_in_an_ill_conditioned_spectrum_is_refused)
+    # a count deep in the spectrum is solved whole
+    # (spectra.test_deep_separation_count_is_solved_whole)
+    out = tmp_path / "deep"
     assert main(["spectrum", "--model", "fractional:1.0", "--L", "60", "--n", "513",
-                 "--a-target", "-12", "--outdir", str(tmp_path / "deep")]) == 3
+                 "--a-target", "-12", "--outdir", str(out)]) == 0
+    rep = json.loads((out / "spectrum.json").read_text())
+    assert rep["separation_count"] > 15 and np.isnan(rep["residual"])
 
 
 def test_fourier_side_flag_requires_fractional(tmp_path):

@@ -585,19 +585,24 @@ def test_refine_pipeline_forms_no_dense_generator(model, L, no_dense):
     tracemalloc.start()
     try:
         G = steady_state(op)
-        rep = eigen_spectrum(op, k_leading=4)
         peak = tracemalloc.get_traced_memory()[1]
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        rep = eigen_spectrum(op, k_leading=4)
+        eig_peak = tracemalloc.get_traced_memory()[1] - held
     finally:
         tracemalloc.stop()
-    # the mirror blocks are half of one n x n array; on top of them come
-    # their LU factors (the other half) or the eigensolve's exponential of
-    # one block (operators._expm: five arrays of the even block's order,
-    # the footprint of the ExactExpm decay below); a dense generator would
-    # add a whole n x n array
+    # the mirror blocks are half of one n x n array and their LU factors
+    # the other half; a dense generator would add a whole one
+    assert peak < 1.5 * 8 * grid.n * grid.n
+    # on top of what the steady state left, the eigensolve of a jump
+    # generator forms the exponential of one mirror block at a time (operators._expm: five arrays of the even
+    # block's order, as in test_eigen_spectrum_memory_is_one_block_exponential);
+    # a birth-death chain's is tridiagonal
     if op.bands is None:
-        assert peak <= 8 * grid.n * grid.n / 2 + 5.2 * op.blocks.mats[0].nbytes
+        assert eig_peak <= 5.2 * op.blocks.mats[0].nbytes
     else:
-        assert peak < 1.5 * 8 * grid.n * grid.n
+        assert eig_peak < 0.1 * 8 * grid.n * grid.n
     assert np.all(G.values[1:-1] > 0.0) and rep.gap < 0.0
     w = WeightSpec(p=1, q=1 if model.family.endswith("classical") else 0)
     dec = decay_rate(op, gaussian_density(grid, 1.0, 1.0), w,

@@ -648,25 +648,40 @@ def test_dense_eigensolve_only_off_the_generators(monkeypatch):
 
 
 def test_separation_count_past_k_leading_matches_dense():
-    # 13 eigenvalues right of -12, condition numbers up to 1.1e7, the
-    # nearest 0.12 from the line
-    op = assemble(DiscreteFractional(eps=0.2, alpha=1.0), make_grid(12.8, 513))
-    rep = eigen_spectrum(op, k_leading=4, separation_a=-12.0)
-    _, count = dense_report(op.entries, -12.0)
-    assert rep.separation_count == count > 8
+    # Fractional(1) at L = 60, n = 513: 9 eigenvalues right of -6, the
+    # deepest line the exponential is asked for, against 4 leading ones;
+    # condition numbers up to 2.6e9, every one of the 9 further than its
+    # perturbation bound from the line
+    op = assemble(Fractional(alpha=1.0), make_grid(60.0, 513))
+    rep = eigen_spectrum(op, k_leading=4, separation_a=-6.0)
+    _, count = dense_report(op.entries, -6.0)
+    assert rep.separation_count == count == 9
     assert rep.residual <= spectra._TOL
 
 
-def test_count_in_an_ill_conditioned_spectrum_is_refused():
-    # Fractional(1) at L = 60, n = 513: the eigenvalues near -12 have
-    # condition numbers 1e13-5e14, and the dense solvers disagree on how
-    # many lie right of -12 (38 by sla.eig with vectors, 41 by sla.eigvals).
-    # The exponential's Schur vectors reach only ||B Q - Q R||_F = 8.8e-3
-    # ||B||_1 there (Krylov dimension 128), and the solve refuses rather
-    # than report a count
+def test_deep_separation_count_is_solved_whole():
+    # the same operator right of -12 (left of -depth/tau): more than 15
+    # eigenvalues, solved whole on the mirror blocks (residual NaN), as many
+    # as sla.eigvals of the dense mirror blocks find.  Those near -12 have
+    # condition numbers 1e13-5e14, so the count is fixed only between the
+    # eigenvalues of the whole matrix that lie right of the line by more
+    # than their perturbation bound and those that may (sla.eigvals of the
+    # whole matrix finds 41, with vectors 38)
     op = assemble(Fractional(alpha=1.0), make_grid(60.0, 513))
-    with pytest.raises(ArithmeticError, match="invariant subspace"):
-        eigen_spectrum(op, separation_a=-12.0)
+    rep = eigen_spectrum(op, k_leading=4, separation_a=-12.0)
+    assert np.isnan(rep.residual)
+    M = op.entries
+    blocks = np.concatenate([sla.eigvals(B) for B in mirror_blocks(M)])
+    assert rep.separation_count == int(np.sum(blocks.real > -12.0)) > 15
+    w, vl, vr = sla.eig(M, left=True, right=True)
+    bound = (8.0 * np.finfo(float).eps * np.linalg.norm(M, 2)
+             / np.abs(np.sum(vl.conj() * vr, axis=0)))
+    assert np.sum(w.real - bound > -12.0) <= rep.separation_count \
+        <= np.sum(w.real + bound > -12.0)
+    # a contour wider than depth/(2 tau) is counted whole too
+    count, _ = dense_contour(M, 4.0)
+    with pytest.raises(ValueError, match=f"contour encloses {count} eigenvalues"):
+        spectral_projector(op, radius=4.0)
 
 
 def test_eigen_spectrum_memory_is_one_block_exponential():
