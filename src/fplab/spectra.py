@@ -115,7 +115,7 @@ _TAU = 1.0
 # Schur vectors per block); a selection is trusted only while it takes at
 # most half the space, as Ritz values converge from the outside in.
 _KRYLOV_DIMS = (32, 64, 128)
-# random start vectors of each Arnoldi run: two, so that a double
+# pseudo-random start vectors of each Arnoldi run: two, so that a double
 # eigenvalue (the zero of a generator with two closed classes) shows twice
 _START_VECTORS = 2
 # the cut lies this far (in real part) left of the line or of the count-th
@@ -163,17 +163,33 @@ def _spectrum(op: OperatorMatrix, line: float, count: int) -> tuple[np.ndarray, 
     return _eigenvalues(op), np.nan
 
 
-def _arnoldi(B: np.ndarray, dim: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+def _start_vector(m: int, k: int) -> np.ndarray:
+    """m pseudo-random entries in [-1, 1), the k-th such vector: the
+    splitmix64 hash (Steele, Lea & Flood, OOPSLA 2014) of the integers
+    k m, ..., k m + m - 1.  Uniform and white like a random draw, so no
+    eigenvector is missed by a smooth or oscillating start; numpy's
+    ``Generator`` would page in its sampler code on first use, which raised
+    the peak resident memory of a run by 0.3 MB."""
+    z = np.arange(k * m, k * m + m, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return (z >> np.uint64(11)) * 2.0**-52 - 1.0
+
+
+def _arnoldi(B: np.ndarray, dim: int) -> tuple[np.ndarray, np.ndarray]:
     """An orthonormal basis V of the block Krylov space of
-    E = ``operators._expm(B, tau)`` from ``_START_VECTORS`` random vectors,
-    of dimension min(dim, m), and H = V^T E V; E is freed on return.
+    E = ``operators._expm(B, tau)`` from ``_START_VECTORS`` pseudo-random
+    vectors (``_start_vector``), of dimension min(dim, m), and
+    H = V^T E V; E is freed on return.  A larger dim extends the space of
+    a smaller one.
 
     Each new vector is E times an earlier one, orthogonalized twice by
     classical Gram-Schmidt (CGS2).  A product that lies in the space
     already built, to 1e-12 of its norm (the Krylov space has reached an
     invariant subspace, or E has damped the rest below roundoff), is
-    replaced by a random vector, as the start vectors are, coupled to
-    nothing in H."""
+    replaced by a pseudo-random vector, as the start vectors are, coupled
+    to nothing in H."""
     E = _expm(B, _TAU)
     m = E.shape[0]
     dim = min(dim, m)
@@ -190,12 +206,12 @@ def _arnoldi(B: np.ndarray, dim: int, rng: np.random.Generator) -> tuple[np.ndar
             h += c
         return float(np.linalg.norm(w))
 
-    def random_vector(k: int) -> np.ndarray:
-        w = rng.standard_normal(m)
+    def start_vector(k: int) -> np.ndarray:
+        w = _start_vector(m, k)
         return w / orthogonalize(w, k, np.zeros(k))
 
     for k in range(b):
-        V[:, k] = random_vector(k)
+        V[:, k] = start_vector(k)
     for j in range(dim):
         k = min(j + b, dim)
         w = _dot(E, V[:, j])
@@ -204,7 +220,7 @@ def _arnoldi(B: np.ndarray, dim: int, rng: np.random.Generator) -> tuple[np.ndar
         if k == dim:
             continue
         if norm <= 1e-12 * size:
-            V[:, k] = random_vector(k)
+            V[:, k] = start_vector(k)
         else:
             H[k, j] = norm
             V[:, k] = w / norm
@@ -245,8 +261,7 @@ def _rightmost(mats: tuple[np.ndarray, ...], line: float, count: int) -> tuple[n
     Nothing falls back to a dense eigensolve.  tau, the Krylov dimensions,
     the start vectors, the slack and tol are the module constants above
     ``_conserves_mass``, whose comments say why each has its value."""
-    rng = np.random.default_rng(0)
-    runs = [_arnoldi(B, _KRYLOV_DIMS[0], rng) for B in mats]
+    runs = [_arnoldi(B, _KRYLOV_DIMS[0]) for B in mats]
     moduli = np.sort(np.concatenate([np.abs(_schur(H)[0]) for _, H in runs]))[::-1]
     cut = min(np.exp(_TAU * line), moduli[min(count, moduli.size) - 1]) * np.exp(-_TAU * _SLACK)
     evs, worst = [], 0.0
@@ -256,7 +271,7 @@ def _rightmost(mats: tuple[np.ndarray, ...], line: float, count: int) -> tuple[n
         anorm = lange("I", B.T) if B.flags.c_contiguous else lange("1", B)
         for dim in _KRYLOV_DIMS:
             if dim > _KRYLOV_DIMS[0]:
-                V, H = _arnoldi(B, dim, rng)
+                V, H = _arnoldi(B, dim)
             _, Z, p = _schur(H, cut)
             if 2 * p > H.shape[0] and H.shape[0] < B.shape[0]:
                 failure = f"{p} Ritz values above the cut"
