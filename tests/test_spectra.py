@@ -607,9 +607,9 @@ def _two_closed_classes(n: int) -> OperatorMatrix:
 
 def test_double_zero_of_two_closed_classes_is_not_simple():
     # a Krylov space grown from one vector holds one direction of the double
-    # zero's eigenspace; Arnoldi starts from two (and restarts from a random
-    # vector where the space closes), so both zeros show, as in the dense
-    # solver, and the report refuses them
+    # zero's eigenspace; Arnoldi starts from two (and restarts from a
+    # pseudo-random vector where the space closes), so both zeros show, as
+    # in the dense solver, and the report refuses them
     op = _two_closed_classes(129)
     assert op.bands is None and len(op.blocks.mats) == 2
     assert op.conservation_defect <= 1e-14 * np.abs(op.parts.diag).max()
