@@ -46,6 +46,19 @@ def dense_contour(M: np.ndarray, radius: float) -> tuple[int, float]:
     return int(np.count_nonzero(mod < radius)), float(np.abs(mod - radius).min())
 
 
+def dense_projector(rep, grid) -> np.ndarray:
+    """The n x n projector P = G wq^T of a ``spectra.ProjectorReport``,
+    formed from the two factors it keeps: the normalized equilibrium G and
+    the cell sizes wq of grid.  O(n^2)."""
+    return np.outer(rep.equilibrium, grid.cell_sizes)
+
+
+def induced_l1_norm(M: np.ndarray, wq: np.ndarray) -> float:
+    """The operator norm of M on L^1(wq), max_j sum_i wq_i |M_ij| / wq_j:
+    the largest weighted column sum of |M|.  O(n^2)."""
+    return float((wq @ np.abs(M) / wq).max())
+
+
 def dense_evolve(M, f0, spec):
     """Reference trajectory of ``semigroup.evolve_block``, recorded states
     stacked, from one dense expm(dt M) or one dense LU."""

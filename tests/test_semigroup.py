@@ -104,6 +104,23 @@ def test_exact_expm_guard_keeps_dense_path_for_flat_datum():
         assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref)), n
 
 
+def test_exact_expm_refuses_n_above_2049_before_any_dense_block():
+    # today's limit, pinned so that raising it is a deliberate change: at
+    # n = 2051 the refusal comes before the two mirror blocks (8.4 MB each)
+    # or an exponential are formed
+    op = assemble(Fractional(alpha=1.5), make_grid(60.0, 2051))
+    F0 = gaussian_density(op.grid).values[:, None]
+    spec = EvolveSpec(t_end=1.0, dt=0.5, scheme="ExactExpm")
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="n <= 2049"):
+            evolve_block(op, F0, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 * 8 * op.grid.n
+
+
 def test_exact_expm_block_decomposes_the_chain_once(monkeypatch):
     # an n x k ExactExpm block on a birth-death chain makes one tridiagonal
     # eigendecomposition and one conservation check, and each of its

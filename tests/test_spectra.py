@@ -5,7 +5,13 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from dense_oracle import dense_contour, dense_report, mirror_blocks
+from dense_oracle import (
+    dense_contour,
+    dense_projector,
+    dense_report,
+    induced_l1_norm,
+    mirror_blocks,
+)
 from fplab.cli import main
 from fplab.grids import WeightSpec, gaussian_density, make_grid, mass
 from fplab.operators import (
@@ -254,7 +260,8 @@ def test_projector_from_bordered_blocks_matches_dense(force_dense):
     force_dense()
     ref = spectral_projector(op, radius=0.5)
     assert rep.rank == ref.rank == count == 1
-    assert np.max(np.abs(rep.projector - ref.projector)) <= 1e-12 * ref.norm
+    assert np.max(np.abs(dense_projector(rep, op.grid) - dense_projector(ref, op.grid))) \
+        <= 1e-12 * ref.norm
     assert abs(rep.norm - ref.norm) <= 1e-12 * ref.norm
     assert abs(rep.contour_margin - margin) <= 1e-9
 
@@ -359,15 +366,15 @@ def test_gap_sweep_records_exception_type():
 def test_projector_rank_one_and_mean_projection():
     rep = spectral_projector(OP, radius=0.5)
     assert rep.rank == 1
-    P = rep.projector
+    P = dense_projector(rep, GRID)
     assert np.linalg.norm(P @ P - P, 2) <= 1e-8 * rep.norm
-    assert abs(np.trace(rep.projector) - 1.0) <= 1e-10
-    assert abs(rep.norm - np.linalg.norm(rep.projector, 2)) <= 1e-10 * rep.norm
+    assert abs(np.trace(P) - 1.0) <= 1e-10
+    assert abs(rep.norm - np.linalg.norm(P, 2)) <= 1e-10 * rep.norm
     # the rank-1 projector maps f to mass(f) * equilibrium
     G = gaussian_density(GRID)
     for width in (0.8, 1.5, 2.5, 1.0, 3.0):
         f = gaussian_density(GRID, width, 0.5)
-        out = rep.projector @ f.values
+        out = P @ f.values
         target = mass(f) * G.values
         assert np.max(np.abs(out - target)) <= 1e-6
 
@@ -382,7 +389,7 @@ def test_projector_matches_rank_one_closed_form():
         w, vl, vr = sla.eig(op.entries, left=True, right=True)
         i0 = int(np.argmin(np.abs(w)))
         r, l = vr[:, i0].real, vl[:, i0].real
-        P = spectral_projector(op, radius=0.5).projector
+        P = dense_projector(spectral_projector(op, radius=0.5), g)
         assert np.max(np.abs(P - np.outer(r, l) / (l @ r))) <= 1e-13, model
 
 
@@ -398,7 +405,7 @@ def test_projector_invariants_at_criterion_10_size(model):
     g = make_grid(12.8, 1025)
     op = assemble(model, g)
     rep = spectral_projector(op, radius=0.5)
-    P = rep.projector
+    P = dense_projector(rep, g)
     scale = np.abs(op.entries).sum(axis=0).max() * rep.norm
     assert np.linalg.norm(op.matmat(P), 2) <= 1e-14 * scale
     assert np.linalg.norm(op.matmat(P.T, transpose=True), 2) <= 1e-14 * scale
@@ -418,7 +425,7 @@ def test_projector_matches_fine_contour_quadrature():
     zs = radius * np.exp(2j * np.pi * (np.arange(n_nodes) + 0.5) / n_nodes)
     contour = sum(z * np.linalg.solve(z * eye - M, eye) for z in zs) / n_nodes
     rep = spectral_projector(op, radius=radius)
-    P = rep.projector
+    P = dense_projector(rep, op.grid)
     assert rep.rank == 1
     assert np.max(np.abs(P - contour.real)) <= 1e-12
     assert abs(np.trace(P) - 1.0) <= 1e-10
@@ -448,7 +455,8 @@ def test_projector_mirror_blocks_match_dense(case, radius, force_dense):
     force_dense()
     ref = spectral_projector(op, radius=radius)
     assert rep.rank == ref.rank == count == 1
-    assert np.max(np.abs(rep.projector - ref.projector)) <= 1e-12 * ref.norm
+    assert np.max(np.abs(dense_projector(rep, op.grid) - dense_projector(ref, op.grid))) \
+        <= 1e-12 * ref.norm
     assert abs(rep.norm - ref.norm) <= 1e-12 * ref.norm
     assert abs(rep.contour_margin - margin) <= 1e-9
 
@@ -478,6 +486,32 @@ def test_projector_contour_crossing_error():
 def test_projector_distance_self_is_zero():
     rep = spectral_projector(OP, radius=0.5)
     assert projector_distance(rep, rep, GRID) == 0.0
+
+
+@pytest.mark.parametrize("eps", [0.8, 0.4, 0.2])
+def test_projector_distance_is_the_dense_induced_norm(eps):
+    # criterion 10 at n = 257, whose h = 0.1 resolves eps >= 0.2 only: the
+    # distance is the L^1(wq) operator norm of the difference of the two
+    # projectors formed densely
+    g = make_grid(12.8, 257)
+    p0 = spectral_projector(assemble(Fractional(alpha=1.0, constant=1.0), g), radius=0.5)
+    pe = spectral_projector(assemble(DiscreteFractional(eps=eps, alpha=1.0), g), radius=0.5)
+    exact = induced_l1_norm(dense_projector(pe, g) - dense_projector(p0, g), g.cell_sizes)
+    assert abs(projector_distance(pe, p0, g) - exact) <= 1e-13 * exact
+
+
+def test_projector_forms_no_n_by_n_array():
+    # P is kept as its factors: the steady state (0.12 MB traced at this
+    # size) and the eigenvalue count (0.03 MB), not the 8.4 MB of P itself
+    op = assemble(Classical(), make_grid(12.0, 1025))
+    tracemalloc.start()
+    try:
+        rep = spectral_projector(op, radius=0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.equilibrium.shape == (op.grid.n,)
+    assert peak <= 64 * 8 * op.grid.n
 
 
 def test_perturbation_certificate_smooth_family():
