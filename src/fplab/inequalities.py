@@ -257,14 +257,16 @@ def regularization_norm(
     parts (``matmat``) and E on the blocks of B
     (``operators._exponential``), so neither dense matrix is formed for a
     centrosymmetric B; apart from the exponentials of its two half-size
-    mirror blocks, memory is O(nP)."""
+    mirror blocks, memory is O(nP).  Those blocks are limited in order
+    (``operators._MAX_BLOCK``), not n."""
     if A.grid != B.grid:
         raise ValueError("grid mismatch")
     if n_conv < 1 or n_conv > 2:
         raise ValueError("n_conv must be 1 or 2")
     grid = A.grid
-    if grid.n > 2049:
-        raise ValueError("regularization_norm requires n <= 2049 (dense expm)")
+    # B's blocks before the probes, so that a block above
+    # ``operators._MAX_BLOCK`` is refused before anything of size n is formed
+    B.blocks
     F = probe_block(grid, count=probes, seed=seed, include_sharp=include_sharp)
     P = F.shape[1]
     rows = []

@@ -104,6 +104,15 @@ ModelSpec = Union[Classical, DiscreteClassical, Fractional, DiscreteFractional]
 # columns per padded FFT pair in ``OperatorParts.matmat``
 _COLUMN_CHUNK = 8
 
+# The largest order of a dense block (``OperatorMatrix.blocks``), the one
+# size limit of every dense solve.  The exponential of a block of order m
+# holds five m x m work arrays (``_expm``), 5 x 8 m^2 bytes: 671 MB at
+# m = 4097, the even mirror block at n = 8193.  For Fractional(1) at
+# h = 60/1024 (steady state, ``eigen_spectrum`` and a 4-unit ExactExpm
+# decay at dt = 0.05) n = 4097 ran at 296 MB max RSS (eigensolve 6.8 s,
+# decay 4.3 s) and n = 8193 at 986 MB (61 s and 42 s).
+_MAX_BLOCK = 4097
+
 
 def _fft_size(m: int) -> int:
     """The smallest c 2^a >= m with c in (1, 3, 5): a length numpy's FFT runs
@@ -212,10 +221,16 @@ class OperatorMatrix:
         """The dense blocks that the solvers run on where they take no
         ``bands``: the even and odd mirror blocks
         (``_mirror_blocks_of_parts``) under the half-sum fold, else
-        ``entries`` under the identity.  Never None."""
-        pair = _mirror_blocks_of_parts(self.parts)
-        return _whole(self.entries) if pair is None else _Blocks(
-            pair, _mirror_fold, _mirror_unfold)
+        ``entries`` under the identity.  Never None.  A block of order above
+        ``_MAX_BLOCK`` is refused (ValueError) before any block is formed."""
+        mirrored = _mirror_symmetric(self.parts)
+        order = self.grid.n // 2 + 1 if mirrored else self.grid.n
+        if order > _MAX_BLOCK:
+            raise ValueError(f"dense block of order {order} above {_MAX_BLOCK}: its exponential "
+                             f"would need 5 x 8 x {order}^2 bytes = {40e-6 * order**2:.0f} MB")
+        if not mirrored:
+            return _whole(self.entries)
+        return _Blocks(_mirror_blocks_of_parts(self.parts), _mirror_fold, _mirror_unfold)
 
     @property
     def conservation_defect(self) -> float:
@@ -277,11 +292,18 @@ def _birth_death(diag: np.ndarray, lower: np.ndarray,
     return _BirthDeath(diag=diag, lower=lower, upper=upper, log_d=log_d - log_d.min())
 
 
+def _mirror_symmetric(p: OperatorParts) -> bool:
+    """Whether every term's row and column factors, the diagonal and the
+    bands are mirror-symmetric (to 8 eps, with lower[::-1] = upper), so that
+    M commutes with the grid flip."""
+    tol = 8.0 * np.finfo(float).eps
+    return not any(np.abs(u[::-1] - v).max() > tol * max(np.abs(u).max(), np.abs(v).max())
+                   for u, v in [(v, v) for v in (p.diag, *p.left, *p.right)] + [(p.lower, p.upper)])
+
+
 def _mirror_blocks_of_parts(p: OperatorParts) -> tuple[np.ndarray, np.ndarray] | None:
     """The even and odd mirror blocks of the operator, from its parts with
-    no n x n matrix, when every term's row and column factors, the diagonal
-    and the bands are mirror-symmetric (to 8 eps, with lower[::-1] = upper),
-    so that M commutes with the grid flip; else None.
+    no n x n matrix, when it is ``_mirror_symmetric``; else None.
 
     With m = n // 2 (n is odd on every ``Grid1D``), the fold v -> (even, odd)
     of ``_mirror_fold`` is a similarity taking M to diag(M_even, M_odd), of
@@ -291,9 +313,7 @@ def _mirror_blocks_of_parts(p: OperatorParts) -> tuple[np.ndarray, np.ndarray] |
     T(c[:m]) plus its Hankel quarter H[i, j] = c[n-1-i-j], both scaled, to
     the even block and their difference to the odd block; its centre column
     and twice its centre row border the even block."""
-    tol = 8.0 * np.finfo(float).eps
-    if any(np.abs(u[::-1] - v).max() > tol * max(np.abs(u).max(), np.abs(v).max())
-           for u, v in [(v, v) for v in (p.diag, *p.left, *p.right)] + [(p.lower, p.upper)]):
+    if not _mirror_symmetric(p):
         return None
     n = p.diag.size
     m = n // 2

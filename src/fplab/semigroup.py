@@ -19,6 +19,7 @@ from .operators import (
     ModelSpec,
     OperatorMatrix,
     OperatorParts,
+    _MAX_BLOCK,
     _BirthDeath,
     _dense_factor,
     _dot,
@@ -84,12 +85,11 @@ def evolve_block(op: OperatorMatrix, F0: np.ndarray, spec: EvolveSpec) -> list[t
 
     A state that is not finite raises FloatingPointError naming its step:
     the first step at which any piece is not finite (or a recorded step
-    whose unfolded state overflows)."""
+    whose unfolded state overflows).  A block above
+    ``operators._MAX_BLOCK`` is refused (ValueError) before it is formed."""
     n = op.grid.n
     if F0.shape[0] != n:
         raise ValueError("grid mismatch")
-    if spec.scheme == "ExactExpm" and n > 2049:
-        raise ValueError("ExactExpm limited to n <= 2049")
     nsteps = int(round(spec.t_end / spec.dt))
     F = np.array(F0, dtype=float)  # every step returns a new array
     out = [(0.0, F)]
@@ -135,7 +135,9 @@ def _birth_death_expm(bd: _BirthDeath, op: OperatorMatrix, F0: np.ndarray,
                       times: np.ndarray) -> np.ndarray | None:
     """States e^(t M) F0 for t in ``times``, shape (n, len(times), k), from
     the symmetrized eigendecomposition, or None when the sup-norm guard of
-    ``evolve_block`` fails for some column (or D F0 overflows).
+    ``evolve_block`` fails for some column (or D F0 overflows), or when n is
+    above 2 ``operators._MAX_BLOCK`` - 1, so that the fallback to
+    ``OperatorMatrix.blocks`` meets the block-order limit (n x n Q).
 
     The tridiagonal eigensolve, by MRRR (LAPACK ?stemr: O(n) workspace
     besides Q, where ?stevd asks for n^2 more), and the conservation check
@@ -145,6 +147,8 @@ def _birth_death_expm(bd: _BirthDeath, op: OperatorMatrix, F0: np.ndarray,
     (``_conserves_mass``) the roundoff mass defect of each column is put
     back along the equilibrium wq / d^2, the null vector of M: without it
     the Classical decay datum at n = 1025 drifts by 7e-12."""
+    if bd.diag.size > 2 * _MAX_BLOCK - 1:
+        return None
     d = np.exp(bd.log_d)  # min d = 1
     cols = [(f, d * f) for f in np.asfortranarray(F0).T]  # contiguous columns
     tiny = np.finfo(float).eps

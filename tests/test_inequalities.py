@@ -339,23 +339,6 @@ def test_regularization_multiplier_part_is_never_dense(monkeypatch):
         assert all(np.isfinite(row["norm"]) and row["norm"] > 0.0 for row in rep["rows"])
 
 
-def test_regularization_refuses_n_above_2049_before_any_dense_block():
-    # today's limit, pinned so that raising it is a deliberate change: at
-    # n = 2051 the refusal comes before the probe block, the mirror blocks
-    # of B or an exponential are formed
-    A, B = assemble_splitting(Classical(), make_grid(12.0, 2051),
-                              ClassicalSplitting(M=10.0, R=6.0))
-    tracemalloc.start()
-    try:
-        with pytest.raises(ValueError, match="n <= 2049"):
-            regularization_norm(A, B, n_conv=2, t_grid=[1.0], source=WeightSpec(p=2, q=1),
-                                target=WeightSpec(p=2, q=1, s=1))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 64 * 8 * A.grid.n
-
-
 @pytest.mark.parametrize("n_conv", [1, 2])
 def test_regularization_horner_matches_explicit_operator(n_conv):
     grid = make_grid(12.0, 65)

@@ -507,6 +507,40 @@ def test_mirror_blocks_read_the_toeplitz_and_hankel_quarters_in_place():
     assert _peak_bytes(lambda: _mirror_blocks_of_parts(op.parts)) - blocks <= 1.3 * 8 * m * m
 
 
+@pytest.mark.parametrize("case", ["exact-expm", "regularization", "steady-state", "whole"])
+def test_dense_paths_refuse_a_block_above_the_limit(case):
+    # at n = 8195 the even mirror block has order 4098, one above
+    # operators._MAX_BLOCK: every dense path is refused before a block
+    # (134 MB each) or an exponential (five times that) is formed, and an
+    # operator without mirror symmetry on its whole matrix of order n
+    n = 8195
+    op = assemble(Fractional(alpha=1.0), make_grid(240.0, n))
+    order = n // 2 + 1
+    if case == "exact-expm":
+        F0 = gaussian_density(op.grid).values[:, None]
+        run = lambda: evolve_block(op, F0, EvolveSpec(t_end=1.0, dt=0.5, scheme="ExactExpm"))
+    elif case == "regularization":
+        A, B = assemble_splitting(Classical(), make_grid(12.0, n), ClassicalSplitting(M=10.0, R=6.0))
+        run = lambda: regularization_norm(A, B, n_conv=2, t_grid=[1.0], source=WeightSpec(p=2, q=1),
+                                          target=WeightSpec(p=2, q=1, s=1))
+    else:
+        if case == "whole":
+            p = op.parts
+            tilted = np.linspace(0.5, 1.5, n) * p.diag
+            op = OperatorMatrix(op.grid, OperatorParts(tilted, p.lower, p.upper, p.cols,
+                                                       p.left, p.right))
+            order = n
+        run = lambda: steady_state(op)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=rf"order {order} above 4097: .* = \d+ MB"):
+            run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 * 8 * n
+
+
 def test_parts_that_are_not_mirror_symmetric_fall_back():
     grid = make_grid(6.0, 257)
     op = assemble(DiscreteFractional(eps=0.2, alpha=1.0), grid)
