@@ -257,16 +257,14 @@ def regularization_norm(
     parts (``matmat``) and E on the blocks of B
     (``operators._exponential``), so neither dense matrix is formed for a
     centrosymmetric B; apart from the exponentials of its two half-size
-    mirror blocks, memory is O(nP).  Those blocks are limited in order
-    (``operators._MAX_BLOCK``), not n."""
+    mirror blocks (of order at most ``operators._MAX_BLOCK``), memory is
+    O(nP)."""
     if A.grid != B.grid:
         raise ValueError("grid mismatch")
     if n_conv < 1 or n_conv > 2:
         raise ValueError("n_conv must be 1 or 2")
     grid = A.grid
-    # B's blocks before the probes, so that a block above
-    # ``operators._MAX_BLOCK`` is refused before anything of size n is formed
-    B.blocks
+    B.blocks  # refuses a block above operators._MAX_BLOCK before the probes
     F = probe_block(grid, count=probes, seed=seed, include_sharp=include_sharp)
     P = F.shape[1]
     rows = []
@@ -313,7 +311,7 @@ def fractional_sobolev_block(F: np.ndarray, grid: Grid1D, alpha: float) -> dict:
     # exact per-cell integrals of the kernel in the difference variable keep
     # the quadrature accurate next to the regularization radius
     w = np.zeros(n)
-    w[1:] = _power_cell_weights(grid, alpha, 1.0, delta)
+    w[1:] = _power_cell_weights(grid, alpha, 1.0, delta, np.inf)
     near_factor = 2.0 * delta ** (2.0 - alpha) / (2.0 - alpha)
     # analytic far-tail correction: for y beyond the grid the probe vanishes,
     # leaving u(x)^2 times the kernel mass out of reach of the grid offsets

@@ -14,16 +14,14 @@ import numpy as np
 class Kernel:
     """A symmetric nonnegative jump kernel in d = 1.
 
-    ``profile`` evaluates k(|x|).  TruncatedFractional kernels carry
-    (alpha, eps) and a finite support radius 1/eps.
+    ``profile`` evaluates k(|x|).  TruncatedFractional kernels have the
+    finite support radius 1/eps.
     """
 
     variant: str  # "SmoothSymmetric" | "TruncatedFractional"
     profile: Callable[[np.ndarray], np.ndarray]
     l1_norm: float
     support_radius: float  # inf for smooth kernels
-    alpha: float | None = None
-    eps: float | None = None
     # closed-form Fourier transform (takes |xi|); ``khat`` needs it
     profile_hat: Callable[[np.ndarray], np.ndarray] | None = None
     # quadrature tail cut for smooth kernels (in x units)
@@ -108,8 +106,6 @@ def truncated_fractional_kernel(alpha: float, eps: float) -> Kernel:
         profile=prof,
         l1_norm=l1,
         support_radius=1.0 / eps,
-        alpha=alpha,
-        eps=eps,
     )
 
 

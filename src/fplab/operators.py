@@ -33,13 +33,7 @@ import scipy.linalg as sla
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .grids import Grid1D, WeightSpec, probe_norm
-from .kernels import (
-    Kernel,
-    gaussian_reference_kernel,
-    rescale,
-    symbol_constant,
-    truncated_fractional_kernel,
-)
+from .kernels import gaussian_reference_kernel, rescale, symbol_constant
 from .probes import probe_block
 
 
@@ -104,13 +98,10 @@ ModelSpec = Union[Classical, DiscreteClassical, Fractional, DiscreteFractional]
 # columns per padded FFT pair in ``OperatorParts.matmat``
 _COLUMN_CHUNK = 8
 
-# The largest order of a dense block (``OperatorMatrix.blocks``), the one
-# size limit of every dense solve.  The exponential of a block of order m
-# holds five m x m work arrays (``_expm``), 5 x 8 m^2 bytes: 671 MB at
-# m = 4097, the even mirror block at n = 8193.  For Fractional(1) at
-# h = 60/1024 (steady state, ``eigen_spectrum`` and a 4-unit ExactExpm
-# decay at dt = 0.05) n = 4097 ran at 296 MB max RSS (eigensolve 6.8 s,
-# decay 4.3 s) and n = 8193 at 986 MB (61 s and 42 s).
+# The largest order m of a dense block (``OperatorMatrix.blocks``): its
+# exponential takes five m x m arrays (``_expm``), 671 MB at m = 4097.  For
+# Fractional(1) at h = 60/1024 a steady state, eigensolve and ExactExpm decay
+# peaked at 296 MB max RSS at n = 4097 and at 986 MB at n = 8193 (m = 4097).
 _MAX_BLOCK = 4097
 
 
@@ -221,16 +212,15 @@ class OperatorMatrix:
         """The dense blocks that the solvers run on where they take no
         ``bands``: the even and odd mirror blocks
         (``_mirror_blocks_of_parts``) under the half-sum fold, else
-        ``entries`` under the identity.  Never None.  A block of order above
-        ``_MAX_BLOCK`` is refused (ValueError) before any block is formed."""
+        ``entries`` under the identity.  A block of order above
+        ``_MAX_BLOCK`` is refused (ValueError) before any is formed."""
         mirrored = _mirror_symmetric(self.parts)
         order = self.grid.n // 2 + 1 if mirrored else self.grid.n
         if order > _MAX_BLOCK:
             raise ValueError(f"dense block of order {order} above {_MAX_BLOCK}: its exponential "
                              f"would need 5 x 8 x {order}^2 bytes = {40e-6 * order**2:.0f} MB")
-        if not mirrored:
-            return _whole(self.entries)
-        return _Blocks(_mirror_blocks_of_parts(self.parts), _mirror_fold, _mirror_unfold)
+        return (_Blocks(_mirror_blocks_of_parts(self.parts), _mirror_fold, _mirror_unfold)
+                if mirrored else _whole(self.entries))
 
     @property
     def conservation_defect(self) -> float:
@@ -301,9 +291,9 @@ def _mirror_symmetric(p: OperatorParts) -> bool:
                    for u, v in [(v, v) for v in (p.diag, *p.left, *p.right)] + [(p.lower, p.upper)])
 
 
-def _mirror_blocks_of_parts(p: OperatorParts) -> tuple[np.ndarray, np.ndarray] | None:
-    """The even and odd mirror blocks of the operator, from its parts with
-    no n x n matrix, when it is ``_mirror_symmetric``; else None.
+def _mirror_blocks_of_parts(p: OperatorParts) -> tuple[np.ndarray, np.ndarray]:
+    """The even and odd mirror blocks of an operator whose parts are
+    ``_mirror_symmetric``, from its parts with no n x n matrix.
 
     With m = n // 2 (n is odd on every ``Grid1D``), the fold v -> (even, odd)
     of ``_mirror_fold`` is a similarity taking M to diag(M_even, M_odd), of
@@ -313,8 +303,6 @@ def _mirror_blocks_of_parts(p: OperatorParts) -> tuple[np.ndarray, np.ndarray] |
     T(c[:m]) plus its Hankel quarter H[i, j] = c[n-1-i-j], both scaled, to
     the even block and their difference to the odd block; its centre column
     and twice its centre row border the even block."""
-    if not _mirror_symmetric(p):
-        return None
     n = p.diag.size
     m = n // 2
     even, odd = np.zeros((m + 1, m + 1)), np.zeros((m, m))
@@ -650,43 +638,29 @@ def _generator(grid: Grid1D, label: str, diffusion: float, w: np.ndarray | None 
 
 
 def _power_cell_weights(grid: Grid1D, alpha: float, constant: float,
-                        delta: float) -> np.ndarray:
-    """Exact cell integrals of constant*|z|^(-1-alpha) for offsets j >= 1,
-    zero inside the near-field radius delta."""
-    n, h = grid.n, grid.h
-    j = np.arange(1, n)
-    lo = np.maximum(delta, (j - 0.5) * h)
-    hi = np.maximum(delta, (j + 0.5) * h)
+                        delta: float, cut: float) -> np.ndarray:
+    """Exact integrals of constant*|z|^(-1-alpha) over the cells
+    [(j - 1/2) h, (j + 1/2) h] of the offsets j >= 1, each clipped to
+    [delta, cut]: zero inside the near-field radius delta and beyond cut.
+    Taken at the clipped ends, not as integrals from 0: for
+    DiscreteFractional(0.05, 1) at L = 25.6, n = 2049 they lie within
+    1.6e-13 relative of extended precision, integrals from 0 within 1.7e-10."""
+    j = np.arange(1, grid.n)
+    lo, hi = (np.clip(x * grid.h, delta, cut) for x in (j - 0.5, j + 0.5))
     return constant * (lo ** (-alpha) - hi ** (-alpha)) / alpha
 
 
-def _truncated_cell_weights(grid: Grid1D, kern: Kernel) -> np.ndarray:
-    """Exact cell integrals of the plateau-truncated power-law kernel."""
-    alpha, eps = kern.alpha, kern.eps
-    n, h = grid.n, grid.h
-    j = np.arange(1, n)
-    lo = (j - 0.5) * h
-    hi = (j + 0.5) * h
-
-    def antideriv(z: np.ndarray) -> np.ndarray:
-        # integral of k_eps from 0 to z >= 0: plateau piece then power piece
-        z = np.asarray(z, dtype=float)
-        res = np.empty_like(z)
-        small = z < eps
-        res[small] = z[small] * eps ** (-1.0 - alpha)
-        big = ~small
-        zc = np.minimum(z[big], 1.0 / eps)
-        res[big] = eps ** (-alpha) + (eps ** (-alpha) - zc ** (-alpha)) / alpha
-        return res
-
-    F = antideriv(np.concatenate(([0.0], hi)))
-    Flo = antideriv(np.concatenate(([0.0], lo)))[1:]
-    return F[1:] - Flo
+# The sampled Gaussian column drops the offsets whose two tails sum to at
+# most this fraction of its total, which cannot change a column sum: at
+# h = eps/8, offsets 95 to 435, and with them every block entry in
+# (0, 1e-150), whose products in ``_expm`` went subnormal and slow.
+_TAIL_CUT = 2.0**-53
 
 
 def sampled_convolution_weights(model: DiscreteClassical, grid: Grid1D) -> tuple[float, np.ndarray]:
     """Per-offset quadrature weights of the rescaled smooth kernel, renormalized
-    so the total offset sum equals the exact L1 norm.  Returns (w0, w[j>=1])."""
+    so the total offset sum equals the exact L1 norm, and cut where the two
+    tails sum to at most ``_TAIL_CUT`` of it.  Returns (w0, w[j>=1])."""
     h = grid.h
     if h > model.eps / 8.0 + 1e-12:
         raise ValueError(
@@ -697,7 +671,9 @@ def sampled_convolution_weights(model: DiscreteClassical, grid: Grid1D) -> tuple
     w = h * np.asarray(keps(j * h), dtype=float)
     w0 = h * float(keps(0.0))
     scale = keps.l1_norm / (w0 + 2.0 * w.sum())
-    return w0 * scale, w * scale
+    w *= scale
+    w[2.0 * np.cumsum(w[::-1])[::-1] <= _TAIL_CUT * keps.l1_norm] = 0.0
+    return w0 * scale, w
 
 
 def assemble(model: ModelSpec, grid: Grid1D) -> OperatorMatrix:
@@ -718,7 +694,7 @@ def assemble(model: ModelSpec, grid: Grid1D) -> OperatorMatrix:
         # second-order Taylor step; combined with the drift in one
         # exponential-fitting flux block
         near_diffusion = c * delta ** (2.0 - model.alpha) / (2.0 - model.alpha)
-        w = _power_cell_weights(grid, model.alpha, c, delta)
+        w = _power_cell_weights(grid, model.alpha, c, delta, np.inf)
         return _generator(grid, "full:fractional", diffusion=near_diffusion, w=w)
 
     if isinstance(model, DiscreteFractional):
@@ -726,8 +702,11 @@ def assemble(model: ModelSpec, grid: Grid1D) -> OperatorMatrix:
             raise ValueError(
                 f"grid does not resolve the plateau: need h <= eps/2 = {model.eps / 2.0:.6g}, got h = {h:.6g}"
             )
-        kern = truncated_fractional_kernel(model.alpha, model.eps)
-        w = _truncated_cell_weights(grid, kern)
+        # ``kernels.truncated_fractional_kernel``: plateau, then power law
+        eps, alpha = model.eps, model.alpha
+        j = np.arange(1, grid.n)
+        plateau = np.minimum((j + 0.5) * h, eps) - np.minimum((j - 0.5) * h, eps)
+        w = _power_cell_weights(grid, alpha, 1.0, eps, 1.0 / eps) + eps ** (-1.0 - alpha) * plateau
         return _generator(grid, "full:discrete-fractional", diffusion=0.0, w=w)
 
     raise TypeError(f"unknown model {model!r}")

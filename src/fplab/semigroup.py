@@ -135,9 +135,8 @@ def _birth_death_expm(bd: _BirthDeath, op: OperatorMatrix, F0: np.ndarray,
                       times: np.ndarray) -> np.ndarray | None:
     """States e^(t M) F0 for t in ``times``, shape (n, len(times), k), from
     the symmetrized eigendecomposition, or None when the sup-norm guard of
-    ``evolve_block`` fails for some column (or D F0 overflows), or when n is
-    above 2 ``operators._MAX_BLOCK`` - 1, so that the fallback to
-    ``OperatorMatrix.blocks`` meets the block-order limit (n x n Q).
+    ``evolve_block`` fails for some column (or D F0 overflows), or when
+    n > 2 ``_MAX_BLOCK`` - 1 (Q is n x n): the fallback's blocks refuse it.
 
     The tridiagonal eigensolve, by MRRR (LAPACK ?stemr: O(n) workspace
     besides Q, where ?stevd asks for n^2 more), and the conservation check
@@ -244,7 +243,7 @@ def steady_state(op: OperatorMatrix) -> Field:
     u = v / np.linalg.norm(v)
     _, lam2 = iterate(np.sin(np.arange(n) + 0.5), u)
     if abs(lam2) <= 1e-8 * max(1.0, scale * 1e-6):
-        raise ArithmeticError("spectral projector rank != 1")
+        raise ArithmeticError("steady state not unique: null space of rank > 1")
     g = Field(op.grid, np.sign(v.sum()) * v)
     total = mass(g)
     if total == 0:

@@ -125,7 +125,7 @@ def _five_part_weights(grid: Grid1D, alpha: float, constant: float,
     # exact cell integrals of the power-law kernel for every offset; the
     # near-field radius is irrelevant because the band factor vanishes there
     w = np.zeros(n)
-    w[1:] = _power_cell_weights(grid, alpha, constant, delta=0.5 * h)
+    w[1:] = _power_cell_weights(grid, alpha, constant, 0.5 * h, np.inf)
     w *= chi_band(np.arange(n) * h, split.eta, split.Lcut)
     return w, 1.0 - np.asarray(chi_scaled(grid.nodes, split.R))
 

@@ -90,7 +90,7 @@ def sobolev_lhs(F: np.ndarray, grid, alpha: float) -> np.ndarray:
     n, h = grid.n, grid.h
     delta = 2.0 * h
     w = np.zeros(n)
-    w[1:] = _power_cell_weights(grid, alpha, 1.0, delta)
+    w[1:] = _power_cell_weights(grid, alpha, 1.0, delta, np.inf)
     kv = sla.toeplitz(w)
     near_factor = 2.0 * delta ** (2.0 - alpha) / (2.0 - alpha)
     x = grid.nodes

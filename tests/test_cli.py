@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from fplab import acceptance
 from fplab.cli import main, parse_model, parse_noise, parse_splitting, parse_weight, UsageError
 from fplab.operators import Classical, DiscreteFractional, Fractional
 from fplab.sde import AlphaStable, CompoundPoisson
@@ -64,6 +65,41 @@ def test_steady_writes_outputs(tmp_path):
     assert rc == 0
     assert (out / "steady_state.csv").exists()
     assert (out / "resolved_config.json").exists()
+
+
+def test_accept_writes_every_result_and_exits_1_on_a_failure(tmp_path, monkeypatch):
+    def passing():
+        return {"name": "passing", "pass": True}
+
+    def raising():
+        raise ArithmeticError("no gap")
+
+    monkeypatch.setattr(acceptance, "CRITERIA", [passing, raising])
+    assert main(["accept", "--outdir", str(tmp_path)]) == 1
+    rep = json.loads((tmp_path / "acceptance.json").read_text())
+    assert rep["pass"] is False
+    first, second = rep["results"]
+    assert first == {"name": "passing", "pass": True, "elapsed_s": first["elapsed_s"]}
+    assert second["name"] == "raising" and second["pass"] is False
+    assert second["error"] == {"type": "ArithmeticError", "message": "no gap"}
+    assert all(r["elapsed_s"] >= 0.0 for r in rep["results"])
+    assert rep["slowest"] == max(([r["name"], r["elapsed_s"]] for r in rep["results"]),
+                                 key=lambda x: x[1])
+
+
+def test_decay_writes_its_report_alone_and_swept(tmp_path):
+    common = ["--model", "fractional:1.5", "--L", "12", "--n", "129", "--t-end", "2"]
+    assert main(["decay", *common, "--outdir", str(tmp_path / "one")]) == 0
+    rep = json.loads((tmp_path / "one" / "decay.json").read_text())
+    assert set(rep) == {"times", "norms", "fitted_rate", "fitted_prefactor", "fit_window",
+                        "residual", "clean", "projected", "skipped"}
+    assert rep["projected"] and rep["fitted_rate"] < -0.5
+    assert main(["decay", *common, "--sweep", "alpha", "--params", "1.0", "1.5",
+                 "--outdir", str(tmp_path / "sweep")]) == 0
+    sweep = json.loads((tmp_path / "sweep" / "decay_sweep.json").read_text())
+    assert set(sweep) == {"rows", "sup_rate", "a_target", "pass", "warning"}
+    assert [r["param"] for r in sweep["rows"]] == [1.0, 1.5]
+    assert all(r["error"] is None for r in sweep["rows"]) and sweep["pass"]
 
 
 def test_spectrum_and_config_file(tmp_path):

@@ -7,6 +7,7 @@ import pytest
 import scipy.linalg as sla
 
 from dense_oracle import dense_evolve, dense_projector, mirror_blocks, xi_pair
+from fplab.acceptance import _shared_op
 from fplab.grids import Field, WeightSpec, gaussian_density, make_grid, weighted_norm
 from fplab.inequalities import (
     adjoint_dissipativity_check,
@@ -27,9 +28,9 @@ from fplab.operators import (
     _dot,
     _expm,
     _mirror_blocks_of_parts,
+    _mirror_symmetric,
     _shifted_solver,
     _power_cell_weights,
-    _truncated_cell_weights,
     assemble,
     operator_distance,
     sampled_convolution_weights,
@@ -126,6 +127,36 @@ def test_sampled_convolution_weights_total_mass():
     assert abs(total - gaussian_reference_kernel().l1_norm) <= 1e-12
 
 
+@pytest.mark.parametrize("eps", [0.4, 0.2, 0.1])
+def test_gaussian_blocks_hold_no_entry_below_1e150(eps):
+    # criterion 4's operators: the sampled column ends where its two tails
+    # can no longer change a column sum, so no mirror block holds an entry
+    # in (0, 1e-150), whose products in the Pade sums of operators._expm
+    # would go subnormal
+    op = _shared_op("discrete-classical", eps)
+    for B in op.blocks.mats:
+        assert not np.any((B > 0.0) & (B < 1e-150))
+
+
+@pytest.mark.parametrize("eps,alpha,L,n", [(0.05, 1.0, 25.6, 2049), (0.02, 1.0, 10.24, 2049),
+                                           (0.2, 1.5, 12.8, 257), (0.1, 0.5, 6.4, 513)])
+def test_discrete_fractional_weights_are_the_cell_integrals(eps, alpha, L, n):
+    # the weight of offset j is the integral of the kernel's profile over
+    # the cell [(j - 1/2) h, (j + 1/2) h]: 16-point Gauss-Legendre on each
+    # piece that the plateau edge eps and the support edge 1/eps cut it into
+    grid = make_grid(L, n)
+    w = assemble(DiscreteFractional(eps=eps, alpha=alpha), grid).parts.cols[0][1:]
+    profile = truncated_fractional_kernel(alpha, eps).profile
+    lo, hi = ((np.arange(1, n) + s) * grid.h for s in (-0.5, 0.5))
+    ends = [lo, np.clip(eps, lo, hi), np.clip(1.0 / eps, lo, hi), hi]
+    x, gw = np.polynomial.legendre.leggauss(16)
+    quad = sum(0.5 * (b - a) * (profile(0.5 * (b - a)[:, None] * x + 0.5 * (a + b)[:, None]) @ gw)
+               for a, b in zip(ends[:-1], ends[1:]))
+    inside = lo < 1.0 / eps
+    assert np.all(w[~inside] == 0.0)
+    assert np.all(np.abs(w[inside] - quad[inside]) <= 1e-12 * quad[inside])
+
+
 def test_resolution_guards():
     coarse = make_grid(12.0, 65)
     with pytest.raises(ValueError):
@@ -213,10 +244,12 @@ def _dense_assemble(model, grid):
     elif isinstance(model, Fractional):
         c = float(model.constant)
         near = c * (2.0 * h) ** (2.0 - model.alpha) / (2.0 - model.alpha)
-        w = _power_cell_weights(grid, model.alpha, c, 2.0 * h)
+        w = _power_cell_weights(grid, model.alpha, c, 2.0 * h, np.inf)
         M = _dense_jump_block(grid, w) + _dense_drift_diffusion_block(grid, near)
     else:
-        w = _truncated_cell_weights(grid, truncated_fractional_kernel(model.alpha, model.eps))
+        # the weights themselves are checked against quadrature of the
+        # kernel (test_discrete_fractional_weights_are_the_cell_integrals)
+        w = assemble(model, grid).parts.cols[0][1:]
         M = _dense_jump_block(grid, w) + _dense_drift_diffusion_block(grid, 0.0)
     wq = grid.cell_sizes
     return M - np.diag((wq @ M) / wq)
@@ -249,7 +282,7 @@ def test_five_part_gain_matches_dense_construction(model, L):
     split = FractionalSplitting(eta=0.1, Lcut=1.0, R=2.0)
     x, h = grid.nodes, grid.h
     w = np.zeros(grid.n)
-    w[1:] = _power_cell_weights(grid, model.alpha, 1.0, 0.5 * h)
+    w[1:] = _power_cell_weights(grid, model.alpha, 1.0, 0.5 * h, np.inf)
     dense = sla.toeplitz(w)
     dense *= chi_band(x[:, None] - x[None, :], split.eta, split.Lcut)
     dense *= xi_pair(x[:, None], x[None, :], split.R)
@@ -511,8 +544,8 @@ def test_mirror_blocks_read_the_toeplitz_and_hankel_quarters_in_place():
 def test_dense_paths_refuse_a_block_above_the_limit(case):
     # at n = 8195 the even mirror block has order 4098, one above
     # operators._MAX_BLOCK: every dense path is refused before a block
-    # (134 MB each) or an exponential (five times that) is formed, and an
-    # operator without mirror symmetry on its whole matrix of order n
+    # (134 MB each) or an exponential (five times that) is formed, and so
+    # is an operator without mirror symmetry, whose one block is of order n
     n = 8195
     op = assemble(Fractional(alpha=1.0), make_grid(240.0, n))
     order = n // 2 + 1
@@ -556,7 +589,7 @@ def test_parts_that_are_not_mirror_symmetric_fall_back():
                   OperatorParts(tilted * p.diag, p.lower, p.upper, p.cols, p.left, p.right),
                   OperatorParts(p.diag, bumped, p.upper, p.cols, p.left, p.right)):
         other = OperatorMatrix(grid, parts=parts)
-        assert _mirror_blocks_of_parts(parts) is None
+        assert not _mirror_symmetric(parts)
         assert other.bands is None
         # the dense matrix is the one block, under the identity fold
         assert len(other.blocks.mats) == 1 and other.blocks.mats[0] is other.entries

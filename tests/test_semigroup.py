@@ -356,6 +356,27 @@ def test_steady_state_reducible_mirror_pair_raises(force_dense):
         spectral_projector(op, radius=0.5)
 
 
+def test_steady_state_refuses_a_null_vector_of_zero_mass(monkeypatch):
+    monkeypatch.setattr(semigroup, "mass", lambda f: 0.0)
+    with pytest.raises(ArithmeticError, match="zero mass"):
+        steady_state(OP_CLASSICAL)
+
+
+def test_steady_state_refuses_a_null_vector_it_cannot_normalize():
+    # rows 3 and 4 are (1, 1) and (2, 2), every other diagonal entry is -1:
+    # the null vector e_3 - e_4 is simple but has zero trapezoid mass, so
+    # what is left of the -1 modes is divided by a mass of roundoff size
+    n = 9
+    diag = -np.ones(n)
+    diag[3:5] = 1.0, 2.0
+    lower, upper = np.zeros(n - 1), np.zeros(n - 1)
+    lower[3], upper[3] = 2.0, 1.0
+    empty = np.empty((0, n))
+    op = OperatorMatrix(make_grid(2.0, n), OperatorParts(diag, lower, upper, empty, empty, empty))
+    with pytest.raises(ArithmeticError, match="residual too large"):
+        steady_state(op)
+
+
 def test_gaussian_variance_relaxation_oracle():
     # a centered Gaussian start relaxes with variance 1 + (v0 - 1) e^{-2t}
     f0 = gaussian_density(GRID, 0.25)

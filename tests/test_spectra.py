@@ -639,6 +639,22 @@ def _two_closed_classes(n: int) -> OperatorMatrix:
     return OperatorMatrix(grid, replace(off.parts, diag=diag))
 
 
+def test_rightmost_refuses_after_its_last_krylov_dimension(monkeypatch):
+    # a residual bound that nothing meets: each Krylov dimension is tried
+    # once on the first block, then the solve is refused, not handed to a
+    # dense eigensolver
+    dims = []
+    arnoldi = spectra._arnoldi
+    monkeypatch.setattr(spectra, "_arnoldi", lambda B, dim: dims.append(dim) or arnoldi(B, dim))
+    monkeypatch.setattr(spectra, "_TOL", -1.0)
+    monkeypatch.setattr(spectra, "_eigenvalues", None)
+    op = assemble(Fractional(alpha=1.0), make_grid(12.0, 129))
+    with pytest.raises(ArithmeticError, match="no invariant subspace .* at Krylov dimension 128"):
+        eigen_spectrum(op)
+    # the first dimension on both blocks, then the larger two on the first
+    assert dims == [32, 32, 64, 128]
+
+
 def test_double_zero_of_two_closed_classes_is_not_simple():
     # a Krylov space grown from one vector holds one direction of the double
     # zero's eigenspace; Arnoldi starts from two (and restarts from a
